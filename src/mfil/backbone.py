@@ -295,14 +295,14 @@ def _block_flops(dim: int, hw: int, config: VariantConfig) -> float:
     multiply-accumulate (the convention the published size tables use),
     the scan at two units per state per token, norms and activations at
     five ops per element. Arithmetic glue (adds, gating products) is
-    uncounted. Mirrors the tallies made by the instrumented counter.
+    uncounted. Mirrors the tallies made by the instrumented counter, except
+    for the parameter-only terms of ``_block_param_flops``.
     """
     ci = int(round(config.ssm_ratio * dim))
     r = int(round(config.ffn_ratio * dim))
     nst = config.d_state
     dt_rank = max(math.ceil(ci / 16), 1)
-    scans = num_scans(config.scan_mode)
-    length = scans * hw
+    length = num_scans(config.scan_mode) * hw
     f = 5.0 * hw * dim                 # norm1
     f += hw * (2 * ci) * dim           # in_proj
     f += hw * ci * 9                   # branch depthwise
@@ -315,10 +315,7 @@ def _block_flops(dim: int, hw: int, config: VariantConfig) -> float:
     f += length * (dt_rank + 2 * nst) * ci   # x_proj
     f += length * ci * dt_rank               # dt_proj
     f += 5.0 * length * ci                   # softplus(delta)
-    f += 5.0 * ci * nst                      # exp(A_log)
     f += 2.0 * length * ci * nst             # scan recurrence
-    if config.adaptive_weighting and scans > 1:
-        f += 5.0 * scans                     # fusion softmax
     f += 5.0 * hw * ci                 # gate silu
     f += hw * dim * ci                 # out_proj
     f += 5.0 * hw * dim                # norm2
@@ -326,8 +323,24 @@ def _block_flops(dim: int, hw: int, config: VariantConfig) -> float:
     return f
 
 
-def count_flops(config: VariantConfig, H: int, W: int) -> float:
-    """Forward cost for one image of size HxW under the documented rules."""
+def _block_param_flops(dim: int, config: VariantConfig) -> float:
+    """Per-block cost of ops on parameters alone, paid once per forward."""
+    ci = int(round(config.ssm_ratio * dim))
+    scans = num_scans(config.scan_mode)
+    f = 5.0 * ci * config.d_state            # exp(A_log)
+    if config.adaptive_weighting and scans > 1:
+        f += 5.0 * scans                     # fusion softmax
+    return f
+
+
+def count_flops(config: VariantConfig, H: int, W: int,
+                batch: int = 1) -> float:
+    """Forward cost for a batch of HxW images under the documented rules.
+
+    Equals the instrumented counter of one forward over ``batch`` images:
+    per-image terms scale with the batch, and ``exp(A_log)`` and the fusion
+    softmax, which see parameters only, are counted once.
+    """
     if H % _TOTAL_STRIDE or W % _TOTAL_STRIDE:
         raise ValueError(
             f"input spatial size {H}x{W} must be divisible by "
@@ -335,12 +348,14 @@ def count_flops(config: VariantConfig, H: int, W: int) -> float:
     d = config.dims
     h, w = H // 4, W // 4
     f = h * w * d[0] * 3 * 16 + 5.0 * h * w * d[0]  # stem conv + norm
+    shared = 0.0
     for s in range(4):
         f += config.depths[s] * _block_flops(d[s], h * w, config)
+        shared += config.depths[s] * _block_param_flops(d[s], config)
         if s < 3:
             h, w = h // 2, w // 2
             f += h * w * d[s + 1] * d[s] * 4          # downsample conv
             f += 5.0 * h * w * d[s + 1]               # downsample norm
     f += 5.0 * h * w * d[3]                           # head norm
     f += config.num_classes * d[3]                    # classifier
-    return f
+    return batch * f + shared

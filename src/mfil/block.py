@@ -144,8 +144,7 @@ class MfilBlock:
         return out
 
     def forward(self, x: Tensor, train: bool = False,
-                rng: np.random.Generator | None = None,
-                gate_ones: bool = False) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         ci = self.d_inner
         xn = layer_norm(_to_channel_last(x), self.norm1_gamma,
                         self.norm1_beta)
@@ -157,10 +156,7 @@ class MfilBlock:
                                   stride=1, padding=1)
         z_scan = mfil_ssm(silu(branch), self.bank, self.core, self.weights,
                           scan_mode=self.scan_mode)
-        if gate_ones:
-            gated = _to_channel_last(z_scan)
-        else:
-            gated = mul(_to_channel_last(z_scan), silu(u2))
+        gated = mul(_to_channel_last(z_scan), silu(u2))
         delta1 = _to_channel_first(linear(gated, self.out_proj))
         y1 = add(x, _drop_path(delta1, self.drop_path, train, rng))
 

@@ -143,6 +143,18 @@ def _from_tokens(tokens: Tensor, h: int, w: int) -> Tensor:
     return transpose(reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
 
 
+def _stack(maps) -> Tensor:
+    """n [B, C, H, W] maps -> [B, n*H*W, C], one map after another.
+
+    One channel-axis concat and one transpose through [B, n, C, H*W] move
+    all n maps at once; each map's tokens stay row-major.
+    """
+    b, c, h, w = maps[0].shape
+    n = len(maps)
+    grouped = reshape(concat(maps, axis=1), (b, n, c, h * w))
+    return reshape(transpose(grouped, (0, 1, 3, 2)), (b, n * h * w, c))
+
+
 def stack_scans(f_orig: Tensor, f_h: Tensor, f_v: Tensor,
                 f_dyn: Tensor) -> Tensor:
     """Concatenate the four views into one [B, 4*H*W, C] token sequence.
@@ -157,20 +169,19 @@ def stack_scans(f_orig: Tensor, f_h: Tensor, f_v: Tensor,
         if m.shape != shape:
             raise ValueError(
                 f"stack_scans: shape mismatch {m.shape} vs {shape}")
-    _, _, h, w = shape
-    return concat([_to_tokens(m) for m in maps], axis=1)
+    return _stack(maps)
 
 
 def unstack_scans(tokens: Tensor, h: int, w: int, n: int = 4):
     """Split a [B, n*H*W, C] sequence back into n [B, C, H, W] maps."""
     hw = h * w
-    if tokens.shape[1] != n * hw:
+    b, length, c = tokens.shape
+    if length != n * hw:
         raise ValueError(
-            f"unstack_scans: sequence length {tokens.shape[1]} != {n}*{hw}")
-    return [
-        _from_tokens(slice_axis(tokens, 1, i * hw, (i + 1) * hw), h, w)
-        for i in range(n)
-    ]
+            f"unstack_scans: sequence length {length} != {n}*{hw}")
+    grouped = transpose(reshape(tokens, (b, n, hw, c)), (0, 1, 3, 2))
+    maps = reshape(grouped, (b, n * c, h, w))
+    return [slice_axis(maps, 1, i * c, (i + 1) * c) for i in range(n)]
 
 
 def adaptive_merge(maps, weights: AdaptiveWeights | None) -> Tensor:
@@ -256,7 +267,7 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
 
     if scan_mode == "original_plus_one_filter":
         f_dyn = dynamic_map(x, bank)
-        seq = concat([_to_tokens(x), _to_tokens(f_dyn)], axis=1)
+        seq = _stack((x, f_dyn))
         out = selective_scan(seq, core, n_segments=2)
         maps = unstack_scans(out, h, w, n=2)
         return adaptive_merge(maps, weights)

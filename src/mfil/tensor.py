@@ -71,7 +71,7 @@ class Tensor:
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        if check_finite and not np.all(np.isfinite(self.data)):
+        if check_finite and not np.isfinite(arr).all():
             raise NonFiniteError("tensor constructed with non-finite values")
         self.grad_enabled = grad_enabled
         self.node = None
@@ -282,7 +282,7 @@ def record_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     ``backward_fn(grad_out) -> tuple`` must return one gradient array (or
     None) per input, aligned positionally.
     """
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{name} produced non-finite values")
     out = Tensor(out_data, check_finite=False)
     tape = _active_tape()
@@ -663,6 +663,16 @@ def _check_conv_pre(name, h, w, kh, kw, stride, padding):
             f"{h + 2 * padding}x{w + 2 * padding} (axes 2, 3)")
 
 
+def _zero_pad(a: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of an NCHW array; ``a`` itself at 0."""
+    if not padding:
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=a.dtype)
+    out[:, :, padding:padding + h, padding:padding + w] = a
+    return out
+
+
 def _windows(xp, kh, kw, stride, oh, ow):
     n, c, _, _ = xp.shape
     s0, s1, s2, s3 = xp.strides
@@ -704,8 +714,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
             f"channels (axis 1 = {kc})")
     _check_conv_pre("conv2d", h, w, kh, kw, stride, padding)
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                         (padding, padding)))
+    xp = _zero_pad(x.data, padding)
     win = _windows(xp, kh, kw, stride, oh, ow)
     # [N, C, OH, OW, kh, kw] -> cols [N, C*kh*kw, OH*OW]
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
@@ -750,11 +759,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
             f"with {c} input channels (want [{c}, 1, kH, kW])")
     _check_conv_pre("depthwise_conv2d", h, w, kh, kw, stride, padding)
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                             (padding, padding)))
-    else:
-        xp = x.data
+    xp = _zero_pad(x.data, padding)
     kflat = kernel.data[:, 0]  # [C, kh, kw]
     out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
     for i in range(kh):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfil import backbone as bb
-from mfil.tensor import Tensor, flop_counter, softmax
+from mfil.tensor import Tape, Tensor, flop_counter, softmax
 
 
 def _input(rng, size, batch=1, dtype=np.float32):
@@ -146,6 +146,16 @@ def test_instrumented_counter_matches_analytic_ablations(rng, mode):
     assert abs(fc.total - analytic) / analytic <= 1e-3
 
 
+@pytest.mark.parametrize("mode", ["multi_filter", "single_flatten",
+                                  "cross_4dir", "original_plus_one_filter"])
+def test_count_flops_exact_for_a_batch(rng, mode):
+    cfg = bb.desk().with_overrides(scan_mode=mode)
+    model = bb.build(cfg, seed=0)
+    with flop_counter() as fc:
+        model.forward(_input(rng, 32, batch=32))
+    assert fc.total == bb.count_flops(cfg, 32, 32, batch=32)
+
+
 def test_doubling_height_doubles_conv_flops():
     cfg = bb.desk()
     base = bb.count_flops(cfg, 64, 64)
@@ -189,3 +199,12 @@ def test_conv_baseline_shapes_and_determinism(rng):
     assert [f.shape[2] for f in feats] == [16, 8, 4, 2, 2]
     for k, p in m1.parameters().items():
         assert np.array_equal(p.data, m2.parameters()[k].data)
+
+
+def test_layout_flip_budget(rng):
+    """A taped desk forward flips NCHW <-> token layout at most 70 times."""
+    model = bb.build(bb.desk(), seed=0)
+    with Tape() as tape:
+        model.forward(_input(rng, 32))
+    flips = sum(node.name == "transpose" for node in tape.nodes)
+    assert flips <= 70

@@ -38,23 +38,26 @@ def test_residual_identity_with_zeroed_projections(rng):
 
 
 def test_gating_is_the_only_branch_coupling(rng):
-    """With the gate forced to ones the output is the plain scan path."""
+    """The scan path and the SiLU gate path meet only in their product."""
     from mfil.tensor import (add, depthwise_conv2d, layer_norm, linear,
                              silu, slice_axis, transpose)
     from mfil.scan import mfil_ssm
 
     blk = _block(5, seed=4)
+    ci = blk.d_inner
     x = Tensor(rng.standard_normal((1, 5, 4, 4)))
-    got = blk.forward(x, gate_ones=True)
+    got = blk.forward(x)
 
     xn = layer_norm(transpose(x, (0, 2, 3, 1)), blk.norm1_gamma,
                     blk.norm1_beta)
-    u1 = slice_axis(linear(xn, blk.in_proj), 3, 0, blk.d_inner)
+    u = linear(xn, blk.in_proj)
+    u1 = slice_axis(u, 3, 0, ci)
+    u2 = slice_axis(u, 3, ci, 2 * ci)
     branch = depthwise_conv2d(transpose(u1, (0, 3, 1, 2)), blk.branch_conv,
                               padding=1)
     z = mfil_ssm(silu(branch), blk.bank, blk.core, blk.weights)
-    y1 = add(x, transpose(linear(transpose(z, (0, 2, 3, 1)), blk.out_proj),
-                          (0, 3, 1, 2)))
+    gated = mul(transpose(z, (0, 2, 3, 1)), silu(u2))
+    y1 = add(x, transpose(linear(gated, blk.out_proj), (0, 3, 1, 2)))
     ffn_out = conv_ffn(y1, blk.ffn)
     want = add(y1, transpose(layer_norm(transpose(ffn_out, (0, 2, 3, 1)),
                                         blk.norm2_gamma, blk.norm2_beta),

@@ -367,6 +367,13 @@ def test_shape_and_dtype_mismatch_errors(rng):
 def test_nonfinite_surfaced_not_propagated():
     with pytest.raises(NonFiniteError, match="exp"):
         exp(Tensor(np.array([1000.0])))
+    big = Tensor(np.full((1, 1, 2, 2), 1e30, dtype=np.float32), dtype="f32")
+    with pytest.raises(NonFiniteError, match="mul"), \
+            np.errstate(over="ignore"):
+        mul(big, big)
+    with pytest.raises(NonFiniteError, match="conv2d"), \
+            np.errstate(over="ignore"):
+        conv2d(big, big, padding=0)
     with pytest.raises(NonFiniteError):
         Tensor(np.array([np.nan]))
 
