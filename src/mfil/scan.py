@@ -257,12 +257,10 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
         streams = [take(base, p, axis=1) for p in perms]
         seq = concat(streams, axis=1)
         out = selective_scan(seq, core, n_segments=4)
-        pieces = unstack_scans(out, h, w, n=4)
-        maps = []
-        for piece, p in zip(pieces, perms):
-            tok = _to_tokens(piece)
-            maps.append(_from_tokens(take(tok, _invert_permutation(p),
-                                          axis=1), h, w))
+        # Undo each view's permutation on the tokens, then leave tokens once.
+        inv = np.concatenate([_invert_permutation(p) + i * hw
+                              for i, p in enumerate(perms)])
+        maps = unstack_scans(take(out, inv, axis=1), h, w, n=4)
         return adaptive_merge(maps, weights)
 
     if scan_mode == "original_plus_one_filter":

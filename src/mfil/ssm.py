@@ -182,7 +182,7 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
     ud, dd, ad, bd, cd = u.data, delta.data, a.data, b_tok.data, c_tok.data
     h_all = np.empty((bsz, length, ch, n), dtype=dtype)
     a_bar_all = np.empty((bsz, length, ch, n), dtype=dtype)
-    h = np.zeros((bsz, ch, n), dtype=dtype)
+    prev = np.zeros((bsz, ch, n), dtype=dtype)
     for t0 in range(0, length, chunk):
         t1 = min(t0 + chunk, length)
         da = dd[:, t0:t1, :, None] * ad[None, None]
@@ -195,12 +195,15 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         else:
             w = dd[:, t0:t1, :, None]
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
+        # h[t] is written straight into its slot of h_all.
         for i, t in enumerate(range(t0, t1)):
+            h = h_all[:, t]
             if carry[t] == 0.0:
-                h = bx[:, i].copy()
+                h[...] = bx[:, i]
             else:
-                h = a_bar[:, i] * h + bx[:, i]
-            h_all[:, t] = h
+                np.multiply(a_bar[:, i], prev, out=h)
+                np.add(h, bx[:, i], out=h)
+            prev = h
     y = np.einsum("blcn,bln->blc", h_all, cd)
     if d_skip is not None:
         y = y + ud * d_skip.data[None, None, :]
@@ -217,13 +220,17 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         else:
             g_d = None
             g_u = np.zeros_like(ud)
-        # Reverse-time accumulation of dL/dh[t].
-        gh_all = np.empty_like(h_all)
-        gh = np.zeros((bsz, ch, n), dtype=dtype)
+        # Reverse-time accumulation of dL/dh[t]: gh_all starts as the
+        # readout term gy[t] * C[t] of every token; ca[t] is overwritten
+        # with the gradient that h[t] passes back to h[t-1].
+        gh_all = gy[:, :, :, None] * cd[:, :, None, :]
+        ca = carry[None, :, None, None] * a_bar_all
+        back = np.zeros((bsz, ch, n), dtype=dtype)
         for t in range(length - 1, -1, -1):
-            gh = gh + gy[:, t, :, None] * cd[:, t, None, :]
-            gh_all[:, t] = gh
-            gh = (carry[t] * a_bar_all[:, t]) * gh
+            gh = gh_all[:, t]
+            np.add(gh, back, out=gh)
+            back = ca[:, t]
+            np.multiply(back, gh, out=back)
         h_prev = np.empty_like(h_all)
         h_prev[:, 0] = 0.0
         h_prev[:, 1:] = h_all[:, :-1]

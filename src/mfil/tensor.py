@@ -371,9 +371,13 @@ def exp(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x):
-    # exp(-|x|) never overflows; both branches are exact.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(-|x|) never overflows; the numerator is 1 for x >= 0, else e.
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(num, e, out=num)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -420,7 +424,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed overflow-safe; softplus(0) = ln 2."""
-    out = np.logaddexp(0.0, a.data).astype(a.data.dtype)
+    out = np.logaddexp(0.0, a.data).astype(a.data.dtype, copy=False)
     _tally(5 * out.size)
     x = a.data
 

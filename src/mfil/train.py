@@ -28,6 +28,8 @@ __all__ = ["TrainAbort", "TrainResult", "cosine_lr", "AdamW", "train_run",
            "evaluate", "adaptive_weight_drift", "compare_scan_modes"]
 
 _FLOOR_FRAC = 1e-6  # cosine decays to this fraction of the peak rate
+# f64 elements per AdamW update block: three 256 KiB scratch buffers.
+_ADAMW_BLOCK = 1 << 15
 
 
 class TrainAbort(RuntimeError):
@@ -57,7 +59,13 @@ def cosine_lr(step: int, total_steps: int, peak: float,
 
 
 class AdamW:
-    """Decoupled weight decay Adam; state keyed by parameter name."""
+    """Decoupled weight decay Adam; state keyed by parameter name.
+
+    The moments are kept in f64. Each parameter is updated in place, block
+    by block over its flat view, so no temporary outgrows a cache-sized
+    block; every element sees the same operations in the same order as the
+    whole-array formula, so the result does not depend on the blocking.
+    """
 
     def __init__(self, betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
@@ -71,21 +79,46 @@ class AdamW:
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
              lr: float):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2, eps, wd = self.beta1, self.beta2, self.eps, self.weight_decay
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        g64, upd, p64 = (np.empty(_ADAMW_BLOCK) for _ in range(3))
         for name, p in params.items():
-            g = grads[name].astype(np.float64)
+            g = np.ravel(grads[name])
             if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2)
-                                             + self.eps)
-            new = (p.data.astype(np.float64)
-                   - lr * (update + self.weight_decay
-                           * p.data.astype(np.float64)))
-            p.data = new.astype(p.data.dtype)
+                self.m[name] = np.zeros(np.shape(grads[name]))
+                self.v[name] = np.zeros(np.shape(grads[name]))
+            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+                p.data = p.data.copy()
+            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            flat = p.data.reshape(-1)
+            for s in range(0, g.size, _ADAMW_BLOCK):
+                e = min(s + _ADAMW_BLOCK, g.size)
+                gb, ub, pb = g64[:e - s], upd[:e - s], p64[:e - s]
+                mb, vb = m[s:e], v[s:e]
+                np.copyto(gb, g[s:e])
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1 - b1, out=ub)
+                np.add(mb, ub, out=mb)
+                # v = b2 * v + (1 - b2) * g * g
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, 1 - b2, out=ub)
+                np.multiply(ub, gb, out=ub)
+                np.add(vb, ub, out=vb)
+                # update = (m / bc1) / (sqrt(v / bc2) + eps)
+                np.divide(vb, bc2, out=ub)
+                np.sqrt(ub, out=ub)
+                np.add(ub, eps, out=ub)
+                np.divide(mb, bc1, out=gb)
+                np.divide(gb, ub, out=ub)
+                # p = p - lr * (update + wd * p), then back to p's dtype
+                np.copyto(pb, flat[s:e])
+                np.multiply(pb, wd, out=gb)
+                np.add(ub, gb, out=ub)
+                np.multiply(ub, lr, out=ub)
+                np.subtract(pb, ub, out=pb)
+                np.copyto(flat[s:e], pb, casting="same_kind")
 
 
 @dataclass

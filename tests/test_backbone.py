@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfil import backbone as bb
+from mfil.scan import SCAN_MODES
 from mfil.tensor import Tape, Tensor, flop_counter, softmax
 
 
@@ -202,9 +203,11 @@ def test_conv_baseline_shapes_and_determinism(rng):
 
 
 def test_layout_flip_budget(rng):
-    """A taped desk forward flips NCHW <-> token layout at most 70 times."""
-    model = bb.build(bb.desk(), seed=0)
-    with Tape() as tape:
-        model.forward(_input(rng, 32))
-    flips = sum(node.name == "transpose" for node in tape.nodes)
-    assert flips <= 70
+    """A taped desk forward flips NCHW <-> token layout at most 70 times,
+    in every scan mode."""
+    for mode in SCAN_MODES:
+        model = bb.build(bb.desk(scan_mode=mode), seed=0)
+        with Tape() as tape:
+            model.forward(_input(rng, 32))
+        flips = sum(node.name == "transpose" for node in tape.nodes)
+        assert flips <= 70, f"{mode}: {flips} transposes"

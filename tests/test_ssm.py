@@ -5,7 +5,7 @@ from conftest import grad_close, rel_err
 from mfil import reference
 from mfil.ssm import (LtiSsm, SsmCore, causal_conv, discretize_zoh,
                       lti_kernel, scan_recurrent, selective_scan)
-from mfil.tensor import Tape, Tensor, tsum
+from mfil.tensor import Tape, Tensor, mul, tsum
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,30 @@ def test_selective_scan_parameter_gradients(mode):
                                              p.data)
         assert grad_close(grads[p].data, numeric), \
             f"{mode}: mismatch for param shape {p.shape}"
+
+
+def test_segment_reset_gradients_across_chunk_edges():
+    """Resets at tokens 50 and 100 fall inside the 64-token chunks."""
+    rng = np.random.default_rng(23)
+    core = _core(ch=3, nst=2, seed=29, segment_reset=True)
+    x = Tensor(rng.standard_normal((1, 150, 3)), grad_enabled=True)
+    readout = Tensor(rng.standard_normal((1, 150, 3)))
+    fast = selective_scan(x, core, n_segments=3).data
+    ref = selective_scan(x, core, path="reference", n_segments=3).data
+    assert rel_err(fast, ref) <= 1e-12
+    params = list(core.parameters().values()) + [x]
+
+    def build():
+        return tsum(mul(selective_scan(x, core, n_segments=3), readout))
+
+    with Tape() as tape:
+        loss = build()
+    grads = tape.gradients(loss, params)
+    for p in params:
+        numeric = reference.numeric_gradient(lambda: float(build().data),
+                                             p.data)
+        assert grad_close(grads[p].data, numeric), \
+            f"mismatch for param shape {p.shape}"
 
 
 def test_selective_scan_shape_validation(rng):

@@ -152,6 +152,42 @@ def test_adamw_single_step_hand_computed():
     assert p.data[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_adamw_blocked_update_equals_whole_array_formula():
+    """The in-place blocked update gives the textbook AdamW bits.
+
+    100,003 elements span several update blocks and end in a partial one.
+    """
+    rng = np.random.default_rng(31)
+    init = {"big32": rng.standard_normal(100_003).astype(np.float32),
+            "big64": rng.standard_normal(100_003),
+            "one": np.array([0.75]),
+            "mat": rng.standard_normal((37, 23)).astype(np.float32)}
+    params = {k: Tensor(v.copy()) for k, v in init.items()}
+    want_p = {k: v.copy() for k, v in init.items()}
+    want_m = {k: np.zeros(v.shape) for k, v in init.items()}
+    want_v = {k: np.zeros(v.shape) for k, v in init.items()}
+    b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
+    opt = AdamW(betas=(b1, b2), eps=eps, weight_decay=wd)
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(v.shape).astype(v.dtype)
+                 for k, v in init.items()}
+        lr = 1e-3 * t
+        opt.step(params, grads, lr)
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k in init:
+            g = grads[k].astype(np.float64)
+            want_m[k] = b1 * want_m[k] + (1 - b1) * g
+            want_v[k] = b2 * want_v[k] + (1 - b2) * g * g
+            update = (want_m[k] / bc1) / (np.sqrt(want_v[k] / bc2) + eps)
+            p64 = want_p[k].astype(np.float64)
+            want_p[k] = (p64 - lr * (update + wd * p64)).astype(
+                init[k].dtype)
+            assert params[k].data.dtype == init[k].dtype
+            assert params[k].data.tobytes() == want_p[k].tobytes(), (k, t)
+            assert opt.m[k].tobytes() == want_m[k].tobytes(), (k, t)
+            assert opt.v[k].tobytes() == want_v[k].tobytes(), (k, t)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
