@@ -13,7 +13,7 @@ from .reference import central_difference
 from .tensor import Tape, Tensor, mul, slice_axis, tsum
 
 __all__ = [
-    "ErfMap", "erf", "erf_coverage", "saliency", "GradcheckReport",
+    "ErfMap", "erf", "saliency", "GradcheckReport",
     "gradcheck_suite", "VERIFICATION_SEEDS", "max_worker_threads",
 ]
 
@@ -104,12 +104,6 @@ def erf(model, input_size: int, stage: int = 3, samples: int = 16,
     if peak > 0:
         acc = acc / peak
     return ErfMap(acc, normalized=True)
-
-
-def erf_coverage(model, input_size: int, stage: int = 3, samples: int = 16,
-                 seed: int = 0,
-                 threshold: float = COVERAGE_THRESHOLD) -> float:
-    return erf(model, input_size, stage, samples, seed).coverage(threshold)
 
 
 def saliency(model: Backbone, image: Tensor, class_index: int) -> np.ndarray:

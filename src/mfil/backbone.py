@@ -18,7 +18,7 @@ import numpy as np
 
 from .block import MfilBlock, block_param_count
 from .init import trunc_normal
-from .scan import SCAN_MODES, num_scans
+from .scan import SCAN_MODES, filter_bank_cost, num_scans
 from .tensor import Tensor, layer_norm, linear, tmean, transpose, conv2d, silu
 
 __all__ = [
@@ -307,11 +307,7 @@ def _block_flops(dim: int, hw: int, config: VariantConfig) -> float:
     f += hw * (2 * ci) * dim           # in_proj
     f += hw * ci * 9                   # branch depthwise
     f += 5.0 * hw * ci                 # branch silu
-    if config.scan_mode == "multi_filter":
-        f += 4 * hw * ci * 9           # sobel pair + refiners
-        f += hw * ci * 9 + hw * ci * ci  # dynamic dw + pw
-    elif config.scan_mode == "original_plus_one_filter":
-        f += hw * ci * 9 + hw * ci * ci
+    f += hw * filter_bank_cost(config.scan_mode, ci)[1]  # filter bank
     f += length * (dt_rank + 2 * nst) * ci   # x_proj
     f += length * ci * dt_rank               # dt_proj
     f += 5.0 * length * ci                   # softplus(delta)

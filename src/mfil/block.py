@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .init import identity_depthwise_kernel, trunc_normal
-from .scan import AdaptiveWeights, FilterBank, mfil_ssm, num_scans
+from .scan import (AdaptiveWeights, FilterBank, filter_bank_cost, mfil_ssm,
+                   num_scans)
 from .ssm import SsmCore
 from .tensor import (Tensor, add, depthwise_conv2d, gelu, layer_norm, linear,
                      mul, scale_per_sample, silu, slice_axis, transpose)
@@ -101,13 +102,7 @@ class MfilBlock:
                               grad_enabled=True)
         self.branch_conv = Tensor(identity_depthwise_kernel(ci), dtype=dtype,
                                   grad_enabled=True)
-        if scan_mode == "multi_filter":
-            self.bank = FilterBank(ci, rng=rng, dtype=dtype)
-        elif scan_mode == "original_plus_one_filter":
-            self.bank = FilterBank(ci, rng=rng, dtype=dtype,
-                                   include_orthogonal=False)
-        else:
-            self.bank = None
+        self.bank = FilterBank(ci, rng=rng, dtype=dtype, scan_mode=scan_mode)
         self.core = SsmCore(
             ci, d_state=d_state,
             exact_input_discretization=exact_input_discretization,
@@ -129,9 +124,8 @@ class MfilBlock:
             "in_proj.weight": self.in_proj,
             "branch_conv.weight": self.branch_conv,
         }
-        if self.bank is not None:
-            for k, v in self.bank.parameters().items():
-                out[f"bank.{k}"] = v
+        for k, v in self.bank.parameters().items():
+            out[f"bank.{k}"] = v
         for k, v in self.core.parameters().items():
             out[f"core.{k}"] = v
         if self.weights is not None:
@@ -184,11 +178,7 @@ def block_param_count(dim: int, d_state: int = 1, ssm_ratio: float = 1.0,
     n = 2 * dim                       # norm1
     n += 2 * ci * dim                 # in_proj, no bias
     n += 9 * ci                       # branch depthwise 3x3
-    if scan_mode == "multi_filter":
-        n += 2 * 9 * ci               # refiners
-        n += 9 * ci + ci * ci         # dynamic depthwise + pointwise
-    elif scan_mode == "original_plus_one_filter":
-        n += 9 * ci + ci * ci
+    n += filter_bank_cost(scan_mode, ci)[0]  # filter bank
     n += ci * d_state                 # A_log
     n += ci                           # dt_bias
     n += (dt_rank + 2 * d_state) * ci  # x_proj

@@ -15,18 +15,13 @@ from .checkpoint import CheckpointError, load_checkpoint, load_into
 from .config import ConfigError, RunConfig, load_run_config
 from .data import SyntheticDataset
 from .imageio import write_matrix_text, write_pgm
-from .scan import SOBEL_X
+from .scan import SCAN_MODES, SOBEL_X
 from .tensor import Tensor
 from .train import TrainAbort, evaluate, train_run
 from .verify import SUITES, run_suites
 
-_SCAN_MODE_ALIASES = {
-    "multi_filter": "multi_filter",
-    "single_flatten": "single_flatten",
-    "cross_4dir": "cross_4dir",
-    "orig_plus_one": "original_plus_one_filter",
-    "original_plus_one_filter": "original_plus_one_filter",
-}
+_SCAN_MODE_ALIASES = {**{m: m for m in SCAN_MODES},
+                      "orig_plus_one": "original_plus_one_filter"}
 
 
 def _add_model_flags(p: argparse.ArgumentParser):

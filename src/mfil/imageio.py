@@ -1,10 +1,10 @@
-"""Portable graymap/pixmap emission for maps and sample images."""
+"""Portable graymap emission for maps and sample images."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_pgm", "read_pgm", "write_ppm", "write_matrix_text"]
+__all__ = ["write_pgm", "read_pgm", "write_matrix_text"]
 
 
 def _quantize(grid: np.ndarray) -> np.ndarray:
@@ -40,20 +40,6 @@ def read_pgm(path) -> np.ndarray:
         maxval = int(f.readline())
         data = np.frombuffer(f.read(w * h), dtype=np.uint8)
     return data.reshape(h, w).astype(np.float64) / maxval
-
-
-def write_ppm(path, rgb: np.ndarray):
-    """Binary PPM (P6) from a [3, H, W] or [H, W, 3] float array."""
-    a = np.asarray(rgb, dtype=np.float64)
-    if a.ndim == 3 and a.shape[0] == 3:
-        a = a.transpose(1, 2, 0)
-    if a.ndim != 3 or a.shape[2] != 3:
-        raise ValueError(f"PPM wants [H, W, 3], got shape {a.shape}")
-    g = _quantize(a)
-    h, w, _ = g.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(g.tobytes())
 
 
 def write_matrix_text(path, grid: np.ndarray):

@@ -142,16 +142,6 @@ def selective_scan_reference(x: np.ndarray, core,
     return out
 
 
-def causal_conv_reference(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """y[t] = sum_{s<=t} kern[t-s] * x[s]."""
-    l = x.shape[0]
-    out = np.zeros(l, dtype=x.dtype)
-    for t in range(l):
-        for s in range(t + 1):
-            out[t] += kern[t - s] * x[s]
-    return out
-
-
 def central_difference(f, flat: np.ndarray, i: int, h: float,
                        order: int = 4) -> float:
     """Central difference of scalar-valued ``f`` in element i of ``flat``.

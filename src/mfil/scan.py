@@ -1,12 +1,18 @@
 """Multi-filter scanning: filtered views, stacking, scan, adaptive fusion.
 
 Instead of traversing the same feature map in several directions, the input
-is expanded into four parallel views: the map itself, two Sobel-filtered
-gradient maps refined by learnable depthwise convolutions, and a learnable
-depthwise-separable dynamic map. The four views are flattened row-major,
-concatenated into one token sequence, scanned by a single selective SSM,
-split back into per-view maps, and fused as a softmax-weighted convex
-combination.
+is expanded into parallel views: the map itself, two Sobel-filtered gradient
+maps refined by learnable depthwise convolutions, and a learnable
+depthwise-separable dynamic map. The views are flattened into one token
+sequence, scanned by a single selective SSM, split back into per-view maps,
+and fused as a softmax-weighted convex combination.
+
+Each scan mode is one entry of ``SCAN_VIEWS``: the (map, token order) rows
+it stacks, in stream order. Maps are ``input``, ``sobel_h``, ``sobel_v`` and
+``dynamic``; orders are ``row``, ``col``, ``row_rev`` and ``col_rev``, the
+traversals of ``cross_scan_permutations``. The scan count, the learnable
+filters a ``FilterBank`` builds and their parameter and flop cost are read
+from the table, and ``mfil_ssm`` runs the same path for every mode.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from .tensor import (Tensor, add, concat, conv2d, depthwise_conv2d, mul,
 __all__ = [
     "SOBEL_X", "SOBEL_Y", "FilterBank", "AdaptiveWeights",
     "orthogonal_maps", "dynamic_map", "stack_scans", "unstack_scans",
-    "adaptive_merge", "mfil_ssm", "SCAN_MODES", "num_scans",
-    "cross_scan_permutations",
+    "adaptive_merge", "mfil_ssm", "SCAN_VIEWS", "SCAN_MODES", "num_scans",
+    "filter_bank_cost", "cross_scan_permutations",
 ]
 
 # Canonical Sobel pair in the cross-correlation convention. SOBEL_X responds
@@ -34,57 +40,88 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T.copy()
 
-SCAN_MODES = ("multi_filter", "single_flatten", "cross_4dir",
-              "original_plus_one_filter")
+# scan mode -> (map, token order) per stream, in stream order.
+SCAN_VIEWS = {
+    "multi_filter": (("input", "row"), ("sobel_h", "row"),
+                     ("sobel_v", "row"), ("dynamic", "row")),
+    "single_flatten": (("input", "row"),),
+    "cross_4dir": (("input", "row"), ("input", "col"),
+                   ("input", "row_rev"), ("input", "col_rev")),
+    "original_plus_one_filter": (("input", "row"), ("dynamic", "row")),
+}
+SCAN_MODES = tuple(SCAN_VIEWS)
+
+# Token orders, in the order cross_scan_permutations returns them.
+_ORDERS = ("row", "col", "row_rev", "col_rev")
 
 
 def num_scans(scan_mode: str) -> int:
-    return {"multi_filter": 4, "single_flatten": 1, "cross_4dir": 4,
-            "original_plus_one_filter": 2}[scan_mode]
+    return len(SCAN_VIEWS[scan_mode])
+
+
+def _filters(scan_mode: str) -> tuple[bool, bool]:
+    """(orthogonal, dynamic): the filter groups a mode's views read.
+
+    The Sobel maps come as a pair: a mode reading either builds both.
+    """
+    maps = {m for m, _ in SCAN_VIEWS[scan_mode]}
+    return bool(maps & {"sobel_h", "sobel_v"}), "dynamic" in maps
+
+
+def filter_bank_cost(scan_mode: str, channels: int) -> tuple[int, int]:
+    """(learnable parameters, flops per pixel) of a mode's filter bank.
+
+    Flops count one unit per multiply-accumulate: each 3x3 depthwise
+    filter costs 9 per channel, the dynamic pointwise stage C per channel.
+    """
+    orthogonal, dynamic = _filters(scan_mode)
+    c = channels
+    params = flops = 0
+    if orthogonal:
+        params += 2 * 9 * c           # refiners
+        flops += 4 * 9 * c            # Sobel pair + refiners
+    if dynamic:
+        params += 9 * c + c * c       # dynamic depthwise + pointwise
+        flops += 9 * c + c * c
+    return params, flops
 
 
 class FilterBank:
     """The scan generators: fixed Sobel pair, refiners, dynamic filter.
 
-    The Sobel kernels are constants (excluded from the parameter map); the
-    two depthwise refiners and the depthwise-separable dynamic filter are
+    Only the filters ``scan_mode``'s views read are built. The Sobel
+    kernels are constants (excluded from the parameter map); the two
+    depthwise refiners and the depthwise-separable dynamic filter are
     learnable. Refiners and the dynamic depthwise stage start as identity
     kernels so the refined maps begin as pure Sobel responses.
     """
 
     def __init__(self, channels: int, rng: np.random.Generator | None = None,
-                 dtype: str = "f32", include_orthogonal: bool = True):
+                 dtype: str = "f32", scan_mode: str = "multi_filter"):
         if rng is None:
             rng = np.random.default_rng(0)
         self.channels = channels
-        self.include_orthogonal = include_orthogonal
-        self.sobel_x = Tensor(
-            np.tile(SOBEL_X, (channels, 1, 1, 1)), dtype=dtype)
-        self.sobel_y = Tensor(
-            np.tile(SOBEL_Y, (channels, 1, 1, 1)), dtype=dtype)
+        orthogonal, dynamic = _filters(scan_mode)
         ident = identity_depthwise_kernel(channels)
-        if include_orthogonal:
+        if orthogonal:
+            self.sobel_x = Tensor(
+                np.tile(SOBEL_X, (channels, 1, 1, 1)), dtype=dtype)
+            self.sobel_y = Tensor(
+                np.tile(SOBEL_Y, (channels, 1, 1, 1)), dtype=dtype)
             self.refine_h = Tensor(ident.copy(), dtype=dtype,
                                    grad_enabled=True)
             self.refine_v = Tensor(ident.copy(), dtype=dtype,
                                    grad_enabled=True)
-        else:
-            self.refine_h = None
-            self.refine_v = None
-        self.dyn_depthwise = Tensor(ident.copy(), dtype=dtype,
-                                    grad_enabled=True)
-        self.dyn_pointwise = Tensor(
-            trunc_normal(rng, (channels, channels, 1, 1)), dtype=dtype,
-            grad_enabled=True)
+        if dynamic:
+            self.dyn_depthwise = Tensor(ident.copy(), dtype=dtype,
+                                        grad_enabled=True)
+            self.dyn_pointwise = Tensor(
+                trunc_normal(rng, (channels, channels, 1, 1)), dtype=dtype,
+                grad_enabled=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        if self.include_orthogonal:
-            out["refine_h"] = self.refine_h
-            out["refine_v"] = self.refine_v
-        out["dyn_depthwise"] = self.dyn_depthwise
-        out["dyn_pointwise"] = self.dyn_pointwise
-        return out
+        names = ("refine_h", "refine_v", "dyn_depthwise", "dyn_pointwise")
+        return {k: getattr(self, k) for k in names if hasattr(self, k)}
 
 
 class AdaptiveWeights:
@@ -132,44 +169,25 @@ def _check_spatial(image: Tensor):
         raise ValueError(f"spatial extents must be >= 1, got {h}x{w}")
 
 
-def _to_tokens(fmap: Tensor) -> Tensor:
-    """[B, C, H, W] -> [B, H*W, C], row-major over the spatial grid."""
-    b, c, h, w = fmap.shape
-    return reshape(transpose(fmap, (0, 2, 3, 1)), (b, h * w, c))
+def stack_scans(*maps: Tensor) -> Tensor:
+    """Concatenate n [B, C, H, W] views into one [B, n*H*W, C] sequence.
 
-
-def _from_tokens(tokens: Tensor, h: int, w: int) -> Tensor:
-    b, hw, c = tokens.shape
-    return transpose(reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
-
-
-def _stack(maps) -> Tensor:
-    """n [B, C, H, W] maps -> [B, n*H*W, C], one map after another.
-
+    Each map is flattened row-major and the maps follow one another in
+    argument order; ``mfil_ssm`` passes them in ``SCAN_VIEWS`` row order.
     One channel-axis concat and one transpose through [B, n, C, H*W] move
-    all n maps at once; each map's tokens stay row-major.
+    all n maps at once; a single map needs no concat.
     """
-    b, c, h, w = maps[0].shape
-    n = len(maps)
-    grouped = reshape(concat(maps, axis=1), (b, n, c, h * w))
-    return reshape(transpose(grouped, (0, 1, 3, 2)), (b, n * h * w, c))
-
-
-def stack_scans(f_orig: Tensor, f_h: Tensor, f_v: Tensor,
-                f_dyn: Tensor) -> Tensor:
-    """Concatenate the four views into one [B, 4*H*W, C] token sequence.
-
-    Each map is flattened row-major; the streams follow the fixed order
-    (original, horizontal, vertical, dynamic). The original map is included
-    so the scan keeps access to unfiltered visual cues.
-    """
-    maps = (f_orig, f_h, f_v, f_dyn)
-    shape = f_orig.shape
+    shape = maps[0].shape
     for m in maps[1:]:
         if m.shape != shape:
             raise ValueError(
                 f"stack_scans: shape mismatch {m.shape} vs {shape}")
-    return _stack(maps)
+    b, c, h, w = shape
+    n = len(maps)
+    if n == 1:
+        return transpose(reshape(maps[0], (b, c, h * w)), (0, 2, 1))
+    grouped = reshape(concat(maps, axis=1), (b, n, c, h * w))
+    return reshape(transpose(grouped, (0, 1, 3, 2)), (b, n * h * w, c))
 
 
 def unstack_scans(tokens: Tensor, h: int, w: int, n: int = 4):
@@ -179,6 +197,8 @@ def unstack_scans(tokens: Tensor, h: int, w: int, n: int = 4):
     if length != n * hw:
         raise ValueError(
             f"unstack_scans: sequence length {length} != {n}*{hw}")
+    if n == 1:
+        return [reshape(transpose(tokens, (0, 2, 1)), (b, c, h, w))]
     grouped = transpose(reshape(tokens, (b, n, hw, c)), (0, 1, 3, 2))
     maps = reshape(grouped, (b, n * c, h, w))
     return [slice_axis(maps, 1, i * c, (i + 1) * c) for i in range(n)]
@@ -215,8 +235,9 @@ def adaptive_merge(maps, weights: AdaptiveWeights | None) -> Tensor:
 def cross_scan_permutations(h: int, w: int) -> list[np.ndarray]:
     """Token orderings of the four-directional cross scan.
 
-    Row-major, column-major, and the two reversals; applied to the flattened
-    original map in place of filtered views.
+    Row-major, column-major, and the two reversals: the ``SCAN_VIEWS``
+    token orders row, col, row_rev and col_rev, as indices into the
+    row-major flattened map.
     """
     rm = np.arange(h * w, dtype=np.int64)
     cm = rm.reshape(h, w).T.reshape(-1)
@@ -229,50 +250,47 @@ def _invert_permutation(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _view_order(rows, h: int, w: int) -> np.ndarray | None:
+    """Index putting each stacked view into its row's token order.
+
+    None when every row is row-major, the order ``stack_scans`` produces.
+    """
+    if all(order == "row" for _, order in rows):
+        return None
+    perms = dict(zip(_ORDERS, cross_scan_permutations(h, w)))
+    return np.concatenate([perms[order] + i * h * w
+                           for i, (_, order) in enumerate(rows)])
+
+
 def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
              weights: AdaptiveWeights | None,
              scan_mode: str = "multi_filter") -> Tensor:
     """Filtered views -> stacked sequence -> selective scan -> fusion.
 
-    ``scan_mode`` selects the ablation variant:
-      - multi_filter: the full four-view pipeline.
-      - single_flatten: flatten, scan, unflatten (no views, no fusion).
-      - cross_4dir: four traversal orders of the same map, no filters.
-      - original_plus_one_filter: original plus the dynamic view only.
+    ``SCAN_VIEWS[scan_mode]`` names the views, one (map, token order) row
+    per stream. The path is the same for every mode: build the maps the
+    rows name, stack them, reorder the tokens of rows that are not
+    row-major, scan with one segment per row, restore the order, unstack,
+    and fuse (a single view is returned as is). ``bank`` may be None when
+    the rows read only the input.
     """
-    if scan_mode not in SCAN_MODES:
+    if scan_mode not in SCAN_VIEWS:
         raise ValueError(f"unknown scan_mode {scan_mode!r}")
     _check_spatial(x)
-    b, c, h, w = x.shape
-    hw = h * w
-
-    if scan_mode == "single_flatten":
-        tokens = _to_tokens(x)
-        out = selective_scan(tokens, core, n_segments=1)
-        return _from_tokens(out, h, w)
-
-    if scan_mode == "cross_4dir":
-        perms = cross_scan_permutations(h, w)
-        base = _to_tokens(x)
-        streams = [take(base, p, axis=1) for p in perms]
-        seq = concat(streams, axis=1)
-        out = selective_scan(seq, core, n_segments=4)
-        # Undo each view's permutation on the tokens, then leave tokens once.
-        inv = np.concatenate([_invert_permutation(p) + i * hw
-                              for i, p in enumerate(perms)])
-        maps = unstack_scans(take(out, inv, axis=1), h, w, n=4)
-        return adaptive_merge(maps, weights)
-
-    if scan_mode == "original_plus_one_filter":
-        f_dyn = dynamic_map(x, bank)
-        seq = _stack((x, f_dyn))
-        out = selective_scan(seq, core, n_segments=2)
-        maps = unstack_scans(out, h, w, n=2)
-        return adaptive_merge(maps, weights)
-
-    f_h, f_v = orthogonal_maps(x, bank)
-    f_dyn = dynamic_map(x, bank)
-    seq = stack_scans(x, f_h, f_v, f_dyn)
-    out = selective_scan(seq, core, n_segments=4)
-    maps = unstack_scans(out, h, w, n=4)
-    return adaptive_merge(maps, weights)
+    rows = SCAN_VIEWS[scan_mode]
+    _, _, h, w = x.shape
+    orthogonal, dynamic = _filters(scan_mode)
+    maps = {"input": x}
+    if orthogonal:
+        maps["sobel_h"], maps["sobel_v"] = orthogonal_maps(x, bank)
+    if dynamic:
+        maps["dynamic"] = dynamic_map(x, bank)
+    seq = stack_scans(*(maps[m] for m, _ in rows))
+    order = _view_order(rows, h, w)
+    if order is not None:
+        seq = take(seq, order, axis=1)
+    out = selective_scan(seq, core, n_segments=len(rows))
+    if order is not None:
+        out = take(out, _invert_permutation(order), axis=1)
+    views = unstack_scans(out, h, w, n=len(rows))
+    return views[0] if len(rows) == 1 else adaptive_merge(views, weights)

@@ -1,3 +1,6 @@
+import pytest
+
+from mfil import cli
 from mfil import tensor as T
 from mfil.cli import main
 
@@ -31,6 +34,20 @@ def test_cli_flag_overrides_and_param_drop(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["orig_plus_one",
+                                  "original_plus_one_filter"])
+def test_scan_mode_alias_reaches_run_config(monkeypatch, capsys, flag):
+    seen = []
+
+    def stop(cfg):
+        seen.append(cfg)
+        raise cli.TrainAbort(0, None)
+    monkeypatch.setattr(cli, "train_run", stop)
+    assert main(["train", "--scan-mode", flag]) == 3
+    capsys.readouterr()
+    assert [cfg.scan_mode for cfg in seen] == ["original_plus_one_filter"]
 
 
 def test_bad_config_exits_with_error(tmp_path, capsys):

@@ -243,11 +243,7 @@ def test_cross_scan_permutations_are_permutations():
 def test_scan_modes_run_and_preserve_shape(rng, mode, n):
     assert num_scans(mode) == n
     c = 3
-    bank = None
-    if mode == "multi_filter":
-        bank = _bank(c)
-    elif mode == "original_plus_one_filter":
-        bank = _bank(c, include_orthogonal=False)
+    bank = _bank(c, scan_mode=mode)
     weights = _weights(n) if n > 1 else None
     x = Tensor(rng.standard_normal((2, c, 4, 4)))
     out = mfil_ssm(x, bank, _core(c), weights, scan_mode=mode)
@@ -314,3 +310,49 @@ def test_mfil_parameter_gradients(rng):
         numeric = reference.numeric_gradient(lambda: float(build().data),
                                              p.data)
         assert grad_close(grads[p].data, numeric), f"mismatch for {name}"
+
+
+def _tokens(fmap):
+    b, c, h, w = fmap.shape
+    return fmap.transpose(0, 2, 3, 1).reshape(b, h * w, c)
+
+
+def _cross_4dir_by_hand(x, bank, core, weights):
+    b, c, h, w = x.shape
+    perms = cross_scan_permutations(h, w)
+    seq = np.concatenate([_tokens(x)[:, p] for p in perms], axis=1)
+    out = selective_scan(Tensor(seq), core, n_segments=4).data
+    maps = []
+    for i, p in enumerate(perms):
+        view = out[:, i * h * w:(i + 1) * h * w][:, np.argsort(p)]
+        maps.append(Tensor(view.reshape(b, h, w, c).transpose(0, 3, 1, 2)))
+    return adaptive_merge(maps, weights).data
+
+
+def _original_plus_one_by_hand(x, bank, core, weights):
+    b, c, h, w = x.shape
+    f_dyn = dynamic_map(Tensor(x), bank).data
+    seq = np.concatenate([_tokens(x), _tokens(f_dyn)], axis=1)
+    out = selective_scan(Tensor(seq), core, n_segments=2).data
+    maps = [Tensor(out[:, i * h * w:(i + 1) * h * w]
+                   .reshape(b, h, w, c).transpose(0, 3, 1, 2))
+            for i in range(2)]
+    return adaptive_merge(maps, weights).data
+
+
+_BY_HAND = {"cross_4dir": _cross_4dir_by_hand,
+            "original_plus_one_filter": _original_plus_one_by_hand}
+
+
+@pytest.mark.parametrize("mode", sorted(_BY_HAND))
+def test_scan_mode_equals_its_pipeline_written_out(rng, mode):
+    c = 3
+    n = num_scans(mode)
+    bank = _bank(c, seed=3)
+    bank.dyn_depthwise.data = 0.4 * rng.standard_normal(
+        bank.dyn_depthwise.shape)
+    weights = _weights(n, values=rng.standard_normal(n))
+    core = _core(c, seed=7)
+    x = rng.standard_normal((2, c, 3, 5))
+    got = mfil_ssm(Tensor(x), bank, core, weights, scan_mode=mode).data
+    assert np.array_equal(got, _BY_HAND[mode](x, bank, core, weights))
