@@ -4,6 +4,8 @@ Stem: 4x4 stride-4 convolution (3 -> dims[0]) plus layer norm, so a 224x224
 image becomes a 56x56 grid. Each stage runs its blocks at constant width,
 then a 2x2 stride-2 convolution doubles the channels and halves the grid;
 the head is layer norm, global average pooling, and a linear classifier.
+Images and the convolutions of the stem and downsamples are NCHW; every
+map between them is channel-last, [B, H, W, C].
 Named variants: tiny/small at widths (94, 188, 376, 752) with depths
 (1, 3, 8, 2) and (2, 2, 18, 2); base at (128, 256, 512, 1024) with depths
 (2, 2, 18, 2); desk is a scaled-down instance for tests and training demos.
@@ -19,7 +21,8 @@ import numpy as np
 from .block import MfilBlock, block_param_count
 from .init import trunc_normal
 from .scan import SCAN_MODES, filter_bank_cost, num_scans
-from .tensor import Tensor, layer_norm, linear, tmean, transpose, conv2d, silu
+from .tensor import (Tensor, conv2d, layer_norm, linear, silu, tmean,
+                     transpose)
 
 __all__ = [
     "VariantConfig", "tiny", "small", "base", "desk", "Backbone", "build",
@@ -87,9 +90,17 @@ def desk(num_classes: int = 4, **kw) -> VariantConfig:
 
 VARIANTS = {"tiny": tiny, "small": small, "base": base, "desk": desk}
 
-_STEM_KERNEL = 4
-_DOWN_KERNEL = 2
 _TOTAL_STRIDE = 32  # 4 * 2^3
+
+
+def _to_channel_last(x: Tensor) -> Tensor:
+    """[B, C, H, W] -> [B, H, W, C]."""
+    return transpose(x, (0, 2, 3, 1))
+
+
+def _to_channel_first(x: Tensor) -> Tensor:
+    """[B, H, W, C] -> [B, C, H, W]."""
+    return transpose(x, (0, 3, 1, 2))
 
 
 class Backbone:
@@ -173,34 +184,43 @@ class Backbone:
                 f"input spatial size {h}x{w} must be divisible by "
                 f"{_TOTAL_STRIDE}")
 
-    @staticmethod
-    def _norm_nchw(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-        cl = transpose(x, (0, 2, 3, 1))
-        return transpose(layer_norm(cl, gamma, beta), (0, 3, 1, 2))
+    def _stages(self, images: Tensor, train: bool,
+                rng: np.random.Generator | None):
+        """Channel-last stage outputs and the head-normed final map.
 
-    def forward_features(self, images: Tensor, train: bool = False,
-                         rng: np.random.Generator | None = None):
-        """Stage outputs plus the head-normed final map (five tensors)."""
+        Maps stay [B, H, W, C] from the stem to the head; only the NCHW
+        ``conv2d`` of the stem and of each downsample needs a layout copy
+        around it (one after the stem, two per downsample).
+        """
         self._check_input(images)
-        x = conv2d(images, self.stem_conv, stride=4, padding=0)
-        x = self._norm_nchw(x, self.stem_norm_gamma, self.stem_norm_beta)
+        x = _to_channel_last(conv2d(images, self.stem_conv, stride=4,
+                                    padding=0))
+        x = layer_norm(x, self.stem_norm_gamma, self.stem_norm_beta)
         feats = []
         for s, blocks in enumerate(self.stages):
             for blk in blocks:
                 x = blk.forward(x, train=train, rng=rng)
             feats.append(x)
             if s < 3:
-                x = conv2d(x, self.down_convs[s], stride=2, padding=0)
-                x = self._norm_nchw(x, self.down_norm_gammas[s],
-                                    self.down_norm_betas[s])
-        feats.append(self._norm_nchw(x, self.head_norm_gamma,
-                                     self.head_norm_beta))
-        return feats
+                x = _to_channel_last(conv2d(_to_channel_first(x),
+                                            self.down_convs[s], stride=2,
+                                            padding=0))
+                x = layer_norm(x, self.down_norm_gammas[s],
+                               self.down_norm_betas[s])
+        return feats, layer_norm(x, self.head_norm_gamma, self.head_norm_beta)
+
+    def forward_features(self, images: Tensor, train: bool = False,
+                         rng: np.random.Generator | None = None):
+        """Stage outputs plus the head-normed final map (five NCHW tensors)."""
+        feats, head = self._stages(images, train, rng)
+        return [_to_channel_first(f) for f in feats + [head]]
 
     def forward(self, images: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        feats = self.forward_features(images, train=train, rng=rng)
-        pooled = tmean(feats[-1], axis=(2, 3))
+        _, head = self._stages(images, train, rng)
+        # Pool over the contiguous H, W axes of the NCHW map: the order the
+        # mean sums in is part of the logits' bytes.
+        pooled = tmean(_to_channel_first(head), axis=(2, 3))
         return linear(pooled, self.head_fc_weight, self.head_fc_bias)
 
     __call__ = forward

@@ -1,8 +1,10 @@
 """The residual block: gated multi-filter SSM plus a convolutional FFN.
 
-Data flow for input x of shape [B, C, H, W]:
+Data flow for a channel-last input x of shape [B, H, W, C]; every map in
+the block, the scan's views included, keeps that layout, so the norms,
+linears, depthwise convolutions and the scan run without a layout copy:
 
-    x'  = LN(x)                                  (channel-last norm)
+    x'  = LN(x)
     u   = Linear(x')                             (width 2 * C_inner, split)
     z'  = MFil-SSM(SiLU(DWConv(u[..., :C_inner])))
     z'' = SiLU(u[..., C_inner:])
@@ -25,17 +27,9 @@ from .scan import (AdaptiveWeights, FilterBank, filter_bank_cost, mfil_ssm,
                    num_scans)
 from .ssm import SsmCore
 from .tensor import (Tensor, add, depthwise_conv2d, gelu, layer_norm, linear,
-                     mul, scale_per_sample, silu, slice_axis, transpose)
+                     mul, scale_per_sample, silu, slice_axis)
 
 __all__ = ["MfilBlock", "block_param_count", "conv_ffn"]
-
-
-def _to_channel_last(x: Tensor) -> Tensor:
-    return transpose(x, (0, 2, 3, 1))
-
-
-def _to_channel_first(x: Tensor) -> Tensor:
-    return transpose(x, (0, 3, 1, 2))
 
 
 def _drop_path(delta: Tensor, rate: float, train: bool,
@@ -70,13 +64,10 @@ class _ConvFfn:
 
 
 def conv_ffn(x: Tensor, ffn: _ConvFfn) -> Tensor:
-    """Apply a ConvFFN to an NCHW map; shape preserved."""
-    h = linear(_to_channel_last(x), ffn.fc1_weight, ffn.fc1_bias)
-    h = depthwise_conv2d(_to_channel_first(h), ffn.dw_weight,
-                         stride=1, padding=1)
-    h = gelu(h)
-    return _to_channel_first(
-        linear(_to_channel_last(h), ffn.fc2_weight, ffn.fc2_bias))
+    """Apply a ConvFFN to a [B, H, W, C] map; shape preserved."""
+    h = linear(x, ffn.fc1_weight, ffn.fc1_bias)
+    h = gelu(depthwise_conv2d(h, ffn.dw_weight, stride=1, padding=1))
+    return linear(h, ffn.fc2_weight, ffn.fc2_bias)
 
 
 class MfilBlock:
@@ -139,25 +130,22 @@ class MfilBlock:
 
     def forward(self, x: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
+        """[B, H, W, C] -> [B, H, W, C]."""
         ci = self.d_inner
-        xn = layer_norm(_to_channel_last(x), self.norm1_gamma,
-                        self.norm1_beta)
+        xn = layer_norm(x, self.norm1_gamma, self.norm1_beta)
         u = linear(xn, self.in_proj)
         u1 = slice_axis(u, 3, 0, ci)
         u2 = slice_axis(u, 3, ci, 2 * ci)
 
-        branch = depthwise_conv2d(_to_channel_first(u1), self.branch_conv,
-                                  stride=1, padding=1)
+        branch = depthwise_conv2d(u1, self.branch_conv, stride=1, padding=1)
         z_scan = mfil_ssm(silu(branch), self.bank, self.core, self.weights,
                           scan_mode=self.scan_mode)
-        gated = mul(_to_channel_last(z_scan), silu(u2))
-        delta1 = _to_channel_first(linear(gated, self.out_proj))
+        gated = mul(z_scan, silu(u2))
+        delta1 = linear(gated, self.out_proj)
         y1 = add(x, _drop_path(delta1, self.drop_path, train, rng))
 
         ffn_out = conv_ffn(y1, self.ffn)
-        normed = _to_channel_first(
-            layer_norm(_to_channel_last(ffn_out), self.norm2_gamma,
-                       self.norm2_beta))
+        normed = layer_norm(ffn_out, self.norm2_gamma, self.norm2_beta)
         return add(y1, _drop_path(normed, self.drop_path, train, rng))
 
     __call__ = forward

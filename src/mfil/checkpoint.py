@@ -8,6 +8,7 @@ as little-endian f32. All integers little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -27,20 +28,32 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: dict[str, Tensor]):
-    """Write parameters in insertion order; values are stored as f32."""
+    """Write parameters in insertion order; values are stored as f32.
+
+    The bytes go to a temporary sibling file that then replaces ``path`` in
+    one rename, so a write that fails or is killed leaves any earlier
+    checkpoint at ``path`` as it was; one that raises also removes the
+    temporary.
+    """
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(params)))
-        for name, tensor in params.items():
-            raw = name.encode("utf-8")
-            arr = tensor.data.astype("<f4", copy=False)
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<B", arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack("<Q", extent))
-            f.write(arr.tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(params)))
+            for name, tensor in params.items():
+                raw = name.encode("utf-8")
+                arr = tensor.data.astype("<f4", copy=False)
+                f.write(struct.pack("<H", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<B", arr.ndim))
+                for extent in arr.shape:
+                    f.write(struct.pack("<Q", extent))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -7,6 +7,10 @@ depthwise-separable dynamic map. The views are flattened into one token
 sequence, scanned by a single selective SSM, split back into per-view maps,
 and fused as a softmax-weighted convex combination.
 
+Maps are channel-last, [B, H, W, C], so a map is its own row-major token
+sequence: flattening, stacking and splitting views are reshapes and one
+concat or slice along H, with no layout copy.
+
 Each scan mode is one entry of ``SCAN_VIEWS``: the (map, token order) rows
 it stacks, in stream order. Maps are ``input``, ``sobel_h``, ``sobel_v`` and
 ``dynamic``; orders are ``row``, ``col``, ``row_rev`` and ``col_rev``, the
@@ -21,8 +25,8 @@ import numpy as np
 
 from .init import identity_depthwise_kernel, trunc_normal
 from .ssm import SsmCore, selective_scan
-from .tensor import (Tensor, add, concat, conv2d, depthwise_conv2d, mul,
-                     reshape, slice_axis, softmax, take, transpose)
+from .tensor import (Tensor, add, concat, depthwise_conv2d, mul,
+                     pointwise_conv2d, reshape, slice_axis, softmax, take)
 
 __all__ = [
     "SOBEL_X", "SOBEL_Y", "FilterBank", "AdaptiveWeights",
@@ -141,8 +145,9 @@ def orthogonal_maps(image: Tensor, bank: FilterBank):
     """Sobel-filtered horizontal/vertical maps, each depthwise-refined.
 
     Sobel kernels are applied depthwise (the same 3x3 kernel per channel)
-    with zero padding 1 so the spatial shape is preserved. Returns
-    (F_h, F_v) = (refine_h(I * K_y), refine_v(I * K_x)).
+    with zero padding 1 so the spatial shape is preserved. Takes and
+    returns [B, H, W, C] maps: (F_h, F_v) = (refine_h(I * K_y),
+    refine_v(I * K_x)).
     """
     _check_spatial(image)
     gh = depthwise_conv2d(image, bank.sobel_y, stride=1, padding=1)
@@ -153,55 +158,52 @@ def orthogonal_maps(image: Tensor, bank: FilterBank):
 
 
 def dynamic_map(image: Tensor, bank: FilterBank) -> Tensor:
-    """Depthwise 3x3 stage followed by a pointwise 1x1 channel mix."""
+    """Depthwise 3x3 stage then a pointwise 1x1 channel mix; [B, H, W, C]."""
     _check_spatial(image)
     d = depthwise_conv2d(image, bank.dyn_depthwise, stride=1, padding=1)
-    return conv2d(d, bank.dyn_pointwise, stride=1, padding=0)
+    return pointwise_conv2d(d, bank.dyn_pointwise)
 
 
 def _check_spatial(image: Tensor):
     # The 3x3 filters run with padding 1, so any H, W >= 1 is valid (late
     # stages of small inputs legitimately reach 2x2 and 1x1 grids).
     if image.data.ndim != 4:
-        raise ValueError(f"expected [B, C, H, W], got {image.shape}")
-    _, _, h, w = image.shape
+        raise ValueError(f"expected [B, H, W, C], got {image.shape}")
+    _, h, w, _ = image.shape
     if h < 1 or w < 1:
         raise ValueError(f"spatial extents must be >= 1, got {h}x{w}")
 
 
 def stack_scans(*maps: Tensor) -> Tensor:
-    """Concatenate n [B, C, H, W] views into one [B, n*H*W, C] sequence.
+    """Concatenate n [B, H, W, C] views into one [B, n*H*W, C] sequence.
 
     Each map is flattened row-major and the maps follow one another in
     argument order; ``mfil_ssm`` passes them in ``SCAN_VIEWS`` row order.
-    One channel-axis concat and one transpose through [B, n, C, H*W] move
-    all n maps at once; a single map needs no concat.
+    One concat along H and a reshape move all n maps at once; a single
+    map is only reshaped.
     """
     shape = maps[0].shape
     for m in maps[1:]:
         if m.shape != shape:
             raise ValueError(
                 f"stack_scans: shape mismatch {m.shape} vs {shape}")
-    b, c, h, w = shape
+    b, h, w, c = shape
     n = len(maps)
-    if n == 1:
-        return transpose(reshape(maps[0], (b, c, h * w)), (0, 2, 1))
-    grouped = reshape(concat(maps, axis=1), (b, n, c, h * w))
-    return reshape(transpose(grouped, (0, 1, 3, 2)), (b, n * h * w, c))
+    grouped = maps[0] if n == 1 else concat(maps, axis=1)
+    return reshape(grouped, (b, n * h * w, c))
 
 
 def unstack_scans(tokens: Tensor, h: int, w: int, n: int = 4):
-    """Split a [B, n*H*W, C] sequence back into n [B, C, H, W] maps."""
+    """Split a [B, n*H*W, C] sequence back into n [B, H, W, C] maps."""
     hw = h * w
     b, length, c = tokens.shape
     if length != n * hw:
         raise ValueError(
             f"unstack_scans: sequence length {length} != {n}*{hw}")
+    maps = reshape(tokens, (b, n * h, w, c))
     if n == 1:
-        return [reshape(transpose(tokens, (0, 2, 1)), (b, c, h, w))]
-    grouped = transpose(reshape(tokens, (b, n, hw, c)), (0, 1, 3, 2))
-    maps = reshape(grouped, (b, n * c, h, w))
-    return [slice_axis(maps, 1, i * c, (i + 1) * c) for i in range(n)]
+        return [maps]
+    return [slice_axis(maps, 1, i * h, (i + 1) * h) for i in range(n)]
 
 
 def adaptive_merge(maps, weights: AdaptiveWeights | None) -> Tensor:
@@ -267,18 +269,18 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
              scan_mode: str = "multi_filter") -> Tensor:
     """Filtered views -> stacked sequence -> selective scan -> fusion.
 
-    ``SCAN_VIEWS[scan_mode]`` names the views, one (map, token order) row
-    per stream. The path is the same for every mode: build the maps the
-    rows name, stack them, reorder the tokens of rows that are not
-    row-major, scan with one segment per row, restore the order, unstack,
-    and fuse (a single view is returned as is). ``bank`` may be None when
-    the rows read only the input.
+    Takes and returns a [B, H, W, C] map. ``SCAN_VIEWS[scan_mode]`` names
+    the views, one (map, token order) row per stream. The path is the same
+    for every mode: build the maps the rows name, stack them, reorder the
+    tokens of rows that are not row-major, scan with one segment per row,
+    restore the order, unstack, and fuse (a single view is returned as
+    is). ``bank`` may be None when the rows read only the input.
     """
     if scan_mode not in SCAN_VIEWS:
         raise ValueError(f"unknown scan_mode {scan_mode!r}")
     _check_spatial(x)
     rows = SCAN_VIEWS[scan_mode]
-    _, _, h, w = x.shape
+    _, h, w, _ = x.shape
     orthogonal, dynamic = _filters(scan_mode)
     maps = {"input": x}
     if orthogonal:

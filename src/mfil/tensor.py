@@ -25,7 +25,7 @@ __all__ = [
     "exp", "sigmoid", "silu", "gelu", "softplus", "softmax",
     "tsum", "tmean", "reshape", "transpose", "concat", "slice_axis",
     "take", "tile_leading", "scale_per_sample",
-    "linear", "layer_norm", "conv2d", "depthwise_conv2d",
+    "linear", "layer_norm", "conv2d", "depthwise_conv2d", "pointwise_conv2d",
     "softmax_cross_entropy", "backward", "record_op",
     "flop_counter", "FlopCounter",
 ]
@@ -648,7 +648,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# Convolutions (cross-correlation convention, NCHW)
+# Convolutions (cross-correlation convention). ``conv2d`` works on NCHW
+# maps; ``depthwise_conv2d`` and ``pointwise_conv2d`` on channel-last NHWC.
 
 def _conv_out_size(h, w, kh, kw, stride, padding):
     oh = (h + 2 * padding - kh) // stride + 1
@@ -656,7 +657,7 @@ def _conv_out_size(h, w, kh, kw, stride, padding):
     return oh, ow
 
 
-def _check_conv_pre(name, h, w, kh, kw, stride, padding):
+def _check_conv_pre(name, h, w, kh, kw, stride, padding, axes):
     if stride < 1:
         raise ValueError(f"{name}: stride must be >= 1, got {stride}")
     if padding < 0:
@@ -664,16 +665,20 @@ def _check_conv_pre(name, h, w, kh, kw, stride, padding):
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(
             f"{name}: kernel {kh}x{kw} exceeds padded input "
-            f"{h + 2 * padding}x{w + 2 * padding} (axes 2, 3)")
+            f"{h + 2 * padding}x{w + 2 * padding} (axes {axes})")
 
 
-def _zero_pad(a: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of an NCHW array; ``a`` itself at 0."""
+def _zero_pad(a: np.ndarray, padding: int, axes) -> np.ndarray:
+    """Zero-pad two spatial axes of a 4-D array; ``a`` itself at 0."""
     if not padding:
         return a
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=a.dtype)
-    out[:, :, padding:padding + h, padding:padding + w] = a
+    shape = list(a.shape)
+    idx = [slice(None)] * 4
+    for ax in axes:
+        shape[ax] += 2 * padding
+        idx[ax] = slice(padding, padding + a.shape[ax])
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(idx)] = a
     return out
 
 
@@ -716,9 +721,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
         raise ShapeError(
             f"conv2d: input channels (axis 1 = {c_in}) != kernel input "
             f"channels (axis 1 = {kc})")
-    _check_conv_pre("conv2d", h, w, kh, kw, stride, padding)
+    _check_conv_pre("conv2d", h, w, kh, kw, stride, padding, "2, 3")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    xp = _zero_pad(x.data, padding)
+    xp = _zero_pad(x.data, padding, (2, 3))
     win = _windows(xp, kh, kw, stride, oh, ow)
     # [N, C, OH, OW, kh, kw] -> cols [N, C*kh*kw, OH*OW]
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
@@ -735,60 +740,161 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
 
     def bwd(g):
         g2 = g.reshape(n, c_out, oh * ow)
-        gk = np.einsum("nop,nkp->ok", g2, cols).reshape(kernel.shape)
-        gcols = np.matmul(kmat.T, g2)  # [N, C*kh*kw, OH*OW]
-        cols6 = gcols.reshape(n, c_in, kh, kw, oh, ow)
-        gx = _col2im(cols6, xshape, stride, padding)
+        gk = np.tensordot(g2, cols, axes=((0, 2), (0, 2))).reshape(
+            kernel.shape)
+        gx = None
+        if x.grad_enabled:  # input images need no gradient in training
+            gcols = np.matmul(kmat.T, g2)  # [N, C*kh*kw, OH*OW]
+            cols6 = gcols.reshape(n, c_in, kh, kw, oh, ow)
+            gx = _col2im(cols6, xshape, stride, padding)
         if bias is None:
             return gx, gk
         return gx, gk, g.sum(axis=(0, 2, 3))
     return record_op("conv2d", inputs, out, bwd)
 
 
+# Target size of one block of output rows in ``_tap_sum``: small enough
+# that the block and its scratch product stay in cache across all taps.
+_TAP_BLOCK_BYTES = 256 * 1024
+
+
+def _tap_sum(src, offsets, weights, stride, out):
+    """out[n, y, x] = sum_t weights[t] * src[n, s*y + di_t, s*x + dj_t].
+
+    ``src`` and ``out`` are NHWC, ``offsets`` lists (di, dj) per tap and
+    ``weights`` is [T, C]. Each output element is summed from zero in tap
+    order, block by block: a block is a run of whole images, or of rows of
+    one image, of about ``_TAP_BLOCK_BYTES``, and one scratch buffer holds
+    each tap's product.
+    """
+    n, oh, ow, c = out.shape
+    row = ow * c * out.itemsize
+    if oh * row <= _TAP_BLOCK_BYTES:
+        step = max(1, _TAP_BLOCK_BYTES // (oh * row))
+        blocks = [(a, min(a + step, n), 0, oh) for a in range(0, n, step)]
+    else:
+        step = max(1, _TAP_BLOCK_BYTES // row)
+        blocks = [(a, a + 1, y, min(y + step, oh))
+                  for a in range(n) for y in range(0, oh, step)]
+    a, b, y0, y1 = blocks[0]
+    scratch = np.empty((b - a, y1 - y0, ow, c), dtype=out.dtype)
+    span = stride * (ow - 1) + 1
+    for a, b, y0, y1 in blocks:
+        acc = out[a:b, y0:y1]
+        prod = scratch[:b - a, :y1 - y0]
+        acc.fill(0)
+        for (di, dj), wt in zip(offsets, weights):
+            win = src[a:b, di + stride * y0:di + stride * (y1 - 1) + 1:stride,
+                      dj:dj + span:stride]
+            np.multiply(win, wt, out=prod)
+            acc += prod
+
+
+def _dilate_pad(g, h, w, kh, kw, stride, padding):
+    """Upstream gradient placed on the padded input grid, for a gather.
+
+    Returns buf [N, H + kH - 1, W + kW - 1, C] holding g[:, o] at row
+    kH - 1 - padding + stride*o (same for columns) and zeros elsewhere, so
+    that the input gradient at (y, x) is the tap sum over kernel taps (i, j)
+    of k[i, j] * buf[y + kH - 1 - i, x + kW - 1 - j].
+    """
+    n, oh, ow, c = g.shape
+    buf = np.zeros((n, h + kh - 1, w + kw - 1, c), dtype=g.dtype)
+
+    def place(k, size, count):
+        # Outputs whose row lands inside buf; the others sit on padding out
+        # of the kernel's reach and touch no input.
+        t0 = k - 1 - padding
+        lo = max(0, -(t0 // stride))
+        hi = min(count, (size - 1 + padding) // stride + 1)
+        return lo, hi, slice(t0 + stride * lo, t0 + stride * (hi - 1) + 1,
+                             stride)
+
+    r0, r1, rows = place(kh, h, oh)
+    c0, c1, cols = place(kw, w, ow)
+    if r0 < r1 and c0 < c1:
+        buf[:, rows, cols] = g[:, r0:r1, c0:c1]
+    return buf
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
                      padding: int = 0) -> Tensor:
-    """Per-channel 2-D cross-correlation; kernel shape [C, 1, kH, kW].
+    """Per-channel 2-D cross-correlation of a channel-last map.
 
-    Computed as a shift-and-accumulate over kernel taps (kH*kW fused
-    multiply-adds on contiguous slices), which is much faster than a
-    windowed contraction for the small kernels used here.
+    x: [N, H, W, C], kernel: [C, 1, kH, kW]; the output is [N, OH, OW, C]
+    with the sizes of ``conv2d``. Every output element is a sum over the
+    kernel taps in (i, j) order, from zero, computed as one multiply-add
+    per tap over contiguous rows of whole channel vectors (``_tap_sum``).
+    The input gradient is the same tap sum, gathered from the upstream
+    gradient placed on the padded grid; the kernel gradient is one channel
+    reduction per tap, and is skipped when the kernel is not grad-enabled.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("depthwise_conv2d: input and kernel must be 4-D")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     kc, one, kh, kw = kernel.shape
     if kc != c or one != 1:
         raise ShapeError(
             f"depthwise_conv2d: kernel shape {kernel.shape} incompatible "
-            f"with {c} input channels (want [{c}, 1, kH, kW])")
-    _check_conv_pre("depthwise_conv2d", h, w, kh, kw, stride, padding)
+            f"with {c} input channels (axis 3; want [{c}, 1, kH, kW])")
+    _check_conv_pre("depthwise_conv2d", h, w, kh, kw, stride, padding,
+                    "1, 2")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    xp = _zero_pad(x.data, padding)
-    kflat = kernel.data[:, 0]  # [C, kh, kw]
-    out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            sl = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-            out += kflat[:, i, j][None, :, None, None] * sl
+    xp = _zero_pad(x.data, padding, (1, 2))
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    weights = np.ascontiguousarray(
+        kernel.data[:, 0].reshape(c, kh * kw).T)  # [kh*kw, C], tap order
+    out = np.empty((n, oh, ow, c), dtype=x.data.dtype)
+    _tap_sum(xp, taps, weights, stride, out)
     _tally(n * c * oh * ow * kh * kw)
-    xshape = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
 
     def bwd(g):
-        gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
-        gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                sl = xp[:, :, i:i + stride * oh:stride,
-                        j:j + stride * ow:stride]
-                gk[:, 0, i, j] = np.einsum("nchw,nchw->c", g, sl)
-                gxp[:, :, i:i + stride * oh:stride,
-                    j:j + stride * ow:stride] += (
-                    kflat[:, i, j][None, :, None, None] * g)
-        gx = gxp[:, :, padding:padding + h,
-                 padding:padding + w] if padding else gxp
-        return np.ascontiguousarray(gx), gk
+        gk = None
+        if kernel.grad_enabled:
+            gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
+            for i, j in taps:
+                win = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
+        gx = np.empty((n, h, w, c), dtype=g.dtype)
+        _tap_sum(_dilate_pad(g, h, w, kh, kw, stride, padding),
+                 [(kh - 1 - i, kw - 1 - j) for i, j in taps], weights, 1, gx)
+        return gx, gk
     return record_op("depthwise_conv2d", (x, kernel), out, bwd)
+
+
+def pointwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """1x1 convolution of a channel-last map; kernel [C_out, C_in, 1, 1].
+
+    x: [N, H, W, C_in] -> [N, H, W, C_out]. The products are formed image
+    by image as kernel @ x[n]^T, the BLAS call of a 1x1 NCHW ``conv2d``,
+    so the two give the same bytes; one flattened x @ kernel^T (``linear``)
+    rounds differently on small grids. The kernel gradient is one BLAS
+    product over all pixels.
+    """
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ShapeError("pointwise_conv2d: input and kernel must be 4-D")
+    n, h, w, c_in = x.shape
+    c_out, kc, kh, kw = kernel.shape
+    if kc != c_in or (kh, kw) != (1, 1):
+        raise ShapeError(
+            f"pointwise_conv2d: kernel shape {kernel.shape} incompatible "
+            f"with {c_in} input channels (axis 3; want [C_out, {c_in}, 1, 1])")
+    x3 = x.data.reshape(n, h * w, c_in)
+    kmat = kernel.data.reshape(c_out, c_in)
+    out = np.matmul(kmat, x3.transpose(0, 2, 1)).transpose(0, 2, 1)
+    _tally(n * h * w * c_out * c_in)
+
+    def bwd(g):
+        g2 = g.reshape(n * h * w, c_out)
+        gk = (g2.T @ x3.reshape(n * h * w, c_in)).reshape(kernel.shape)
+        gx = np.matmul(kmat.T, g.reshape(n, h * w, c_out).transpose(0, 2, 1))
+        # Adding 0 while copying to channel-last turns -0 into +0, as the
+        # zero-initialised accumulation of conv2d's backward does.
+        gx_last = np.empty((n, h * w, c_in), dtype=g.dtype)
+        np.add(gx.transpose(0, 2, 1), 0.0, out=gx_last)
+        return gx_last.reshape(x.shape), gk
+    return record_op("pointwise_conv2d", (x, kernel),
+                     np.ascontiguousarray(out).reshape(n, h, w, c_out), bwd)
 
 
 # ---------------------------------------------------------------------------

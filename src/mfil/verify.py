@@ -65,7 +65,9 @@ def suite_oracles(quick: bool = False) -> SuiteResult:
         want = reference.conv2d_reference(x, k, stride, pad)
         worst = max(worst, _rel(got, want))
         kd = rng.standard_normal((ci, 1, kh, kw))
-        got = depthwise_conv2d(Tensor(x), Tensor(kd), stride, pad).data
+        # depthwise_conv2d is channel-last; the oracle is NCHW.
+        got = depthwise_conv2d(Tensor(x.transpose(0, 2, 3, 1)), Tensor(kd),
+                               stride, pad).data.transpose(0, 3, 1, 2)
         want = reference.depthwise_conv2d_reference(x, kd, stride, pad)
         worst = max(worst, _rel(got, want))
         xm = rng.standard_normal((3, 4))

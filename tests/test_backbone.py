@@ -185,16 +185,18 @@ def test_conv_baseline_shapes_and_determinism(rng):
 
 
 def test_layout_flip_budget(rng):
-    """A taped desk forward flips NCHW <-> token layout at most 70 times,
-    in every scan mode, and stays within each mode's node budget: a single
-    view is stacked and unstacked without a concat or a slice."""
-    node_budget = {"multi_filter": 361, "single_flatten": 216,
-                   "cross_4dir": 351, "original_plus_one_filter": 291}
+    """A taped desk forward is channel-last from the stem to the head: it
+    records at most 8 transposes in every scan mode (1 after the stem, 2
+    around each of the 3 downsamples, 1 before the pool), and stays within
+    each mode's node budget: a single view is stacked and unstacked by
+    reshapes alone."""
+    node_budget = {"multi_filter": 289, "single_flatten": 154,
+                   "cross_4dir": 269, "original_plus_one_filter": 219}
     for mode in SCAN_MODES:
         model = bb.build(bb.desk(scan_mode=mode), seed=0)
         with Tape() as tape:
             model.forward(_input(rng, 32))
         flips = sum(node.name == "transpose" for node in tape.nodes)
-        assert flips <= 70, f"{mode}: {flips} transposes"
+        assert flips <= 8, f"{mode}: {flips} transposes"
         assert len(tape.nodes) <= node_budget[mode], \
             f"{mode}: {len(tape.nodes)} nodes"

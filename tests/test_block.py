@@ -7,22 +7,26 @@ from mfil.block import MfilBlock, block_param_count, conv_ffn
 from mfil.tensor import Tape, Tensor, mul, tsum
 
 
+def _nhwc(a):
+    """NCHW draw or oracle result -> the channel-last layout blocks use."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def _block(dim, seed=0, dtype="f64", **kw):
     return MfilBlock(dim, rng=np.random.default_rng(seed), dtype=dtype, **kw)
 
 
 def test_block_preserves_shape_at_published_width(rng):
     blk = _block(94, dtype="f32")
-    x = Tensor(rng.standard_normal((2, 94, 8, 8)).astype(np.float32),
-               dtype="f32")
+    x = Tensor(_nhwc(rng.standard_normal((2, 94, 8, 8))), dtype="f32")
     out = blk.forward(x)
-    assert out.shape == (2, 94, 8, 8)
+    assert out.shape == (2, 8, 8, 94)
     assert np.all(np.isfinite(out.data))
 
 
-@pytest.mark.parametrize("shape", [(1, 8, 4, 4), (3, 6, 5, 7), (2, 4, 3, 3)])
+@pytest.mark.parametrize("shape", [(1, 4, 4, 8), (3, 5, 7, 6), (2, 3, 3, 4)])
 def test_block_shape_preservation(rng, shape):
-    blk = _block(shape[1], seed=2)
+    blk = _block(shape[3], seed=2)
     out = blk.forward(Tensor(rng.standard_normal(shape)))
     assert out.shape == shape
 
@@ -32,7 +36,7 @@ def test_residual_identity_with_zeroed_projections(rng):
     blk.out_proj.data = np.zeros_like(blk.out_proj.data)
     blk.ffn.fc2_weight.data = np.zeros_like(blk.ffn.fc2_weight.data)
     blk.ffn.fc2_bias.data = np.zeros_like(blk.ffn.fc2_bias.data)
-    x = rng.standard_normal((2, 6, 4, 4))
+    x = _nhwc(rng.standard_normal((2, 6, 4, 4)))
     out = blk.forward(Tensor(x))
     assert np.array_equal(out.data, x)  # bit-exact
 
@@ -40,28 +44,24 @@ def test_residual_identity_with_zeroed_projections(rng):
 def test_gating_is_the_only_branch_coupling(rng):
     """The scan path and the SiLU gate path meet only in their product."""
     from mfil.tensor import (add, depthwise_conv2d, layer_norm, linear,
-                             silu, slice_axis, transpose)
+                             silu, slice_axis)
     from mfil.scan import mfil_ssm
 
     blk = _block(5, seed=4)
     ci = blk.d_inner
-    x = Tensor(rng.standard_normal((1, 5, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((1, 5, 4, 4))))
     got = blk.forward(x)
 
-    xn = layer_norm(transpose(x, (0, 2, 3, 1)), blk.norm1_gamma,
-                    blk.norm1_beta)
+    xn = layer_norm(x, blk.norm1_gamma, blk.norm1_beta)
     u = linear(xn, blk.in_proj)
     u1 = slice_axis(u, 3, 0, ci)
     u2 = slice_axis(u, 3, ci, 2 * ci)
-    branch = depthwise_conv2d(transpose(u1, (0, 3, 1, 2)), blk.branch_conv,
-                              padding=1)
+    branch = depthwise_conv2d(u1, blk.branch_conv, padding=1)
     z = mfil_ssm(silu(branch), blk.bank, blk.core, blk.weights)
-    gated = mul(transpose(z, (0, 2, 3, 1)), silu(u2))
-    y1 = add(x, transpose(linear(gated, blk.out_proj), (0, 3, 1, 2)))
+    gated = mul(z, silu(u2))
+    y1 = add(x, linear(gated, blk.out_proj))
     ffn_out = conv_ffn(y1, blk.ffn)
-    want = add(y1, transpose(layer_norm(transpose(ffn_out, (0, 2, 3, 1)),
-                                        blk.norm2_gamma, blk.norm2_beta),
-                             (0, 3, 1, 2)))
+    want = add(y1, layer_norm(ffn_out, blk.norm2_gamma, blk.norm2_beta))
     assert np.array_equal(got.data, want.data)
 
 
@@ -72,7 +72,8 @@ def test_conv_ffn_zero_second_linear(rng):
     blk = _block(4, seed=5)
     blk.ffn.fc2_weight.data = np.zeros_like(blk.ffn.fc2_weight.data)
     blk.ffn.fc2_bias.data = np.zeros_like(blk.ffn.fc2_bias.data)
-    out = conv_ffn(Tensor(rng.standard_normal((1, 4, 3, 3))), blk.ffn).data
+    out = conv_ffn(Tensor(_nhwc(rng.standard_normal((1, 4, 3, 3)))),
+                   blk.ffn).data
     assert np.all(out == 0.0)
 
 
@@ -82,37 +83,36 @@ def _gelu_np(x):
 
 
 def _conv_ffn_oracle(x, ffn):
-    h = reference.linear_reference(x.transpose(0, 2, 3, 1),
-                                   ffn.fc1_weight.data, ffn.fc1_bias.data)
+    """Channel-last in and out; the depthwise oracle runs on NCHW."""
+    h = reference.linear_reference(x, ffn.fc1_weight.data, ffn.fc1_bias.data)
     h = reference.depthwise_conv2d_reference(
         h.transpose(0, 3, 1, 2), ffn.dw_weight.data, padding=1)
     h = _gelu_np(h)
-    out = reference.linear_reference(h.transpose(0, 2, 3, 1),
-                                     ffn.fc2_weight.data, ffn.fc2_bias.data)
-    return out.transpose(0, 3, 1, 2)
+    return reference.linear_reference(h.transpose(0, 2, 3, 1),
+                                      ffn.fc2_weight.data, ffn.fc2_bias.data)
 
 
 def test_conv_ffn_single_pixel_center_tap(rng):
     # At 1x1 spatial the padded depthwise degenerates to center-tap scaling.
     blk = _block(4, seed=6)
     blk.ffn.dw_weight.data = rng.standard_normal(blk.ffn.dw_weight.shape)
-    x = rng.standard_normal((2, 4, 1, 1))
+    x = _nhwc(rng.standard_normal((2, 4, 1, 1)))
     got = conv_ffn(Tensor(x), blk.ffn).data
-    hidden = reference.linear_reference(x[:, :, 0, 0],
+    hidden = reference.linear_reference(x[:, 0, 0, :],
                                         blk.ffn.fc1_weight.data,
                                         blk.ffn.fc1_bias.data)
     hidden = hidden * blk.ffn.dw_weight.data[:, 0, 1, 1]
     want = reference.linear_reference(_gelu_np(hidden),
                                       blk.ffn.fc2_weight.data,
                                       blk.ffn.fc2_bias.data)
-    assert rel_err(got[:, :, 0, 0], want) <= 1e-6
+    assert rel_err(got[:, 0, 0, :], want) <= 1e-6
 
 
 def test_conv_ffn_matches_composed_oracle(rng):
     blk = _block(3, seed=7)
     blk.ffn.dw_weight.data = 0.3 * rng.standard_normal(
         blk.ffn.dw_weight.shape)
-    x = rng.standard_normal((1, 3, 4, 5))
+    x = _nhwc(rng.standard_normal((1, 3, 4, 5)))
     got = conv_ffn(Tensor(x), blk.ffn).data
     assert rel_err(got, _conv_ffn_oracle(x, blk.ffn)) <= 1e-6
 
@@ -150,8 +150,8 @@ def test_every_block_parameter_receives_gradient(seed):
     rng = np.random.default_rng(seed)
     blk = _block(6, seed=seed)
     params = blk.parameters()
-    x = Tensor(rng.standard_normal((2, 6, 4, 4)), grad_enabled=True)
-    readout = Tensor(rng.standard_normal((2, 6, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((2, 6, 4, 4))), grad_enabled=True)
+    readout = Tensor(_nhwc(rng.standard_normal((2, 6, 4, 4))))
     with Tape() as tape:
         loss = tsum(mul(blk.forward(x), readout))
     grads = tape.gradients(loss, list(params.values()))
@@ -164,8 +164,8 @@ def test_full_block_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     blk = _block(8, seed=11)
     params = blk.parameters()
-    x = Tensor(rng.standard_normal((1, 8, 4, 4)), grad_enabled=True)
-    readout = Tensor(rng.standard_normal((1, 8, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((1, 8, 4, 4))), grad_enabled=True)
+    readout = Tensor(_nhwc(rng.standard_normal((1, 8, 4, 4))))
 
     def build():
         return tsum(mul(blk.forward(x), readout))
@@ -188,7 +188,7 @@ def test_full_block_gradients_match_finite_differences():
 
 def test_drop_path_inactive_at_zero_rate_and_eval(rng):
     blk = _block(4, seed=9, drop_path=0.5)
-    x = Tensor(rng.standard_normal((2, 4, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((2, 4, 4, 4))))
     eval_out = blk.forward(x, train=False)
     eval_out2 = blk.forward(x, train=False)
     assert np.array_equal(eval_out.data, eval_out2.data)

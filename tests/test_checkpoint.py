@@ -30,6 +30,24 @@ def test_round_trip_values_and_order(rng, tmp_path):
         assert np.array_equal(loaded[name], t.data)
 
 
+def test_interrupted_write_keeps_the_previous_checkpoint(rng, tmp_path):
+    path = tmp_path / "model-final.mfil"
+    save_checkpoint(path, _params(rng))
+    before = path.read_bytes()
+
+    class Unreadable:
+        @property
+        def data(self):
+            raise OSError("device full")
+
+    # The first entry is written before the second one raises.
+    params = {"a.weight": _params(rng)["a.weight"], "b.bias": Unreadable()}
+    with pytest.raises(OSError, match="device full"):
+        save_checkpoint(path, params)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_round_trip_logits_bit_identical(rng, tmp_path):
     model = bb.build(bb.desk(), seed=5)
     x = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32),

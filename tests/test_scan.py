@@ -20,6 +20,15 @@ def _core(c, seed=0, **kw):
                    dtype="f64", **kw)
 
 
+def _nhwc(a):
+    """NCHW draw or oracle result -> the channel-last layout maps use."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
 def _weights(n=4, values=None):
     w = AdaptiveWeights(n, dtype="f64")
     if values is not None:
@@ -52,25 +61,25 @@ def test_constant_input_gives_zero_orthogonal_maps(rng):
     bank = _bank(2)
     bank.refine_h.data = rng.standard_normal(bank.refine_h.shape)
     bank.refine_v.data = rng.standard_normal(bank.refine_v.shape)
-    x = Tensor(np.full((1, 2, 7, 7), 2.5))
+    x = Tensor(np.full((1, 7, 7, 2), 2.5))
     sob_h = depthwise_conv2d(x, bank.sobel_y, padding=1)
     sob_v = depthwise_conv2d(x, bank.sobel_x, padding=1)
-    assert np.all(sob_h.data[:, :, 1:-1, 1:-1] == 0.0)
-    assert np.all(sob_v.data[:, :, 1:-1, 1:-1] == 0.0)
+    assert np.all(sob_h.data[:, 1:-1, 1:-1] == 0.0)
+    assert np.all(sob_v.data[:, 1:-1, 1:-1] == 0.0)
     f_h, f_v = orthogonal_maps(x, bank)
-    assert np.all(f_h.data[:, :, 2:-2, 2:-2] == 0.0)
-    assert np.all(f_v.data[:, :, 2:-2, 2:-2] == 0.0)
+    assert np.all(f_h.data[:, 2:-2, 2:-2] == 0.0)
+    assert np.all(f_v.data[:, 2:-2, 2:-2] == 0.0)
 
 
 def test_ramp_input_directional_selectivity():
     # Horizontal ramp: constant nonzero response from K_x, zero from K_y.
     c = 1
-    x = np.tile(np.arange(8, dtype=np.float64), (8, 1))[None, None]
+    x = np.tile(np.arange(8, dtype=np.float64), (8, 1))[None, :, :, None]
     bank = _bank(c)
     gv = depthwise_conv2d(Tensor(x), bank.sobel_x, padding=1).data
     gh = depthwise_conv2d(Tensor(x), bank.sobel_y, padding=1).data
-    interior_v = gv[0, 0, 1:-1, 1:-1]
-    interior_h = gh[0, 0, 1:-1, 1:-1]
+    interior_v = gv[0, 1:-1, 1:-1, 0]
+    interior_h = gh[0, 1:-1, 1:-1, 0]
     assert np.all(interior_h == 0.0)
     assert np.allclose(interior_v, interior_v[0, 0])
     assert interior_v[0, 0] != 0.0
@@ -81,7 +90,7 @@ def test_orthogonal_maps_match_loop_oracle(rng):
     bank.refine_h.data = 0.3 * rng.standard_normal(bank.refine_h.shape)
     bank.refine_v.data = 0.3 * rng.standard_normal(bank.refine_v.shape)
     x = rng.standard_normal((2, 3, 5, 6))
-    f_h, f_v = orthogonal_maps(Tensor(x), bank)
+    f_h, f_v = orthogonal_maps(Tensor(_nhwc(x)), bank)
     sob_h = reference.depthwise_conv2d_reference(
         x, np.tile(SOBEL_Y, (3, 1, 1, 1)), padding=1)
     sob_v = reference.depthwise_conv2d_reference(
@@ -90,8 +99,8 @@ def test_orthogonal_maps_match_loop_oracle(rng):
         sob_h, bank.refine_h.data, padding=1)
     want_v = reference.depthwise_conv2d_reference(
         sob_v, bank.refine_v.data, padding=1)
-    assert rel_err(f_h.data, want_h) <= 1e-6
-    assert rel_err(f_v.data, want_v) <= 1e-6
+    assert rel_err(_nchw(f_h.data), want_h) <= 1e-6
+    assert rel_err(_nchw(f_v.data), want_v) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +109,7 @@ def test_orthogonal_maps_match_loop_oracle(rng):
 def test_dynamic_map_identity_configuration(rng):
     bank = _bank(3)
     bank.dyn_pointwise.data = np.eye(3).reshape(3, 3, 1, 1)
-    x = rng.standard_normal((1, 3, 4, 5))
+    x = _nhwc(rng.standard_normal((1, 3, 4, 5)))
     out = dynamic_map(Tensor(x), bank).data
     assert np.allclose(out, x, atol=1e-12)
 
@@ -109,7 +118,8 @@ def test_dynamic_map_zero_pointwise(rng):
     bank = _bank(2)
     bank.dyn_depthwise.data = rng.standard_normal(bank.dyn_depthwise.shape)
     bank.dyn_pointwise.data = np.zeros_like(bank.dyn_pointwise.data)
-    out = dynamic_map(Tensor(rng.standard_normal((1, 2, 4, 4))), bank).data
+    out = dynamic_map(Tensor(_nhwc(rng.standard_normal((1, 2, 4, 4)))),
+                      bank).data
     assert np.all(out == 0.0)
 
 
@@ -118,7 +128,7 @@ def test_dynamic_map_matches_composed_oracle(rng):
     bank.dyn_depthwise.data = 0.4 * rng.standard_normal(
         bank.dyn_depthwise.shape)
     x = rng.standard_normal((1, 3, 5, 4))
-    got = dynamic_map(Tensor(x), bank).data
+    got = _nchw(dynamic_map(Tensor(_nhwc(x)), bank).data)
     stage1 = reference.depthwise_conv2d_reference(
         x, bank.dyn_depthwise.data, padding=1)
     want = reference.conv2d_reference(stage1, bank.dyn_pointwise.data)
@@ -129,37 +139,38 @@ def test_dynamic_map_matches_composed_oracle(rng):
 # stacking
 
 def test_stack_single_pixel_order():
-    maps = [Tensor(np.full((1, 2, 1, 1), float(v))) for v in (1, 2, 3, 4)]
+    maps = [Tensor(np.full((1, 1, 1, 2), float(v))) for v in (1, 2, 3, 4)]
     seq = stack_scans(*maps)
     assert seq.shape == (1, 4, 2)
     assert np.array_equal(seq.data[0, :, 0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_stack_distinct_constants_stream():
-    maps = [Tensor(np.full((1, 1, 2, 2), float(v))) for v in (1, 2, 3, 4)]
+    maps = [Tensor(np.full((1, 2, 2, 1), float(v))) for v in (1, 2, 3, 4)]
     seq = stack_scans(*maps)
     want = np.repeat([1.0, 2.0, 3.0, 4.0], 4)
     assert np.array_equal(seq.data[0, :, 0], want)
 
 
 def test_stack_unstack_round_trip(rng):
-    maps = [Tensor(rng.standard_normal((2, 3, 4, 5))) for _ in range(4)]
+    maps = [Tensor(_nhwc(rng.standard_normal((2, 3, 4, 5))))
+            for _ in range(4)]
     back = unstack_scans(stack_scans(*maps), 4, 5, n=4)
     for m, b in zip(maps, back):
         assert np.array_equal(m.data, b.data)
 
 
 def test_stack_shape_mismatch():
-    good = Tensor(np.zeros((1, 2, 3, 3)))
-    bad = Tensor(np.zeros((1, 2, 3, 4)))
+    good = Tensor(np.zeros((1, 3, 3, 2)))
+    bad = Tensor(np.zeros((1, 3, 4, 2)))
     with pytest.raises(ValueError, match="mismatch"):
         stack_scans(good, good, good, bad)
 
 
 def test_stack_row_major_flattening(rng):
-    x = rng.standard_normal((1, 1, 2, 3))
+    x = rng.standard_normal((1, 2, 3, 1))
     seq = stack_scans(*[Tensor(x)] * 4)
-    assert np.array_equal(seq.data[0, :6, 0], x[0, 0].reshape(-1))
+    assert np.array_equal(seq.data[0, :6, 0], x[0, :, :, 0].reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +222,7 @@ def test_merge_uniform_average_without_weights(rng):
 
 def test_mfil_zero_input_zero_output(rng):
     c = 3
-    out = mfil_ssm(Tensor(np.zeros((1, c, 4, 4))), _bank(c), _core(c),
+    out = mfil_ssm(Tensor(np.zeros((1, 4, 4, c))), _bank(c), _core(c),
                    _weights()).data
     assert np.all(out == 0.0)
 
@@ -219,13 +230,11 @@ def test_mfil_zero_input_zero_output(rng):
 def test_single_flatten_bypass_equals_direct_scan(rng):
     c = 3
     core = _core(c, seed=2)
-    x = rng.standard_normal((2, c, 4, 5))
+    x = _nhwc(rng.standard_normal((2, c, 4, 5)))
     via_pipeline = mfil_ssm(Tensor(x), None, core, None,
                             scan_mode="single_flatten").data
-    tokens = x.transpose(0, 2, 3, 1).reshape(2, 20, c)
-    direct = selective_scan(Tensor(tokens), core).data
-    assert np.array_equal(via_pipeline,
-                          direct.reshape(2, 4, 5, c).transpose(0, 3, 1, 2))
+    direct = selective_scan(Tensor(x.reshape(2, 20, c)), core).data
+    assert np.array_equal(via_pipeline, direct.reshape(2, 4, 5, c))
 
 
 def test_cross_scan_permutations_are_permutations():
@@ -245,9 +254,9 @@ def test_scan_modes_run_and_preserve_shape(rng, mode, n):
     c = 3
     bank = _bank(c, scan_mode=mode)
     weights = _weights(n) if n > 1 else None
-    x = Tensor(rng.standard_normal((2, c, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((2, c, 4, 4))))
     out = mfil_ssm(x, bank, _core(c), weights, scan_mode=mode)
-    assert out.shape == (2, c, 4, 4)
+    assert out.shape == (2, 4, 4, c)
     assert np.all(np.isfinite(out.data))
 
 
@@ -260,7 +269,7 @@ def test_merge_symmetry_under_scan_order_swap(rng):
     bank.refine_h.data = 0.5 * rng.standard_normal(bank.refine_h.shape)
     bank.refine_v.data = 0.5 * rng.standard_normal(bank.refine_v.shape)
     w = rng.standard_normal(4)
-    x = Tensor(rng.standard_normal((1, c, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((1, c, 4, 4))))
     f_h, f_v = orthogonal_maps(x, bank)
     f_dyn = dynamic_map(x, bank)
 
@@ -279,10 +288,10 @@ def test_state_carries_across_segments_by_default(rng):
     # The first segment's content reaches later segments unless reset is on.
     c = 2
     core = _core(c, seed=5)
-    x = rng.standard_normal((1, c, 3, 3))
+    x = _nhwc(rng.standard_normal((1, c, 3, 3)))
     a = mfil_ssm(Tensor(x), _bank(c), core, _weights()).data
     x2 = x.copy()
-    x2[0, :, 0, 0] += 1.0  # first token of the original-image segment
+    x2[0, 0, 0, :] += 1.0  # first token of the original-image segment
     b = mfil_ssm(Tensor(x2), _bank(c), core, _weights()).data
     # All four segment outputs differ (state flowed across segments).
     assert not np.allclose(a, b)
@@ -293,8 +302,8 @@ def test_mfil_parameter_gradients(rng):
     bank = _bank(c, seed=8)
     core = _core(c, seed=8)
     weights = _weights()
-    x = Tensor(rng.standard_normal((1, c, 4, 4)), grad_enabled=True)
-    readout = Tensor(rng.standard_normal((1, c, 4, 4)))
+    x = Tensor(_nhwc(rng.standard_normal((1, c, 4, 4))), grad_enabled=True)
+    readout = Tensor(_nhwc(rng.standard_normal((1, c, 4, 4))))
     params = {"x": x, **{f"bank.{k}": v
                          for k, v in bank.parameters().items()},
               "weights.w": weights.w,
@@ -313,29 +322,28 @@ def test_mfil_parameter_gradients(rng):
 
 
 def _tokens(fmap):
-    b, c, h, w = fmap.shape
-    return fmap.transpose(0, 2, 3, 1).reshape(b, h * w, c)
+    b, h, w, c = fmap.shape
+    return fmap.reshape(b, h * w, c)
 
 
 def _cross_4dir_by_hand(x, bank, core, weights):
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     perms = cross_scan_permutations(h, w)
     seq = np.concatenate([_tokens(x)[:, p] for p in perms], axis=1)
     out = selective_scan(Tensor(seq), core, n_segments=4).data
     maps = []
     for i, p in enumerate(perms):
         view = out[:, i * h * w:(i + 1) * h * w][:, np.argsort(p)]
-        maps.append(Tensor(view.reshape(b, h, w, c).transpose(0, 3, 1, 2)))
+        maps.append(Tensor(view.reshape(b, h, w, c)))
     return adaptive_merge(maps, weights).data
 
 
 def _original_plus_one_by_hand(x, bank, core, weights):
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     f_dyn = dynamic_map(Tensor(x), bank).data
     seq = np.concatenate([_tokens(x), _tokens(f_dyn)], axis=1)
     out = selective_scan(Tensor(seq), core, n_segments=2).data
-    maps = [Tensor(out[:, i * h * w:(i + 1) * h * w]
-                   .reshape(b, h, w, c).transpose(0, 3, 1, 2))
+    maps = [Tensor(out[:, i * h * w:(i + 1) * h * w].reshape(b, h, w, c))
             for i in range(2)]
     return adaptive_merge(maps, weights).data
 
@@ -353,6 +361,6 @@ def test_scan_mode_equals_its_pipeline_written_out(rng, mode):
         bank.dyn_depthwise.shape)
     weights = _weights(n, values=rng.standard_normal(n))
     core = _core(c, seed=7)
-    x = rng.standard_normal((2, c, 3, 5))
+    x = _nhwc(rng.standard_normal((2, c, 3, 5)))
     got = mfil_ssm(Tensor(x), bank, core, weights, scan_mode=mode).data
     assert np.array_equal(got, _BY_HAND[mode](x, bank, core, weights))

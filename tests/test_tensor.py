@@ -5,8 +5,9 @@ from conftest import grad_close, rel_err
 from mfil import reference
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          backward, concat, conv2d, depthwise_conv2d, exp,
-                         gelu, layer_norm, linear, mul, neg, reshape,
-                         scale_per_sample, sigmoid, silu, slice_axis,
+                         gelu, layer_norm, linear, mul, neg,
+                         pointwise_conv2d, reshape, scale_per_sample,
+                         sigmoid, silu, slice_axis,
                          softmax, softmax_cross_entropy, softplus, sub,
                          take, tile_leading, tmean, transpose, tsum)
 
@@ -67,17 +68,24 @@ def test_conv2d_kernel_too_large():
 # ---------------------------------------------------------------------------
 # depthwise_conv2d
 
+# depthwise_conv2d and pointwise_conv2d are channel-last: [N, H, W, C]. The
+# draws below stay NCHW, like the loop oracles, and are transposed in.
+
+def _nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
+
 def test_depthwise_channel_isolation(rng):
     x = rng.standard_normal((1, 2, 5, 5))
     x[:, 1] = 0.0
     k = rng.standard_normal((2, 1, 3, 3))
-    out = depthwise_conv2d(Tensor(x), Tensor(k), padding=1).data
-    assert np.all(out[:, 1] == 0.0)
-    assert np.any(out[:, 0] != 0.0)
+    out = depthwise_conv2d(Tensor(_nhwc(x)), Tensor(k), padding=1).data
+    assert np.all(out[..., 1] == 0.0)
+    assert np.any(out[..., 0] != 0.0)
 
 
 def test_depthwise_identity_kernel(rng):
-    x = rng.standard_normal((2, 3, 4, 4))
+    x = _nhwc(rng.standard_normal((2, 3, 4, 4)))
     k = np.zeros((3, 1, 3, 3))
     k[:, 0, 1, 1] = 1.0
     out = depthwise_conv2d(Tensor(x), Tensor(k), padding=1).data
@@ -87,9 +95,55 @@ def test_depthwise_identity_kernel(rng):
 def test_depthwise_matches_loop_oracle(rng):
     x = rng.standard_normal((2, 4, 6, 5))
     k = rng.standard_normal((4, 1, 3, 3))
-    got = depthwise_conv2d(Tensor(x), Tensor(k), padding=1).data
+    got = depthwise_conv2d(Tensor(_nhwc(x)), Tensor(k), padding=1).data
     want = reference.depthwise_conv2d_reference(x, k, padding=1)
-    assert rel_err(got, want) <= 1e-6
+    assert rel_err(got.transpose(0, 3, 1, 2), want) <= 1e-6
+
+
+def test_constant_kernel_gets_no_gradient(rng):
+    # A Sobel-style constant kernel: backward skips its reduction and
+    # returns None in its slot, while the input still gets its gradient.
+    x = Tensor(rng.standard_normal((1, 4, 4, 2)), grad_enabled=True)
+    k = Tensor(rng.standard_normal((2, 1, 3, 3)))
+    with Tape():
+        out = depthwise_conv2d(x, k, padding=1)
+    gx, gk = out.node.backward(np.ones(out.shape))
+    assert gk is None
+    assert gx.shape == x.shape
+
+
+def test_conv2d_skips_the_gradient_of_a_constant_input(rng):
+    x = Tensor(rng.standard_normal((1, 3, 4, 4)))
+    k = Tensor(rng.standard_normal((2, 3, 2, 2)), grad_enabled=True)
+    with Tape():
+        out = conv2d(x, k, stride=2)
+    gx, gk = out.node.backward(np.ones(out.shape))
+    assert gx is None
+    assert gk.shape == k.shape
+
+
+def test_pointwise_conv2d_equals_1x1_conv2d_bytes(rng):
+    # Same BLAS product per image as the NCHW 1x1 convolution, so forward
+    # and input gradient agree bit for bit, at f32 and f64.
+    cases = [("f64", (1, 8, 8, 8)), ("f32", (32, 32, 2, 2)),
+             ("f32", (32, 64, 1, 1)), ("f64", (2, 5, 3, 4))]
+    for dtype, (n, c, h, w) in cases:
+        x = rng.standard_normal((n, c, h, w))
+        k = Tensor(0.1 * rng.standard_normal((c, c, 1, 1)), dtype=dtype)
+        g = rng.standard_normal((n, c, h, w))
+        g[g < -1.0] = 0.0
+        xt = Tensor(x, dtype=dtype, grad_enabled=True)
+        xc = Tensor(_nhwc(x), dtype=dtype, grad_enabled=True)
+        with Tape():
+            want = conv2d(xt, k)
+            got = pointwise_conv2d(xc, k)
+        gx_want, _ = want.node.backward(g.astype(want.data.dtype))
+        gx_got, _ = got.node.backward(
+            np.ascontiguousarray(_nhwc(g)).astype(got.data.dtype))
+        assert np.ascontiguousarray(_nhwc(want.data)).tobytes() \
+            == got.data.tobytes()
+        assert np.ascontiguousarray(_nhwc(gx_want)).tobytes() \
+            == gx_got.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +348,16 @@ def test_primitive_gradients_match_finite_differences(seed):
     _fd_check(conv_loss, [x, k], seed)
 
     def dw_loss():
-        return tsum(silu(depthwise_conv2d(x, kd, padding=1)))
+        return tsum(silu(depthwise_conv2d(transpose(x, (0, 2, 3, 1)), kd,
+                                          padding=1)))
 
     _fd_check(dw_loss, [x, kd], seed)
+
+    def pw_loss():
+        return tsum(silu(pointwise_conv2d(transpose(x, (0, 2, 3, 1)),
+                                          reshape(w, (3, 2, 1, 1)))))
+
+    _fd_check(pw_loss, [x, w], seed)
 
     def mixed_loss():
         h = transpose(x, (0, 2, 3, 1))
