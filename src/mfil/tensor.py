@@ -408,12 +408,58 @@ def silu(a: Tensor) -> Tensor:
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
+# Elements per block of the f32 GELU: its scratch buffers stay in cache.
+_GELU_BLOCK = 1 << 15
+# Eigen's fast f32 erf, erf(z) = z * P(z^2) / Q(z^2) on z clamped to
+# [-4, 4], where erf is +-1 in f32. Highest power first; P is halved, so
+# 0.5 + z * P / Q is 0.5 * (1 + erf(z)) exactly as rounded.
+_ERF_P = tuple(0.5 * c for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04,
+          -1.68282697438203e-03, -7.37332916720468e-03,
+          -1.42647390514189e-02)
+
+
+def _horner(z2, coeffs, out):
+    np.multiply(z2, coeffs[0], out=out)
+    np.add(out, coeffs[1], out=out)
+    for c in coeffs[2:]:
+        np.multiply(out, z2, out=out)
+        np.add(out, c, out=out)
+
+
+def _gelu_f32(x):
+    """x * phi and phi = 0.5 * (1 + erf(x / sqrt 2)) with the fast erf,
+    block by block through three reused scratch buffers."""
+    out, phi = np.empty_like(x), np.empty_like(x)
+    xs, outs, phis = x.reshape(-1), out.reshape(-1), phi.reshape(-1)
+    z, z2, q = (np.empty(min(_GELU_BLOCK, x.size), x.dtype) for _ in range(3))
+    for s in range(0, x.size, _GELU_BLOCK):
+        e = min(s + _GELU_BLOCK, x.size)
+        zb, z2b, qb, pb = z[:e - s], z2[:e - s], q[:e - s], phis[s:e]
+        np.multiply(xs[s:e], _INV_SQRT2, out=zb)
+        np.clip(zb, -4.0, 4.0, out=zb)  # NaN stays NaN, +-inf become +-4
+        np.multiply(zb, zb, out=z2b)
+        _horner(z2b, _ERF_P, pb)
+        _horner(z2b, _ERF_Q, qb)
+        np.divide(pb, qb, out=pb)
+        np.multiply(pb, zb, out=pb)
+        np.add(pb, 0.5, out=pb)
+        np.multiply(xs[s:e], pb, out=outs[s:e])
+    return out, phi
+
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact erf form."""
+    """Gaussian error linear unit, erf form: exact erf at f64, Eigen's
+    rational erf (<= 7.5 ulp) at f32."""
     x = a.data
-    phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    out = x * phi
+    if x.dtype == np.float32:
+        out, phi = _gelu_f32(x)
+    else:
+        phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+        out = x * phi
     _tally(5 * out.size)
 
     def bwd(g):
@@ -422,11 +468,23 @@ def gelu(a: Tensor) -> Tensor:
     return record_op("gelu", (a,), out, bwd)
 
 
+def _softplus_f32(x):
+    """max(x, 0) + log1p(exp(-|x|)); exp(-|x|) never overflows."""
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(out, np.maximum(x, 0.0), out=out)
+
+
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed overflow-safe; softplus(0) = ln 2."""
-    out = np.logaddexp(0.0, a.data).astype(a.data.dtype, copy=False)
-    _tally(5 * out.size)
     x = a.data
+    if x.dtype == np.float32:
+        out = _softplus_f32(x)
+    else:
+        out = np.logaddexp(0.0, x).astype(x.dtype, copy=False)
+    _tally(5 * out.size)
 
     def bwd(g):
         return (g * _sigmoid_np(x),)

@@ -1,4 +1,4 @@
-"""Property-based checks of the convolution primitives over random cases.
+"""Property-based checks of the convolution primitives and activations.
 
 Hypothesis draws the batch, channels and grid (1x1 included), kernels of
 1 to 3 taps a side, stride 1-2, padding 0-1 and the dtype. Each case checks
@@ -6,14 +6,22 @@ the forward against the loop oracle of ``mfil.reference`` and the input
 and kernel gradients against ``reference.central_difference``, taken on an
 f64 copy of the same loss. The channel-last depthwise forward and input
 gradient must also equal, bit for bit, the tap-ordered loops written here.
+
+The activations are checked the same way: the f32 fast forms of
+``softplus`` and ``gelu`` against the f64 reference over the whole f32
+range, the f64 forms byte for byte against the formulas they stand for,
+and the ``silu``, ``softplus`` and ``gelu`` gradients at both dtypes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from mfil import reference
-from mfil.tensor import Tape, Tensor, conv2d, depthwise_conv2d, mul, tsum
+from mfil.tensor import (NonFiniteError, Tape, Tensor, conv2d,
+                         depthwise_conv2d, gelu, mul, silu, softplus, tsum)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -147,3 +155,104 @@ def test_conv2d_properties(case):
     _check_gradients(lambda a, b: conv2d(a, b, s, p), [x, k], readout, dt,
                      rng)
 
+
+# ---------------------------------------------------------------------------
+# Activations
+
+F32 = np.finfo(np.float32)
+_CLAMP = np.float32(4.0 * np.sqrt(2.0))  # the fast erf clamps x / sqrt 2 at 4
+EDGES = np.array(
+    [0.0, -0.0, F32.max, -F32.max, F32.tiny, -F32.tiny, F32.smallest_subnormal,
+     -F32.smallest_subnormal, 100.0, -100.0, -104.0, 17.0]
+    + [s * v for s in (1, -1) for v in
+       (np.nextafter(_CLAMP, np.float32(0)), _CLAMP,
+        np.nextafter(_CLAMP, np.float32(8)),
+        np.nextafter(np.nextafter(_CLAMP, np.float32(8)), np.float32(8)))],
+    dtype=np.float32)
+# Measured on a sweep of every 53rd f32 bit pattern with |x| <= 120:
+# softplus 3.13 ulp, gelu 2.62e-7 * max(1, |x|).
+SOFTPLUS_ULPS = 4.0
+GELU_REL = 3e-7
+
+
+def _f32_ulps(got, want):
+    """|got - want| in units of the f32 spacing at ``want`` (f64)."""
+    _, e = np.frexp(want)
+    ulp = np.ldexp(1.0, np.maximum(e - 24, -149))
+    return np.abs(got.astype(np.float64) - want) / ulp
+
+
+def _gelu_f64(x):
+    return x * (0.5 * (1.0 + erf(x * float(1.0 / np.sqrt(2.0)))))
+
+
+@PROPERTY
+@given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                max_size=40))
+def test_f32_softplus_and_gelu_against_f64(values):
+    x = np.concatenate([np.array(values, dtype=np.float32), EDGES])
+    x64 = x.astype(np.float64)
+    sp = softplus(Tensor(x)).data
+    assert sp.dtype == np.float32
+    assert np.all(sp >= np.maximum(x, 0))
+    ulps = _f32_ulps(sp, np.logaddexp(0.0, x64))
+    assert ulps.max() <= SOFTPLUS_ULPS, (x[np.argmax(ulps)], ulps.max())
+    ge = gelu(Tensor(x)).data
+    assert ge.dtype == np.float32
+    err = np.abs(ge - _gelu_f64(x64)) / np.maximum(1.0, np.abs(x64))
+    assert err.max() <= GELU_REL, (x[np.argmax(err)], err.max())
+
+
+def test_f32_gelu_is_blind_to_block_edges():
+    """Several blocks and a partial one: every element within the bound,
+    and the same bytes as the pieces computed apart."""
+    x = (np.random.default_rng(5).standard_normal((3, 5, 6571)) * 4) \
+        .astype(np.float32)
+    out = gelu(Tensor(x)).data
+    x64 = x.astype(np.float64)
+    err = np.abs(out - _gelu_f64(x64)) / np.maximum(1.0, np.abs(x64))
+    assert err.max() <= GELU_REL
+    flat = x.reshape(-1)
+    pieces = [gelu(Tensor(flat[a:b])).data
+              for a, b in ((0, 7), (7, 40000), (40000, flat.size))]
+    assert out.tobytes() == np.concatenate(pieces).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_activation_guard_names_op_on_nonfinite_input(dtype, bad):
+    x = Tensor(np.array([0.5, bad, -1.0], dtype=NP[dtype]), check_finite=False)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="gelu"):
+            gelu(x)
+        if bad == -np.inf:  # softplus(-inf) = 0 is finite, at both dtypes
+            assert softplus(x).data[1] == 0.0
+        else:
+            with pytest.raises(NonFiniteError, match="softplus"):
+                softplus(x)
+
+
+@PROPERTY
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_f64_softplus_and_gelu_are_the_exact_formulas(values, seed):
+    x = np.concatenate([np.array(values, dtype=np.float64),
+                        EDGES.astype(np.float64),
+                        np.random.default_rng(seed).standard_normal(64) * 8])
+    assert softplus(Tensor(x)).data.tobytes() == \
+        np.logaddexp(0.0, x).tobytes()
+    with np.errstate(over="ignore"):
+        want = _gelu_f64(x)
+    assert gelu(Tensor(x)).data.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([silu, softplus, gelu]),
+       st.sampled_from(["f32", "f64"]),
+       st.tuples(st.integers(1, 3), st.integers(1, 5)),
+       st.sampled_from([0.5, 2.0, 6.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_activation_gradients(op, dtype, shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(shape) * scale).astype(NP[dtype])
+    _check_gradients(op, [x], rng.standard_normal(shape), dtype, rng)

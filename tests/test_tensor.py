@@ -215,6 +215,12 @@ def test_softplus_bounds():
     out = softplus(Tensor(x)).data
     assert np.all(out >= np.maximum(x, 0.0))
     assert abs(softplus(Tensor(np.zeros(1))).data[0] - np.log(2)) < 1e-12
+    x32 = x.astype(np.float32)
+    out32 = softplus(Tensor(x32)).data
+    assert out32.dtype == np.float32
+    assert np.all(out32 >= np.maximum(x32, 0.0))
+    ln2 = softplus(Tensor(np.zeros(1, dtype=np.float32))).data[0]
+    assert abs(float(ln2) - np.log(2)) <= np.spacing(np.float32(np.log(2)))
 
 
 def test_softmax_large_magnitudes_max_shifted():
