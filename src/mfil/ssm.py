@@ -24,8 +24,8 @@ from scipy.linalg import expm
 
 from . import reference
 from .init import inv_softplus, trunc_normal
-from .tensor import (Tensor, linear, neg, record_op, slice_axis, softplus,
-                     tile_leading, exp as texp, _tally)
+from .tensor import (Tensor, linear, neg, record_op, recording, slice_axis,
+                     softplus, tile_leading, exp as texp, _tally)
 
 __all__ = [
     "SsmCore", "LtiSsm", "discretize_zoh", "scan_recurrent", "lti_kernel",
@@ -165,7 +165,9 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
     [B, L, N]; d_skip: [C] or None. The recurrence runs sequentially over L
     but is vectorized over (B, C, N); discretized parameters are produced in
     chunks of ``chunk`` tokens to bound the working set, with the hidden
-    state carried across chunk boundaries. ``reset_interval`` zeroes the
+    state carried across chunk boundaries, and the readout is formed chunk
+    by chunk. Only a taped call keeps every state h[t], which its backward
+    reads; exp(delta * A) is recomputed there. ``reset_interval`` zeroes the
     state every that-many tokens (segment-independent processing).
     """
     bsz, length, ch = u.shape
@@ -180,14 +182,19 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         carry[::reset_interval] = 0.0
 
     ud, dd, ad, bd, cd = u.data, delta.data, a.data, b_tok.data, c_tok.data
-    h_all = np.empty((bsz, length, ch, n), dtype=dtype)
-    a_bar_all = np.empty((bsz, length, ch, n), dtype=dtype)
+    inputs = ((u, delta, a, b_tok, c_tok) if d_skip is None
+              else (u, delta, a, b_tok, c_tok, d_skip))
+    # The backward reads every h[t]; an untaped call keeps one chunk of them.
+    taped = recording(inputs)
+    h_all = np.empty((bsz, length if taped else min(chunk, length), ch, n),
+                     dtype=dtype)
+    y = np.empty((bsz, length, ch), dtype=dtype)
     prev = np.zeros((bsz, ch, n), dtype=dtype)
     for t0 in range(0, length, chunk):
         t1 = min(t0 + chunk, length)
+        hs = h_all[:, t0:t1] if taped else h_all[:, :t1 - t0]
         da = dd[:, t0:t1, :, None] * ad[None, None]
         a_bar = np.exp(da)
-        a_bar_all[:, t0:t1] = a_bar
         if exact_input_discretization:
             with np.errstate(divide="ignore", invalid="ignore"):
                 w = np.where(np.abs(da) < _ZOH_LIMIT, dd[:, t0:t1, :, None],
@@ -195,22 +202,19 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         else:
             w = dd[:, t0:t1, :, None]
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
-        # h[t] is written straight into its slot of h_all.
+        # h[t] is written straight into its slot of the chunk.
         for i, t in enumerate(range(t0, t1)):
-            h = h_all[:, t]
+            h = hs[:, i]
             if carry[t] == 0.0:
                 h[...] = bx[:, i]
             else:
                 np.multiply(a_bar[:, i], prev, out=h)
                 np.add(h, bx[:, i], out=h)
             prev = h
-    y = np.einsum("blcn,bln->blc", h_all, cd)
+        y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, cd[:, t0:t1])
     if d_skip is not None:
-        y = y + ud * d_skip.data[None, None, :]
+        y += ud * d_skip.data[None, None, :]
     _tally(2 * bsz * length * ch * n)
-
-    inputs = ((u, delta, a, b_tok, c_tok) if d_skip is None
-              else (u, delta, a, b_tok, c_tok, d_skip))
 
     def bwd(gy):
         g_ctok = np.einsum("blc,blcn->bln", gy, h_all)
@@ -224,6 +228,9 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         # readout term gy[t] * C[t] of every token; ca[t] is overwritten
         # with the gradient that h[t] passes back to h[t-1].
         gh_all = gy[:, :, :, None] * cd[:, :, None, :]
+        # Recomputed rather than saved: the same products and exp as the
+        # forward's chunks, so the same bytes.
+        a_bar_all = np.exp(dd[:, :, :, None] * ad[None, None])
         ca = carry[None, :, None, None] * a_bar_all
         back = np.zeros((bsz, ch, n), dtype=dtype)
         for t in range(length - 1, -1, -1):

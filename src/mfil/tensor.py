@@ -14,6 +14,7 @@ checkable against an explicit loop oracle.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ __all__ = [
     "tsum", "tmean", "reshape", "transpose", "concat", "slice_axis",
     "take", "tile_leading", "scale_per_sample",
     "linear", "layer_norm", "conv2d", "depthwise_conv2d", "pointwise_conv2d",
-    "softmax_cross_entropy", "backward", "record_op",
+    "softmax_cross_entropy", "backward", "record_op", "recording",
     "flop_counter", "FlopCounter",
 ]
 
@@ -60,7 +61,7 @@ class Tensor:
     outputs become grad-enabled automatically while a Tape is recording.
     """
 
-    __slots__ = ("data", "grad_enabled", "node")
+    __slots__ = ("data", "grad_enabled", "node", "__weakref__")
 
     def __init__(self, data, dtype=None, grad_enabled: bool = False,
                  check_finite: bool = True):
@@ -125,16 +126,30 @@ class Tensor:
 
 
 class _Node:
-    """One recorded primitive application: inputs, output, backward rule."""
+    """One recorded primitive application: inputs, output, backward rule.
 
-    __slots__ = ("name", "inputs", "out", "backward", "tape")
+    The output tensor holds its node and the tape holds its nodes, so the
+    node refers back to both weakly: a graph has no reference cycle, and
+    reference counting frees it once its tape and last output are dropped.
+    ``out`` and ``tape`` read as None after that.
+    """
+
+    __slots__ = ("name", "inputs", "_out", "backward", "_tape")
 
     def __init__(self, name, inputs, out, backward, tape):
         self.name = name
         self.inputs = inputs
-        self.out = out
+        self._out = weakref.ref(out)
         self.backward = backward
-        self.tape = tape
+        self._tape = weakref.ref(tape)
+
+    @property
+    def out(self):
+        return self._out()
+
+    @property
+    def tape(self):
+        return self._tape()
 
 
 _LOCAL = threading.local()
@@ -194,7 +209,10 @@ class Tape:
             id(loss): np.ones((), dtype=loss.data.dtype)}
         leaves: dict[int, Tensor] = {}
         for node in reversed(self._nodes):
-            g_out = grads.pop(id(node.out), None)
+            y = node.out
+            # A dropped output fed nothing, so it has no gradient; skipping
+            # it also keeps a reused id from matching.
+            g_out = None if y is None else grads.pop(id(y), None)
             if g_out is None:
                 continue
             in_grads = node.backward(g_out)
@@ -222,9 +240,11 @@ class Tape:
 
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
     """Gradient map of a scalar loss with respect to leaf parameters."""
-    if loss.node is None:
-        raise ValueError("loss is detached: no tape recorded its computation")
-    return loss.node.tape.gradients(loss, params)
+    tape = None if loss.node is None else loss.node.tape
+    if tape is None:
+        raise ValueError("loss is detached: no live tape recorded its "
+                         "computation")
+    return tape.gradients(loss, params)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +295,13 @@ def _tally(n):
 # ---------------------------------------------------------------------------
 # Recording helper
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether ``record_op`` tapes an op on ``inputs``: a tape is active and
+    an input is grad-enabled. Ops use it to skip state only a backward
+    reads."""
+    return _active_tape() is not None and any(t.grad_enabled for t in inputs)
+
+
 def record_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
               backward_fn) -> Tensor:
     """Build the output tensor of a primitive and record it on the active tape.
@@ -285,8 +312,8 @@ def record_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{name} produced non-finite values")
     out = Tensor(out_data, check_finite=False)
-    tape = _active_tape()
-    if tape is not None and any(t.grad_enabled for t in inputs):
+    if recording(inputs):
+        tape = _active_tape()
         out.grad_enabled = True
         node = _Node(name, tuple(inputs), out, backward_fn, tape)
         out.node = node
@@ -375,7 +402,7 @@ def _sigmoid_np(x):
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(x >= 0, 1.0, e)
+    num = np.maximum(e, x >= 0)  # branch-free select: e <= 1
     np.add(e, 1.0, out=e)
     return np.divide(num, e, out=num)
 
@@ -905,13 +932,16 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     out = np.empty((n, oh, ow, c), dtype=x.data.dtype)
     _tap_sum(xp, taps, weights, stride, out)
     _tally(n * c * oh * ow * kh * kw)
+    # Only the kernel gradient reads the padded input.
+    xp_saved = xp if kernel.grad_enabled else None
 
     def bwd(g):
         gk = None
-        if kernel.grad_enabled:
+        if xp_saved is not None:
             gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
             for i, j in taps:
-                win = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                win = xp_saved[:, i:i + stride * oh:stride,
+                               j:j + stride * ow:stride]
                 gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
         gx = np.empty((n, h, w, c), dtype=g.dtype)
         _tap_sum(_dilate_pad(g, h, w, kh, kw, stride, padding),

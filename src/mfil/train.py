@@ -174,6 +174,23 @@ def adaptive_weight_drift(model: Backbone) -> dict[str, float]:
     return out
 
 
+def _step_gradients(model: Backbone, params: dict[str, Tensor], x, y,
+                    cfg: RunConfig, path_rng):
+    """One taped forward and backward: (loss, accuracy, gradient by name).
+
+    The tape, logits, loss and gradient tensors are locals, so reference
+    counting frees the step's graph on return, before the next forward.
+    """
+    with Tape() as tape:
+        logits = model.forward(Tensor(x, dtype=cfg.dtype), train=True,
+                               rng=path_rng)
+        loss = softmax_cross_entropy(logits, y, cfg.label_smoothing)
+    grad_map = tape.gradients(loss, list(params.values()))
+    acc = float((logits.data.argmax(axis=1) == y).mean())
+    return (loss.item(), acc,
+            {name: grad_map[p].data for name, p in params.items()})
+
+
 def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -203,22 +220,16 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
             x, y = dataset.batch(idx, flip_rng=aug_rng)
             lr = cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_frac)
             try:
-                with Tape() as tape:
-                    logits = model.forward(Tensor(x, dtype=cfg.dtype),
-                                           train=True, rng=path_rng)
-                    loss = softmax_cross_entropy(logits, y,
-                                                 cfg.label_smoothing)
-                grad_map = tape.gradients(loss, list(params.values()))
+                loss_val, acc, grads = _step_gradients(model, params, x, y,
+                                                       cfg, path_rng)
             except NonFiniteError:
                 raise TrainAbort(step, checkpoints[-1] if checkpoints
                                  else None)
-            loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainAbort(step, checkpoints[-1] if checkpoints
                                  else None)
-            acc = float((logits.data.argmax(axis=1) == y).mean())
-            grads = {name: grad_map[p].data for name, p in params.items()}
             opt.step(params, grads, lr)
+            del grads  # the next forward records without this gradient map
             writer.writerow([step, f"{loss_val:.6f}", f"{lr:.8e}",
                              f"{acc:.6f}"])
             if cfg.checkpoint_interval and \

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,16 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def no_gc():
+    """Cyclic garbage collector off: only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 def rel_err(got, want):

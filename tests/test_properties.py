@@ -10,7 +10,8 @@ gradient must also equal, bit for bit, the tap-ordered loops written here.
 The activations are checked the same way: the f32 fast forms of
 ``softplus`` and ``gelu`` against the f64 reference over the whole f32
 range, the f64 forms byte for byte against the formulas they stand for,
-and the ``silu``, ``softplus`` and ``gelu`` gradients at both dtypes.
+the branch-free sigmoid byte for byte against its ``np.where`` form, and
+the ``silu``, ``softplus`` and ``gelu`` gradients at both dtypes.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from mfil import reference
-from mfil.tensor import (NonFiniteError, Tape, Tensor, conv2d,
+from mfil.tensor import (NonFiniteError, Tape, Tensor, _sigmoid_np, conv2d,
                          depthwise_conv2d, gelu, mul, silu, softplus, tsum)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -244,6 +245,29 @@ def test_f64_softplus_and_gelu_are_the_exact_formulas(values, seed):
     with np.errstate(over="ignore"):
         want = _gelu_f64(x)
     assert gelu(Tensor(x)).data.tobytes() == want.tobytes()
+
+
+def _sigmoid_where(x):
+    """The select form of ``_sigmoid_np``: numerator 1 for x >= 0, else e."""
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0, 1.0, e)
+    return num / (e + 1.0)
+
+
+@PROPERTY
+@given(st.sampled_from(["f32", "f64"]),
+       st.lists(st.floats(width=32, allow_nan=False), max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_sigmoid_select_is_the_where_form(dtype, values, seed):
+    fi = np.finfo(NP[dtype])
+    edges = [0.0, -0.0, fi.tiny, -fi.tiny, fi.max, -fi.max, 200.0, -200.0]
+    x = np.concatenate([np.array(values + edges, dtype=NP[dtype]),
+                        EDGES.astype(NP[dtype]),
+                        (np.random.default_rng(seed).standard_normal(64)
+                         * 8).astype(NP[dtype])])
+    got = _sigmoid_np(x)
+    assert got.dtype == x.dtype
+    assert got.tobytes() == _sigmoid_where(x).tobytes()
 
 
 @PROPERTY

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,64 @@ def test_no_tape_means_no_recording(rng):
     x = Tensor(rng.standard_normal(3), grad_enabled=True)
     y = mul(x, 2.0)
     assert y.node is None and not y.grad_enabled
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime: with the cyclic collector off, reference counting alone
+# frees a graph once its tape and outputs are dropped
+
+def _taped_chain(x):
+    """sum(exp(2x)) on a new tape; the intermediate 2x only as a weakref."""
+    with Tape() as tape:
+        h = mul(x, 2.0)
+        loss = tsum(exp(h))
+    return tape, loss, weakref.ref(h)
+
+
+def test_graph_freed_after_gradients(no_gc, rng):
+    x = Tensor(rng.standard_normal(4), grad_enabled=True)
+    tape, loss, h = _taped_chain(x)
+    g = tape.gradients(loss, [x])
+    assert h() is not None and h().node.out is h()
+    del tape, loss
+    assert h() is None
+    assert np.array_equal(g[x].data, 2.0 * np.exp(2.0 * x.data))
+
+
+def test_graph_freed_without_gradients(no_gc, rng):
+    x = Tensor(rng.standard_normal(4), grad_enabled=True)
+    tape, loss, h = _taped_chain(x)
+    del tape, loss
+    assert h() is None
+
+
+def test_graph_freed_when_forward_raises(no_gc):
+    x = Tensor(np.full(3, 100.0), grad_enabled=True)
+    refs = []
+
+    def forward():
+        with Tape() as tape:
+            h = mul(x, 2.0)
+            refs.extend((weakref.ref(tape), weakref.ref(h)))
+            exp(mul(h, 10.0))  # exp(2000) overflows
+
+    raised = False
+    try:
+        with np.errstate(over="ignore"):
+            forward()
+    except NonFiniteError:
+        raised = True
+    assert raised
+    assert [r() for r in refs] == [None, None]
+
+
+def test_backward_after_tape_dropped_is_detached(no_gc, rng):
+    x = Tensor(rng.standard_normal(4), grad_enabled=True)
+    tape, loss, _ = _taped_chain(x)
+    del tape
+    assert loss.node is not None and loss.node.tape is None
+    with pytest.raises(ValueError, match="detached"):
+        backward(loss, [x])
 
 
 # ---------------------------------------------------------------------------

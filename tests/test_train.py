@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,3 +267,32 @@ def test_training_without_adaptive_weighting(tmp_path):
     res = train_run(cfg)
     assert res.alpha_drift == {}
     assert math.isfinite(res.final_loss)
+
+
+def test_training_holds_one_graph_at_a_time(tmp_path, monkeypatch, no_gc):
+    """With the cyclic collector off, steps 2 and 3 peak within a few percent
+    of step 1 plus the AdamW moments its update creates: a step's graph and
+    gradients are gone before the next forward records."""
+    cfg = _short_cfg(tmp_path, steps=3, batch_size=8, dataset_size=8,
+                     checkpoint_interval=0)
+    model = bb.build(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
+    moments = 2 * 8 * sum(p.size for p in model.parameters().values())
+    del model
+    peaks = []  # the peak since the previous batch, read as each is drawn
+    batch = SyntheticDataset.batch
+
+    def marked_batch(self, *args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(SyntheticDataset, "batch", marked_batch)
+    tracemalloc.start()
+    try:
+        train_run(cfg)
+    finally:
+        tracemalloc.stop()
+    # Batches: steps 1-3, then the final evaluation's one batch.
+    assert len(peaks) == 4
+    step1, later = peaks[1], peaks[2:]
+    assert max(later) <= 1.05 * (step1 + moments), (step1, moments, later)
