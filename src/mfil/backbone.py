@@ -5,7 +5,9 @@ image becomes a 56x56 grid. Each stage runs its blocks at constant width,
 then a 2x2 stride-2 convolution doubles the channels and halves the grid;
 the head is layer norm, global average pooling, and a linear classifier.
 Images and the convolutions of the stem and downsamples are NCHW; every
-map between them is channel-last, [B, H, W, C].
+map between them is channel-last, [B, H, W, C]. ``Backbone`` holds the
+network as one ordered list of ``Segment``s, each owning the parameters
+under its name prefix.
 Named variants: tiny/small at widths (94, 188, 376, 752) with depths
 (1, 3, 8, 2) and (2, 2, 18, 2); base at (128, 256, 512, 1024) with depths
 (2, 2, 18, 2); desk is a scaled-down instance for tests and training demos.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +28,8 @@ from .tensor import (Tensor, conv2d, layer_norm, linear, silu, tmean,
                      transpose)
 
 __all__ = [
-    "VariantConfig", "tiny", "small", "base", "desk", "Backbone", "build",
+    "VariantConfig", "tiny", "small", "base", "desk", "Segment", "Backbone",
+    "build",
     "ConvBaseline", "build_conv_baseline", "count_params", "count_flops",
     "REFERENCE_PARAMS", "REFERENCE_FLOPS",
 ]
@@ -103,8 +107,55 @@ def _to_channel_first(x: Tensor) -> Tensor:
     return transpose(x, (0, 3, 1, 2))
 
 
+def _param(data: np.ndarray, dtype: str) -> Tensor:
+    return Tensor(data, dtype=dtype, grad_enabled=True)
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One step of the forward pass and the parameters it owns.
+
+    ``run(x, train, rng)`` maps the segment's input to its output; the
+    parameters are registered as ``f"{name}.{key}"``. ``feature`` marks a
+    segment whose output is one of the ``forward_features`` maps.
+    """
+
+    name: str
+    params: dict[str, Tensor]
+    run: Callable[[Tensor, bool, np.random.Generator | None], Tensor]
+    feature: bool = False
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {f"{self.name}.{k}": v for k, v in self.params.items()}
+
+
+def _patch_merge(name: str, c_in: int, c_out: int, k: int, rng, dtype: str,
+                 channel_last_input: bool) -> Segment:
+    """k x k stride-k convolution plus layer norm; channel-last output.
+
+    The stem reads NCHW images; a downsample reads a channel-last map and
+    copies it to NCHW for the convolution.
+    """
+    conv = _param(trunc_normal(rng, (c_out, c_in, k, k)), dtype)
+    gamma = _param(np.ones(c_out), dtype)
+    beta = _param(np.zeros(c_out), dtype)
+
+    def run(x, train, rng):
+        if channel_last_input:
+            x = _to_channel_first(x)
+        x = _to_channel_last(conv2d(x, conv, stride=k, padding=0))
+        return layer_norm(x, gamma, beta)
+    return Segment(name, {"conv.weight": conv, "norm.gamma": gamma,
+                          "norm.beta": beta}, run)
+
+
 class Backbone:
-    """Instantiated network; parameters are deterministic in the seed."""
+    """Instantiated network; parameters are deterministic in the seed.
+
+    The network is one ordered list of segments: the stem, each block and
+    downsample in stage order, the head norm and the classifier. The
+    forward passes and the parameter registry all walk that list.
+    """
 
     def __init__(self, config: VariantConfig, seed: int = 0,
                  dtype: str = "f32"):
@@ -112,66 +163,56 @@ class Backbone:
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         d = config.dims
-        self.stem_conv = Tensor(trunc_normal(rng, (d[0], 3, 4, 4)),
-                                dtype=dtype, grad_enabled=True)
-        self.stem_norm_gamma = Tensor(np.ones(d[0]), dtype=dtype,
-                                      grad_enabled=True)
-        self.stem_norm_beta = Tensor(np.zeros(d[0]), dtype=dtype,
-                                     grad_enabled=True)
+        self.segments: list[Segment] = [
+            _patch_merge("stem", 3, d[0], 4, rng, dtype,
+                         channel_last_input=False)]
         self.stages: list[list[MfilBlock]] = []
-        self.down_convs: list[Tensor] = []
-        self.down_norm_gammas: list[Tensor] = []
-        self.down_norm_betas: list[Tensor] = []
         for s in range(4):
-            blocks = [
-                MfilBlock(d[s], d_state=config.d_state,
-                          ssm_ratio=config.ssm_ratio,
-                          ffn_ratio=config.ffn_ratio,
-                          scan_mode=config.scan_mode,
-                          adaptive_weighting=config.adaptive_weighting,
-                          exact_input_discretization=(
-                              config.exact_input_discretization),
-                          segment_reset=config.segment_reset,
-                          drop_path=config.drop_path, rng=rng, dtype=dtype)
-                for _ in range(config.depths[s])
-            ]
+            blocks = []
+            for i in range(config.depths[s]):
+                blk = MfilBlock(d[s], d_state=config.d_state,
+                                ssm_ratio=config.ssm_ratio,
+                                ffn_ratio=config.ffn_ratio,
+                                scan_mode=config.scan_mode,
+                                adaptive_weighting=config.adaptive_weighting,
+                                exact_input_discretization=(
+                                    config.exact_input_discretization),
+                                segment_reset=config.segment_reset,
+                                drop_path=config.drop_path, rng=rng,
+                                dtype=dtype)
+                blocks.append(blk)
+                # MfilBlock.forward is looked up per call, not bound here,
+                # so a wrapper set on the class after build still applies.
+                self.segments.append(Segment(
+                    f"stages.{s}.blocks.{i}", blk.parameters(),
+                    lambda x, train, rng, blk=blk: blk.forward(
+                        x, train=train, rng=rng),
+                    feature=i == config.depths[s] - 1))
             self.stages.append(blocks)
             if s < 3:
-                self.down_convs.append(Tensor(
-                    trunc_normal(rng, (d[s + 1], d[s], 2, 2)), dtype=dtype,
-                    grad_enabled=True))
-                self.down_norm_gammas.append(Tensor(
-                    np.ones(d[s + 1]), dtype=dtype, grad_enabled=True))
-                self.down_norm_betas.append(Tensor(
-                    np.zeros(d[s + 1]), dtype=dtype, grad_enabled=True))
-        self.head_norm_gamma = Tensor(np.ones(d[3]), dtype=dtype,
-                                      grad_enabled=True)
-        self.head_norm_beta = Tensor(np.zeros(d[3]), dtype=dtype,
-                                     grad_enabled=True)
-        self.head_fc_weight = Tensor(
-            trunc_normal(rng, (config.num_classes, d[3])), dtype=dtype,
-            grad_enabled=True)
-        self.head_fc_bias = Tensor(np.zeros(config.num_classes), dtype=dtype,
-                                   grad_enabled=True)
+                self.segments.append(_patch_merge(
+                    f"downsample.{s}", d[s], d[s + 1], 2, rng, dtype,
+                    channel_last_input=True))
+        gamma = _param(np.ones(d[3]), dtype)
+        beta = _param(np.zeros(d[3]), dtype)
+        self.segments.append(Segment(
+            "head.norm", {"gamma": gamma, "beta": beta},
+            lambda x, train, rng: layer_norm(x, gamma, beta), feature=True))
+        weight = _param(trunc_normal(rng, (config.num_classes, d[3])), dtype)
+        bias = _param(np.zeros(config.num_classes), dtype)
+
+        def classify(x, train, rng):
+            # Pool over the contiguous H, W axes of the NCHW map: the order
+            # the mean sums in is part of the logits' bytes.
+            pooled = tmean(_to_channel_first(x), axis=(2, 3))
+            return linear(pooled, weight, bias)
+        self.segments.append(Segment(
+            "head.fc", {"weight": weight, "bias": bias}, classify))
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {
-            "stem.conv.weight": self.stem_conv,
-            "stem.norm.gamma": self.stem_norm_gamma,
-            "stem.norm.beta": self.stem_norm_beta,
-        }
-        for s, blocks in enumerate(self.stages):
-            for i, blk in enumerate(blocks):
-                for k, v in blk.parameters().items():
-                    out[f"stages.{s}.blocks.{i}.{k}"] = v
-            if s < 3:
-                out[f"downsample.{s}.conv.weight"] = self.down_convs[s]
-                out[f"downsample.{s}.norm.gamma"] = self.down_norm_gammas[s]
-                out[f"downsample.{s}.norm.beta"] = self.down_norm_betas[s]
-        out["head.norm.gamma"] = self.head_norm_gamma
-        out["head.norm.beta"] = self.head_norm_beta
-        out["head.fc.weight"] = self.head_fc_weight
-        out["head.fc.bias"] = self.head_fc_bias
+        out = {}
+        for seg in self.segments:
+            out.update(seg.parameters())
         return out
 
     def _check_input(self, images: Tensor):
@@ -184,46 +225,48 @@ class Backbone:
                 f"input spatial size {h}x{w} must be divisible by "
                 f"{_TOTAL_STRIDE}")
 
-    def _stages(self, images: Tensor, train: bool,
-                rng: np.random.Generator | None):
-        """Channel-last stage outputs and the head-normed final map.
+    def forward_features(self, images: Tensor, train: bool = False,
+                         rng: np.random.Generator | None = None):
+        """Stage outputs plus the head-normed final map (five NCHW tensors).
 
         Maps stay [B, H, W, C] from the stem to the head; only the NCHW
         ``conv2d`` of the stem and of each downsample needs a layout copy
         around it (one after the stem, two per downsample).
         """
         self._check_input(images)
-        x = _to_channel_last(conv2d(images, self.stem_conv, stride=4,
-                                    padding=0))
-        x = layer_norm(x, self.stem_norm_gamma, self.stem_norm_beta)
-        feats = []
-        for s, blocks in enumerate(self.stages):
-            for blk in blocks:
-                x = blk.forward(x, train=train, rng=rng)
-            feats.append(x)
-            if s < 3:
-                x = _to_channel_last(conv2d(_to_channel_first(x),
-                                            self.down_convs[s], stride=2,
-                                            padding=0))
-                x = layer_norm(x, self.down_norm_gammas[s],
-                               self.down_norm_betas[s])
-        return feats, layer_norm(x, self.head_norm_gamma, self.head_norm_beta)
-
-    def forward_features(self, images: Tensor, train: bool = False,
-                         rng: np.random.Generator | None = None):
-        """Stage outputs plus the head-normed final map (five NCHW tensors)."""
-        feats, head = self._stages(images, train, rng)
-        return [_to_channel_first(f) for f in feats + [head]]
+        x, feats = images, []
+        for seg in self.segments[:-1]:  # all but the classifier
+            x = seg.run(x, train, rng)
+            if seg.feature:
+                feats.append(x)
+        return [_to_channel_first(f) for f in feats]
 
     def forward(self, images: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        _, head = self._stages(images, train, rng)
-        # Pool over the contiguous H, W axes of the NCHW map: the order the
-        # mean sums in is part of the logits' bytes.
-        pooled = tmean(_to_channel_first(head), axis=(2, 3))
-        return linear(pooled, self.head_fc_weight, self.head_fc_bias)
+        self._check_input(images)
+        return self.forward_from(0, images, train, rng)
 
     __call__ = forward
+
+    def forward_from(self, k: int, x: Tensor, train: bool = False,
+                     rng: np.random.Generator | None = None) -> Tensor:
+        """Logits from ``x``, the input of segment ``k``, by segments k on.
+
+        Given the input ``segment_inputs`` recorded for segment k, this is
+        the same ops on the same arrays as ``forward``, so the logits are
+        byte-identical.
+        """
+        for seg in self.segments[k:]:
+            x = seg.run(x, train, rng)
+        return x
+
+    def segment_inputs(self, images: Tensor) -> list[Tensor]:
+        """The input of every segment in an eval-mode forward, in order."""
+        self._check_input(images)
+        inputs = [images]
+        for seg in self.segments[:-1]:
+            inputs.append(seg.run(inputs[-1], False, None))
+        return inputs
 
     def spatial_trace(self, images: Tensor) -> list[int]:
         """Spatial extents of the five feature maps for a given input."""

@@ -7,13 +7,20 @@ import numpy as np
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
                  bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) samples rejected outside +/- bound*std."""
+    """Normal(0, std) samples rejected outside +/- bound*std.
+
+    Each round redraws only the entries still out of bounds, one draw per
+    entry in ascending flat order: the same draws, in the same order, as
+    redrawing through a boolean mask of the whole array.
+    """
     out = rng.normal(0.0, std, size=shape)
+    flat = out.reshape(-1)  # a view: the draw is a fresh contiguous array
     limit = bound * std
-    bad = np.abs(out) > limit
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > limit
+    idx = np.flatnonzero(np.abs(flat) > limit)
+    while idx.size:
+        redraw = rng.normal(0.0, std, size=idx.size)
+        flat[idx] = redraw
+        idx = idx[np.abs(redraw) > limit]
     return out
 
 

@@ -148,21 +148,22 @@ def central_difference(f, flat: np.ndarray, i: int, h: float,
 
     order=2 is the two-point stencil; order=4 adds the +-2h points, which
     keeps truncation error well below 1e-4 relative at h=1e-4 even for
-    sharply curved losses.
+    sharply curved losses. Element i is restored even when ``f`` raises.
     """
     orig = flat[i]
-    flat[i] = orig + h
-    fp = f()
-    flat[i] = orig - h
-    fm = f()
-    if order == 2:
+    try:
+        flat[i] = orig + h
+        fp = f()
+        flat[i] = orig - h
+        fm = f()
+        if order == 2:
+            return (fp - fm) / (2.0 * h)
+        flat[i] = orig + 2 * h
+        fp2 = f()
+        flat[i] = orig - 2 * h
+        fm2 = f()
+    finally:
         flat[i] = orig
-        return (fp - fm) / (2.0 * h)
-    flat[i] = orig + 2 * h
-    fp2 = f()
-    flat[i] = orig - 2 * h
-    fm2 = f()
-    flat[i] = orig
     return (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
 
 

@@ -191,7 +191,8 @@ def suite_gradcheck(quick: bool = False) -> SuiteResult:
         rep = gradcheck_suite(bb.desk(), seed=seed)
         worst = max(rep.entries.values())
         lines.append(f"seed {seed}: worst rel {worst:.2e} "
-                     f"({len(rep.entries)} groups)")
+                     f"({len(rep.entries)} groups); "
+                     f"evaluations: {rep.evaluations()}")
         if not rep.passed:
             ok = False
             for name in rep.failures:

@@ -148,8 +148,9 @@ def test_class_weight_permutation_permutes_saliency(rng):
                  dtype="f32")
     before = [saliency(model, img, k) for k in range(4)]
     perm = np.array([2, 0, 3, 1])
-    model.head_fc_weight.data = model.head_fc_weight.data[perm]
-    model.head_fc_bias.data = model.head_fc_bias.data[perm]
+    params = model.parameters()
+    for name in ("head.fc.weight", "head.fc.bias"):
+        params[name].data = params[name].data[perm]
     for new_idx, old_idx in enumerate(perm):
         after = saliency(model, img, new_idx)
         assert np.array_equal(after, before[old_idx])
@@ -175,6 +176,25 @@ def test_gradcheck_reports_adaptive_weights_alive():
     w_groups = [k for k in rep.grad_norms if k.endswith("weights.w")]
     assert w_groups
     assert all(rep.grad_norms[k] > 0 for k in w_groups)
+
+
+def test_gradcheck_reruns_the_whole_network_only_for_stem_groups(
+        monkeypatch):
+    calls = []
+    forward = bb.Backbone.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+    monkeypatch.setattr(bb.Backbone, "forward", counted)
+    rep = gradcheck_suite(bb.desk(), seed=3)
+    # The taped pass, then four evaluations per checked element of the
+    # three stem groups (at most two elements each).
+    assert len(calls) == 1 + rep.full_evaluations <= 1 + 4 * 3 * 2
+    assert rep.cached_evaluations > 30 * rep.full_evaluations
+    assert (f"gradcheck.evaluations: {rep.full_evaluations} full, "
+            f"{rep.cached_evaluations} from cached segment inputs"
+            in rep.lines())
 
 
 def test_gradcheck_corrupted_backward_names_offenders(monkeypatch):

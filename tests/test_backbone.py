@@ -74,7 +74,67 @@ def test_build_determinism_params_and_logits(rng):
     x = _input(rng, 64)
     assert np.array_equal(m1.forward(x).data, m2.forward(x).data)
     m3 = bb.build(cfg, seed=43)
-    assert not np.array_equal(m3.stem_conv.data, m1.stem_conv.data)
+    assert not np.array_equal(m3.parameters()["stem.conv.weight"].data,
+                              m1.parameters()["stem.conv.weight"].data)
+
+
+_BLOCK_PARAMS = (
+    "norm1.gamma", "norm1.beta", "in_proj.weight", "branch_conv.weight",
+    "bank.refine_h", "bank.refine_v", "bank.dyn_depthwise",
+    "bank.dyn_pointwise", "core.A_log", "core.dt_bias", "core.x_proj_weight",
+    "core.dt_proj_weight", "core.D_skip", "weights.w", "out_proj.weight",
+    "norm2.gamma", "norm2.beta", "ffn.fc1.weight", "ffn.fc1.bias",
+    "ffn.dw.weight", "ffn.fc2.weight", "ffn.fc2.bias")
+
+
+def test_parameter_registry_names_and_order():
+    """Checkpoints and AdamW state are keyed by these names, in this order."""
+    expected = ["stem.conv.weight", "stem.norm.gamma", "stem.norm.beta"]
+    for s, depth in enumerate((1, 1, 2, 1)):
+        for i in range(depth):
+            expected += [f"stages.{s}.blocks.{i}.{k}" for k in _BLOCK_PARAMS]
+        if s < 3:
+            expected += [f"downsample.{s}.conv.weight",
+                         f"downsample.{s}.norm.gamma",
+                         f"downsample.{s}.norm.beta"]
+    expected += ["head.norm.gamma", "head.norm.beta", "head.fc.weight",
+                 "head.fc.bias"]
+    model = bb.build(bb.desk(), seed=0)
+    assert list(model.parameters()) == expected
+    owned = [n for seg in model.segments for n in seg.parameters()]
+    assert owned == expected
+    assert all(n.startswith(seg.name + ".") for seg in model.segments
+               for n in seg.parameters())
+
+
+@pytest.mark.parametrize("mode", SCAN_MODES)
+def test_cached_segment_inputs_reproduce_forward(rng, mode):
+    """Perturbing a parameter of segment k leaves inputs 0..k as they were,
+    and logits from the cached input of segment k equal ``forward``'s."""
+    model = bb.build(bb.desk(scan_mode=mode), seed=5, dtype="f64")
+    x = _input(rng, 32, dtype=np.float64)
+    cached = model.segment_inputs(x)
+    assert len(cached) == len(model.segments)
+    base = model.forward(x).data.tobytes()
+    changed = 0
+    for k, seg in enumerate(model.segments):
+        for name, p in seg.parameters().items():
+            flat = p.data.reshape(-1)
+            i = int(rng.integers(flat.size))
+            orig = flat[i]
+            flat[i] = orig + 0.25
+            try:
+                inputs = model.segment_inputs(x)
+                want = model.forward(x).data.tobytes()
+                got = model.forward_from(k, cached[k]).data.tobytes()
+            finally:
+                flat[i] = orig
+            assert got == want, name
+            for j in range(k + 1):
+                assert inputs[j].data.tobytes() == \
+                    cached[j].data.tobytes(), (name, j)
+            changed += want != base
+    assert changed > len(model.parameters()) // 2  # perturbations are live
 
 
 def test_logits_finite_on_bounded_inputs(rng):

@@ -396,6 +396,22 @@ def _fd_check(build, params, seed, rtol=1e-4):
             f"seed {seed}: gradient mismatch for shape {p.shape}"
 
 
+@pytest.mark.parametrize("order", (2, 4))
+def test_central_difference_restores_element_when_f_raises(order):
+    x = np.array([0.5, -1.25, 3.0])
+    calls = []
+
+    def f():
+        calls.append(x[1])
+        if len(calls) == 2:
+            raise NonFiniteError("loss")
+        return float(np.sum(x ** 2))
+    with pytest.raises(NonFiniteError):
+        reference.central_difference(f, x, 1, 1e-3, order=order)
+    assert x.tobytes() == np.array([0.5, -1.25, 3.0]).tobytes()
+    assert calls == [-1.25 + 1e-3, -1.25 - 1e-3]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_primitive_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
