@@ -11,9 +11,10 @@ linears, depthwise convolutions and the scan run without a layout copy:
     y'  = Linear(z' * z'') + x
     y   = y' + LN(ConvFFN(y'))
 
-The norm after the FFN sits inside the residual on purpose; with the
-projection back to C and the FFN's second linear both zero-initialized the
-whole block is the identity map.
+The norm after the FFN sits inside the residual on purpose. The projection
+back to C and the FFN's second linear are drawn like the other linears,
+from a truncated normal with std 0.02, so a block is not the identity map
+at initialization.
 """
 
 from __future__ import annotations

@@ -131,7 +131,8 @@ class _Node:
     The output tensor holds its node and the tape holds its nodes, so the
     node refers back to both weakly: a graph has no reference cycle, and
     reference counting frees it once its tape and last output are dropped.
-    ``out`` and ``tape`` read as None after that.
+    ``out`` and ``tape`` read as None after that. ``Tape.gradients`` sets
+    ``backward`` to None and ``inputs`` to () once it has swept the node.
     """
 
     __slots__ = ("name", "inputs", "_out", "backward", "_tape")
@@ -179,6 +180,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._swept = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -194,45 +196,53 @@ class Tape:
         return tuple(self._nodes)
 
     def gradients(self, loss: Tensor, params: Iterable[Tensor] | None = None):
-        """Reverse sweep from a scalar ``loss``.
+        """One-shot reverse sweep from a scalar ``loss``.
 
         Returns a dict mapping each requested leaf tensor to its gradient.
         Leaves that do not participate in the graph map to zeros. With
         ``params=None`` all grad-enabled leaves encountered are returned.
+
+        The sweep pops each node off the tape and, once its backward has run
+        or it got no gradient, drops its backward rule and inputs, so the
+        arrays a rule saved are freed while the sweep goes on. The tape is
+        spent afterwards: a second call raises ``ValueError``.
         """
         if loss.data.ndim != 0:
             raise ValueError(
                 f"loss must be a scalar tensor, got shape {loss.shape}")
         if loss.node is None or loss.node.tape is not self:
             raise ValueError("loss is detached from this tape")
-        grads: dict[int, np.ndarray] = {
-            id(loss): np.ones((), dtype=loss.data.dtype)}
-        leaves: dict[int, Tensor] = {}
-        for node in reversed(self._nodes):
+        if self._swept:
+            raise ValueError("tape already swept: record a new tape to take "
+                             "gradients again")
+        self._swept = True
+        # Pending gradient per tensor id, with the tensor itself: releasing
+        # its consumers' inputs must not free a tensor before its own node
+        # is swept, or that node's output would read None.
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones((), dtype=loss.data.dtype))}
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
             y = node.out
-            # A dropped output fed nothing, so it has no gradient; skipping
-            # it also keeps a reused id from matching.
-            g_out = None if y is None else grads.pop(id(y), None)
-            if g_out is None:
-                continue
-            in_grads = node.backward(g_out)
-            for t, g in zip(node.inputs, in_grads):
-                if g is None or not t.grad_enabled:
-                    continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
-                if t.node is None:
-                    leaves[key] = t
+            # A dropped output fed nothing, so it has no gradient.
+            pending = None if y is None else grads.pop(id(y), None)
+            if pending is not None:
+                for t, g in zip(node.inputs, node.backward(pending[1])):
+                    if g is None or not t.grad_enabled:
+                        continue
+                    key = id(t)
+                    if key in grads:
+                        g = grads[key][1] + g
+                    grads[key] = (t, g)
+            node.backward = None
+            node.inputs = ()
         if params is None:
-            params = list(leaves.values())
+            params = [t for t, _ in grads.values() if t.node is None]
         out = {}
         for p in params:
-            g = grads.get(id(p))
-            if g is None:
-                g = np.zeros_like(p.data)
+            pending = grads.get(id(p))
+            g = np.zeros_like(p.data) if pending is None else pending[1]
             out[p] = Tensor(np.asarray(g, dtype=p.data.dtype),
                             check_finite=False)
         return out
@@ -715,12 +725,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out = xhat * gamma.data + beta.data
+    out = xc * inv_std * gamma.data + beta.data
     _tally(5 * out.size)
-    g_data = gamma.data
+    x_data, g_data = x.data, gamma.data
 
     def bwd(g):
+        # The forward's own expression, so the same bytes as a saved xhat,
+        # without an x-sized array held from the forward to the sweep.
+        xhat = (x_data - mu) * inv_std
         gxh = g * g_data
         lead = tuple(range(g.ndim - 1))
         ggamma = np.sum(g * xhat, axis=lead)
@@ -932,16 +944,18 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     out = np.empty((n, oh, ow, c), dtype=x.data.dtype)
     _tap_sum(xp, taps, weights, stride, out)
     _tally(n * c * oh * ow * kh * kw)
-    # Only the kernel gradient reads the padded input.
-    xp_saved = xp if kernel.grad_enabled else None
+    # Only the kernel gradient reads the input; it pads x again rather than
+    # keep a padded copy alive until the sweep.
+    x_saved = x.data if kernel.grad_enabled else None
 
     def bwd(g):
         gk = None
-        if xp_saved is not None:
+        if x_saved is not None:
+            xp = _zero_pad(x_saved, padding, (1, 2))
             gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
             for i, j in taps:
-                win = xp_saved[:, i:i + stride * oh:stride,
-                               j:j + stride * ow:stride]
+                win = xp[:, i:i + stride * oh:stride,
+                         j:j + stride * ow:stride]
                 gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
         gx = np.empty((n, h, w, c), dtype=g.dtype)
         _tap_sum(_dilate_pad(g, h, w, kh, kw, stride, padding),

@@ -178,8 +178,11 @@ def _step_gradients(model: Backbone, params: dict[str, Tensor], x, y,
                     cfg: RunConfig, path_rng):
     """One taped forward and backward: (loss, accuracy, gradient by name).
 
-    The tape, logits, loss and gradient tensors are locals, so reference
-    counting frees the step's graph on return, before the next forward.
+    The one-shot sweep in ``tape.gradients`` frees each node's saved arrays
+    as soon as its backward has run, so the graph shrinks while the backward
+    goes on. The tape, logits, loss and gradient tensors are locals, so
+    reference counting frees what is left of the step's graph on return,
+    before the next forward.
     """
     with Tape() as tape:
         logits = model.forward(Tensor(x, dtype=cfg.dtype), train=True,

@@ -8,7 +8,8 @@ from mfil import reference
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          backward, concat, conv2d, depthwise_conv2d, exp,
                          gelu, layer_norm, linear, mul, neg,
-                         pointwise_conv2d, reshape, scale_per_sample,
+                         pointwise_conv2d, record_op, reshape,
+                         scale_per_sample,
                          sigmoid, silu, slice_axis,
                          softmax, softmax_cross_entropy, softplus, sub,
                          take, tile_leading, tmean, transpose, tsum)
@@ -246,14 +247,27 @@ def test_softmax_axis_validation():
 # ---------------------------------------------------------------------------
 # backward smoke cases
 
-def test_backward_sum_gives_ones(rng):
-    x = Tensor(rng.standard_normal((3, 4)), grad_enabled=True)
+def _taped_sum(x):
     with Tape() as tape:
         loss = tsum(x)
+    return tape, loss
+
+
+def test_backward_sum_gives_ones(rng):
+    x = Tensor(rng.standard_normal((3, 4)), grad_enabled=True)
+    tape, loss = _taped_sum(x)
     g = tape.gradients(loss, [x])
     assert np.array_equal(g[x].data, np.ones((3, 4)))
-    g2 = backward(loss, [x])  # module-level convenience, same tape
+    # A sweep spends its tape: a second one raises instead of returning
+    # zeros, through the method and the module-level convenience alike.
+    with pytest.raises(ValueError, match="already swept"):
+        tape.gradients(loss, [x])
+    with pytest.raises(ValueError, match="already swept"):
+        backward(loss, [x])
+    tape, loss = _taped_sum(x)
+    g2 = backward(loss, [x])  # module-level convenience, the loss's tape
     assert np.array_equal(g2[x].data, np.ones((3, 4)))
+    tape, loss = _taped_sum(x)
     assert backward(loss)[x].data.shape == (3, 4)  # all leaves by default
 
 
@@ -338,10 +352,10 @@ def _taped_chain(x):
 def test_graph_freed_after_gradients(no_gc, rng):
     x = Tensor(rng.standard_normal(4), grad_enabled=True)
     tape, loss, h = _taped_chain(x)
-    g = tape.gradients(loss, [x])
     assert h() is not None and h().node.out is h()
-    del tape, loss
-    assert h() is None
+    g = tape.gradients(loss, [x])
+    assert h() is None  # freed by the sweep itself, the tape still alive
+    assert tape.nodes == ()
     assert np.array_equal(g[x].data, 2.0 * np.exp(2.0 * x.data))
 
 
@@ -350,6 +364,31 @@ def test_graph_freed_without_gradients(no_gc, rng):
     tape, loss, h = _taped_chain(x)
     del tape, loss
     assert h() is None
+
+
+def test_sweep_frees_each_node_before_the_next(no_gc, rng):
+    """A probe at the head of a chain runs its backward last; by then the
+    sweep has dropped every node after it, so the tensors further down the
+    chain are already freed."""
+    x = Tensor(rng.standard_normal(4), grad_enabled=True)
+    later = []
+    ran = []
+
+    def probe_bwd(g):
+        assert [r() for r in later] == [None, None]
+        ran.append(True)
+        return (g,)
+
+    with Tape() as tape:
+        p = record_op("probe", (x,), x.data.copy(), probe_bwd)
+        h = mul(p, 2.0)
+        e = exp(h)
+        later.extend((weakref.ref(h), weakref.ref(e)))
+        loss = tsum(e)
+        del p, h, e
+    g = tape.gradients(loss, [x])
+    assert ran == [True]
+    assert np.array_equal(g[x].data, 2.0 * np.exp(2.0 * x.data))
 
 
 def test_graph_freed_when_forward_raises(no_gc):
@@ -379,6 +418,74 @@ def test_backward_after_tape_dropped_is_detached(no_gc, rng):
     assert loss.node is not None and loss.node.tape is None
     with pytest.raises(ValueError, match="detached"):
         backward(loss, [x])
+
+
+# ---------------------------------------------------------------------------
+# backward rules that recompute what they once saved give the same bytes
+
+
+def _layer_norm_saved_xhat(x, gamma, beta, g, eps=1e-5):
+    """layer_norm forward and backward with xhat saved between them."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv_std
+    out = xhat * gamma + beta
+    gxh = g * gamma
+    lead = tuple(range(g.ndim - 1))
+    ggamma = np.sum(g * xhat, axis=lead)
+    gbeta = np.sum(g, axis=lead)
+    m1 = np.mean(gxh, axis=-1, keepdims=True)
+    m2 = np.mean(gxh * xhat, axis=-1, keepdims=True)
+    gx = inv_std * (gxh - m1 - xhat * m2)
+    return out, gx, ggamma, gbeta
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_layer_norm_recomputed_xhat_equals_saved_bytes(rng, dtype):
+    x = Tensor(3.0 + 2.0 * rng.standard_normal((2, 5, 7, 24)), dtype=dtype,
+               grad_enabled=True)
+    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(24), dtype=dtype,
+                   grad_enabled=True)
+    beta = Tensor(0.1 * rng.standard_normal(24), dtype=dtype,
+                  grad_enabled=True)
+    g = rng.standard_normal(x.shape).astype(x.data.dtype)
+    with Tape():
+        out = layer_norm(x, gamma, beta)
+    got = (out.data,) + tuple(out.node.backward(g))
+    want = _layer_norm_saved_xhat(x.data, gamma.data, beta.data, g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _depthwise_kernel_grad_saved_xp(x, g, kh, kw, stride, padding):
+    """The depthwise kernel gradient read from a padded input saved by the
+    forward: one channel reduction per tap."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    _, oh, ow, c = g.shape
+    gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
+    return gk
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_depthwise_kernel_grad_from_repadded_input_equals_saved_bytes(
+        rng, dtype, stride, padding):
+    x = Tensor(rng.standard_normal((2, 7, 6, 5)), dtype=dtype,
+               grad_enabled=True)
+    k = Tensor(rng.standard_normal((5, 1, 3, 3)), dtype=dtype,
+               grad_enabled=True)
+    with Tape():
+        out = depthwise_conv2d(x, k, stride, padding)
+    g = rng.standard_normal(out.shape).astype(out.data.dtype)
+    _, gk = out.node.backward(g)
+    want = _depthwise_kernel_grad_saved_xp(x.data, g, 3, 3, stride, padding)
+    assert gk.dtype == want.dtype and gk.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

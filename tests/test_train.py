@@ -9,9 +9,9 @@ from mfil.checkpoint import load_checkpoint, load_into
 from mfil.config import ConfigError, RunConfig, load_run_config, \
     parse_config_file
 from mfil.data import SyntheticDataset
-from mfil.tensor import Tensor
-from mfil.train import (AdamW, TrainAbort, adaptive_weight_drift, cosine_lr,
-                        evaluate, train_run)
+from mfil.tensor import Tape, Tensor
+from mfil.train import (AdamW, TrainAbort, _step_gradients,
+                        adaptive_weight_drift, cosine_lr, evaluate, train_run)
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +296,34 @@ def test_training_holds_one_graph_at_a_time(tmp_path, monkeypatch, no_gc):
     assert len(peaks) == 4
     step1, later = peaks[1], peaks[2:]
     assert max(later) <= 1.05 * (step1 + moments), (step1, moments, later)
+
+
+def test_taped_step_frees_its_graph_during_the_sweep(monkeypatch):
+    """On a desk f32 B=32 step the graph holds at most 12 MiB when the
+    forward ends, and the sweep frees each node's saved arrays as it goes,
+    so its peak sits at most 1.5 MiB above that (gradients included)."""
+    cfg = RunConfig()
+    model = bb.build(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
+    params = model.parameters()
+    ds = SyntheticDataset(cfg.image_size, cfg.num_classes, 64, cfg.noise,
+                          seed=0)
+    x, y = ds.batch(np.arange(cfg.batch_size))
+    held = {}
+    sweep = Tape.gradients
+
+    def measured(self, loss, params=None):
+        held["forward"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = sweep(self, loss, params)
+        held["sweep"] = tracemalloc.get_traced_memory()[1]
+        return grads
+
+    monkeypatch.setattr(Tape, "gradients", measured)
+    tracemalloc.start()
+    try:
+        _step_gradients(model, params, x, y, cfg, np.random.default_rng(3))
+    finally:
+        tracemalloc.stop()
+    mib = 1 << 20
+    assert held["forward"] <= 12 * mib, held
+    assert held["sweep"] - held["forward"] <= 1.5 * mib, held
