@@ -8,6 +8,7 @@ as little-endian f32. All integers little-endian.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -69,6 +70,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Validate and read a checkpoint into {name: f32 array}."""
     path = Path(path)
     out: dict[str, np.ndarray] = {}
+    size = path.stat().st_size
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
@@ -82,16 +84,31 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         for i in range(count):
             (name_len,) = struct.unpack(
                 "<H", _read_exact(f, 2, f"entry {i} name length"))
-            name = _read_exact(f, name_len, f"entry {i} name").decode("utf-8")
+            raw_name = _read_exact(f, name_len, f"entry {i} name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"entry {i} name: {exc}") from None
             (rank,) = struct.unpack(
                 "<B", _read_exact(f, 1, f"entry '{name}' rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(
                     f, 8, f"entry '{name}' extent {d}"))[0]
                 for d in range(rank))
-            n_values = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, 4 * n_values, f"entry '{name}' values")
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            # Python ints: a corrupt extent must not overflow or allocate.
+            n_bytes = 4 * math.prod(shape)
+            left = size - f.tell()
+            if n_bytes > left:
+                raise CheckpointError(
+                    f"truncated checkpoint or corrupt extents: entry "
+                    f"'{name}' {shape} needs {n_bytes} bytes, {left} remain")
+            raw = _read_exact(f, n_bytes, f"entry '{name}' values")
+            try:
+                values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            except ValueError as exc:  # an empty entry with a huge extent
+                raise CheckpointError(
+                    f"entry '{name}' extents {shape}: {exc}") from None
+            out[name] = values.copy()
         trailing = f.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after the final entry")

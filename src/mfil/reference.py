@@ -142,6 +142,18 @@ def selective_scan_reference(x: np.ndarray, core,
     return out
 
 
+def stencil_points(x, h: float) -> tuple:
+    """The perturbed values of the central stencil, in evaluation order:
+    x + h, x - h, x + 2h, x - 2h."""
+    return x + h, x - h, x + 2 * h, x - 2 * h
+
+
+def fourth_order_difference(fp: float, fm: float, fp2: float, fm2: float,
+                            h: float) -> float:
+    """Derivative from the losses at the four ``stencil_points``."""
+    return (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
+
+
 def central_difference(f, flat: np.ndarray, i: int, h: float,
                        order: int = 4) -> float:
     """Central difference of scalar-valued ``f`` in element i of ``flat``.
@@ -151,20 +163,18 @@ def central_difference(f, flat: np.ndarray, i: int, h: float,
     sharply curved losses. Element i is restored even when ``f`` raises.
     """
     orig = flat[i]
+    points = stencil_points(orig, h)[:2 if order == 2 else 4]
+    values = []
     try:
-        flat[i] = orig + h
-        fp = f()
-        flat[i] = orig - h
-        fm = f()
-        if order == 2:
-            return (fp - fm) / (2.0 * h)
-        flat[i] = orig + 2 * h
-        fp2 = f()
-        flat[i] = orig - 2 * h
-        fm2 = f()
+        for v in points:
+            flat[i] = v
+            values.append(f())
     finally:
         flat[i] = orig
-    return (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
+    if order == 2:
+        fp, fm = values
+        return (fp - fm) / (2.0 * h)
+    return fourth_order_difference(*values, h)
 
 
 def numeric_gradient(f, x: np.ndarray, h: float = 1e-4,

@@ -154,6 +154,39 @@ class LtiSsm:
 # ---------------------------------------------------------------------------
 # Fused scan primitive (taped, with hand-derived backward)
 
+def _scan_states(hs, a_bar, bx, prev, tokens, resets):
+    """h[t] = a_bar[t] * h[t-1] + bx[t] over one chunk, in place.
+
+    hs, a_bar, bx: [B, T, C, N] for the chunk's tokens (their indices in
+    ``tokens``); ``prev`` is h before the chunk. A token in ``resets``
+    starts from a zero state. Each h[t] is written straight into its slot
+    of ``hs``; returns the last one.
+    """
+    for t, h, a_t, bx_t in zip(tokens, hs.swapaxes(0, 1),
+                               a_bar.swapaxes(0, 1), bx.swapaxes(0, 1)):
+        if t in resets:
+            h[...] = bx_t
+        else:
+            np.multiply(a_t, prev, out=h)
+            np.add(h, bx_t, out=h)
+        prev = h
+    return prev
+
+
+def _sweep_states_back(gh_all, ca):
+    """Reverse-time accumulation of dL/dh[t] into ``gh_all``, in place.
+
+    gh_all, ca: [B, L, C, N]. gh_all[t] starts as the readout term and
+    gains ca[t + 1] * dL/dh[t + 1]; ca[t] is overwritten with
+    ca[t] * dL/dh[t].
+    """
+    back = np.zeros_like(gh_all[:, 0])
+    for gh, ca_t in zip(gh_all.swapaxes(0, 1)[::-1], ca.swapaxes(0, 1)[::-1]):
+        np.add(gh, back, out=gh)
+        back = ca_t
+        np.multiply(back, gh, out=back)
+
+
 def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
              c_tok: Tensor, d_skip: Tensor | None = None, *,
              exact_input_discretization: bool = False,
@@ -178,8 +211,10 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         raise ValueError("ssm_scan: token projections must be [B, L, N]")
     dtype = u.data.dtype
     carry = np.ones(length, dtype=dtype)
+    resets = set()
     if reset_interval is not None and reset_interval < length:
         carry[::reset_interval] = 0.0
+        resets = set(range(0, length, reset_interval))
 
     ud, dd, ad, bd, cd = u.data, delta.data, a.data, b_tok.data, c_tok.data
     inputs = ((u, delta, a, b_tok, c_tok) if d_skip is None
@@ -202,15 +237,7 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         else:
             w = dd[:, t0:t1, :, None]
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
-        # h[t] is written straight into its slot of the chunk.
-        for i, t in enumerate(range(t0, t1)):
-            h = hs[:, i]
-            if carry[t] == 0.0:
-                h[...] = bx[:, i]
-            else:
-                np.multiply(a_bar[:, i], prev, out=h)
-                np.add(h, bx[:, i], out=h)
-            prev = h
+        prev = _scan_states(hs, a_bar, bx, prev, range(t0, t1), resets)
         y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, cd[:, t0:t1])
     if d_skip is not None:
         y += ud * d_skip.data[None, None, :]
@@ -232,12 +259,7 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         # forward's chunks, so the same bytes.
         a_bar_all = np.exp(dd[:, :, :, None] * ad[None, None])
         ca = carry[None, :, None, None] * a_bar_all
-        back = np.zeros((bsz, ch, n), dtype=dtype)
-        for t in range(length - 1, -1, -1):
-            gh = gh_all[:, t]
-            np.add(gh, back, out=gh)
-            back = ca[:, t]
-            np.multiply(back, gh, out=back)
+        _sweep_states_back(gh_all, ca)
         h_prev = np.empty_like(h_all)
         h_prev[:, 0] = 0.0
         h_prev[:, 1:] = h_all[:, :-1]

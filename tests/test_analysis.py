@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from conftest import rel_err
 from mfil import analysis
 from mfil import backbone as bb
 from mfil import tensor as T
-from mfil.analysis import ErfMap, erf, gradcheck_suite, saliency
+from mfil.analysis import (ErfMap, erf, gradcheck_suite, saliency,
+                           stacked_stencil_losses)
 from mfil.imageio import read_pgm, write_matrix_text, write_pgm
+from mfil.reference import stencil_points
+from mfil.scan import SCAN_MODES
 from mfil.tensor import Tape, Tensor
 
 
@@ -195,6 +200,122 @@ def test_gradcheck_reruns_the_whole_network_only_for_stem_groups(
     assert (f"gradcheck.evaluations: {rep.full_evaluations} full, "
             f"{rep.cached_evaluations} from cached segment inputs"
             in rep.lines())
+
+
+def _stencil_setup(scan_mode="multi_filter", seed=4):
+    model = bb.build(bb.desk(scan_mode=scan_mode), seed=seed, dtype="f64")
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((1, 3, 32, 32)), dtype="f64")
+    readout = rng.standard_normal((1, model.config.num_classes))
+    return model, model.segment_inputs(x), readout
+
+
+# Largest |stacked - B=1| loss measured over every group of the desk model
+# (seeds 1 and 2, all four scan modes): 8.6e-16. Only the row count some
+# BLAS calls see differs.
+STACKED_LOSS_ATOL = 2e-15
+
+
+@pytest.mark.parametrize("scan_mode", SCAN_MODES)
+@pytest.mark.parametrize("segment,group", [
+    ("stages.1.blocks.0", "core.x_proj_weight"),
+    ("downsample.1", "conv.weight"),
+    ("head.norm", "gamma"),
+    ("head.fc", "weight"),
+])
+def test_stacked_stencil_losses_match_batch_one_losses(scan_mode, segment,
+                                                       group):
+    model, inputs, readout = _stencil_setup(scan_mode)
+    k = [seg.name for seg in model.segments].index(segment)
+    flat = model.segments[k].params[group].data.reshape(-1)
+    elements = [0, flat.size // 2, flat.size - 1]
+    stacked = stacked_stencil_losses(model, k, inputs[k], flat, elements,
+                                     1e-4, readout)
+    for i, row in zip(elements, stacked):
+        orig = flat[i]
+        single = []
+        for v in stencil_points(orig, 1e-4):
+            flat[i] = v
+            logits = model.forward_from(k, inputs[k]).data
+            single.append(float(np.sum(logits * readout)))
+        flat[i] = orig
+        assert np.max(np.abs(np.subtract(row, single))) <= STACKED_LOSS_ATOL
+
+
+def test_stacked_stencil_losses_restore_parameters_when_a_segment_raises():
+    model, inputs, readout = _stencil_setup()
+    k = [seg.name for seg in model.segments].index("stages.2.blocks.0")
+    before = {n: p.data.tobytes() for n, p in model.parameters().items()}
+    segment = model.segments[k]
+    calls = []
+
+    def run(x, train, rng):
+        calls.append(1)
+        if len(calls) == 6:  # second element, second stencil point
+            raise T.NonFiniteError("segment output")
+        return segment.run(x, train, rng)
+    model.segments[k] = dataclasses.replace(segment, run=run)
+    flat = segment.params["core.dt_bias"].data.reshape(-1)
+    with pytest.raises(T.NonFiniteError):
+        stacked_stencil_losses(model, k, inputs[k], flat, [0, 1], 1e-4,
+                               readout)
+    assert len(calls) == 6
+    assert {n: p.data.tobytes()
+            for n, p in model.parameters().items()} == before
+
+
+def test_gradcheck_batches_each_group_behind_one_forward_from(monkeypatch):
+    """Segment k runs once per stencil point, then one forward_from(k + 1).
+
+    Runs inside ``forward``, ``forward_from`` and ``segment_inputs`` are
+    not logged; ``forward`` (the taped pass, the stem groups) logs as
+    forward_from(0).
+    """
+    events, depth = [], [0]
+
+    def nested(method, log=None):
+        def wrapper(self, *args, **kwargs):
+            if log is not None and not depth[0]:
+                events.append(("from", log(*args)))
+            depth[0] += 1
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+    monkeypatch.setattr(bb.Backbone, "forward_from",
+                        nested(bb.Backbone.forward_from, lambda k, *rest: k))
+    monkeypatch.setattr(bb.Backbone, "segment_inputs",
+                        nested(bb.Backbone.segment_inputs))
+
+    def build(*args, **kwargs):
+        model = bb.build(*args, **kwargs)
+        for idx, seg in enumerate(model.segments):
+            def run(x, train, rng, idx=idx, orig=seg.run):
+                if not depth[0]:
+                    events.append(("run", idx))
+                return orig(x, train, rng)
+            model.segments[idx] = dataclasses.replace(seg, run=run)
+        return model
+    monkeypatch.setattr(analysis, "build", build)
+    rep = gradcheck_suite(bb.desk(), seed=3)
+
+    groups, runs = [], []
+    for kind, idx in events:
+        if kind == "run":
+            runs.append(idx)
+        elif idx > 0:
+            groups.append((runs, idx))
+            runs = []
+        else:
+            assert runs == []
+    assert runs == []
+    model = bb.build(bb.desk(), seed=3)
+    assert len(groups) == sum(len(seg.params)
+                              for seg in model.segments[1:])
+    for runs, k in groups:
+        assert len(runs) in (4, 8) and set(runs) == {k - 1}
+    assert sum(len(runs) for runs, _ in groups) == rep.cached_evaluations
 
 
 def test_gradcheck_corrupted_backward_names_offenders(monkeypatch):

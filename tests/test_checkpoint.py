@@ -105,6 +105,40 @@ def test_truncation_names_the_short_entry(rng, tmp_path):
         load_checkpoint(short)
 
 
+@pytest.mark.parametrize("extent", (2 ** 40, 2 ** 62, 2 ** 63 + 5))
+def test_corrupt_extent_names_the_entry(rng, tmp_path, extent):
+    """An extent past the file's end is refused before any allocation."""
+    path = tmp_path / "p.mfil"
+    save_checkpoint(path, _params(rng))
+    blob = bytearray(path.read_bytes())
+    # First entry "a.weight": u16 length, 8 name bytes, u8 rank, extents.
+    struct.pack_into("<Q", blob, 12 + 2 + 8 + 1, extent)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="entry 'a.weight'"):
+        load_checkpoint(path)
+
+
+def test_huge_extent_of_an_empty_entry_names_the_entry(tmp_path):
+    path = tmp_path / "p.mfil"
+    save_checkpoint(path, {"e": Tensor(np.zeros((0, 3), dtype=np.float32),
+                                       dtype="f32")})
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 12 + 2 + 1 + 1 + 8, 2 ** 63 + 5)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="entry 'e'"):
+        load_checkpoint(path)
+
+
+def test_undecodable_name_names_the_entry(rng, tmp_path):
+    path = tmp_path / "p.mfil"
+    save_checkpoint(path, _params(rng))
+    blob = bytearray(path.read_bytes())
+    blob[14] = 0xFF  # first byte of the first entry's name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="entry 0 name"):
+        load_checkpoint(path)
+
+
 def test_trailing_bytes_rejected(rng, tmp_path):
     path = tmp_path / "p.mfil"
     save_checkpoint(path, _params(rng))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import grad_close, rel_err
-from mfil import reference
+from mfil import reference, ssm
 from mfil.ssm import (LtiSsm, SsmCore, causal_conv, discretize_zoh,
                       lti_kernel, scan_recurrent, selective_scan)
 from mfil.tensor import Tape, Tensor, mul, tsum
@@ -278,6 +278,66 @@ def test_segment_reset_gradients_across_chunk_edges():
                                              p.data)
         assert grad_close(grads[p].data, numeric), \
             f"mismatch for param shape {p.shape}"
+
+
+def _states_per_token(hs, a_bar, bx, prev, tokens, resets):
+    """Oracle for ``ssm._scan_states``: one indexed token at a time."""
+    for i, t in enumerate(tokens):
+        h = hs[:, i]
+        if t in resets:
+            h[...] = bx[:, i]
+        else:
+            np.multiply(a_bar[:, i], prev, out=h)
+            np.add(h, bx[:, i], out=h)
+        prev = h
+    return prev
+
+
+def _sweep_per_token(gh_all, ca):
+    """Oracle for ``ssm._sweep_states_back``: one indexed token at a time."""
+    back = np.zeros_like(gh_all[:, 0])
+    for t in range(gh_all.shape[1] - 1, -1, -1):
+        gh = gh_all[:, t]
+        np.add(gh, back, out=gh)
+        back = ca[:, t]
+        np.multiply(back, gh, out=back)
+
+
+def _scan_bytes(bsz, nst, dtype, exact, reset):
+    """Untaped output, taped output and every input gradient, as bytes."""
+    rng = np.random.default_rng(31)
+    length, ch = 150, 3
+
+    def t(a, grad=True):
+        return Tensor(a, dtype=dtype, grad_enabled=grad)
+    args = (t(rng.standard_normal((bsz, length, ch))),
+            t(0.05 + 0.5 * rng.random((bsz, length, ch))),
+            t(-np.exp(rng.standard_normal((ch, nst)))),
+            t(rng.standard_normal((bsz, length, nst))),
+            t(rng.standard_normal((bsz, length, nst))),
+            t(rng.standard_normal(ch)))
+    kw = dict(exact_input_discretization=exact, reset_interval=reset)
+    readout = t(rng.standard_normal((bsz, length, ch)), grad=False)
+    out = [ssm.ssm_scan(*(t(a.data, grad=False) for a in args), **kw).data]
+    with Tape() as tape:
+        y = ssm.ssm_scan(*args, **kw)
+        grads = tape.gradients(tsum(mul(y, readout)), list(args))
+    out += [y.data] + [grads[a].data for a in args]
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("nst", [1, 4])
+@pytest.mark.parametrize("exact,reset", [(False, None), (False, 50),
+                                         (True, None), (True, 50)])
+def test_scan_token_loops_are_byte_identical_to_per_token_loops(
+        monkeypatch, dtype, bsz, nst, exact, reset):
+    """Resets at tokens 50 and 100 fall inside the 64-token chunks."""
+    fast = _scan_bytes(bsz, nst, dtype, exact, reset)
+    monkeypatch.setattr(ssm, "_scan_states", _states_per_token)
+    monkeypatch.setattr(ssm, "_sweep_states_back", _sweep_per_token)
+    assert fast == _scan_bytes(bsz, nst, dtype, exact, reset)
 
 
 def test_selective_scan_shape_validation(rng):
