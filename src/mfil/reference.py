@@ -142,6 +142,14 @@ def selective_scan_reference(x: np.ndarray, core,
     return out
 
 
+def rel_err(got, want) -> float:
+    """Max elementwise deviation relative to the reference scale."""
+    got = np.asarray(got)
+    want = np.asarray(want)
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want))) / scale
+
+
 def stencil_points(x, h: float) -> tuple:
     """The perturbed values of the central stencil, in evaluation order:
     x + h, x - h, x + 2h, x - 2h."""

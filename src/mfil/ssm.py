@@ -378,12 +378,13 @@ def selective_scan(x: Tensor, core: SsmCore, *, path: str = "fast",
                    n_segments: int = 1) -> Tensor:
     """Scan a [B, L, C] token sequence with input-dependent parameters.
 
-    ``path="fast"`` runs the chunked vectorized implementation (taped, used
-    for training); ``path="reference"`` runs the one-token-at-a-time oracle
-    and returns an untaped tensor. ``n_segments`` marks the sequence as that
-    many equal segments; with ``core.segment_reset`` the hidden state is
-    zeroed at each segment start, otherwise it carries across the whole
-    sequence.
+    ``path="fast"`` runs ``ssm_scan`` (taped, used for training): a
+    per-token loop vectorized over (B, C, N), with the discretization
+    computed in chunks of tokens; ``path="reference"`` runs the
+    one-token-at-a-time oracle and returns an untaped tensor.
+    ``n_segments`` marks the sequence as that many equal segments; with
+    ``core.segment_reset`` the hidden state is zeroed at each segment
+    start, otherwise it carries across the whole sequence.
     """
     if x.data.ndim != 3:
         raise ValueError(f"selective_scan expects [B, L, C], got {x.shape}")

@@ -23,6 +23,7 @@ from .analysis import VERIFICATION_SEEDS, erf, gradcheck_suite
 from .checkpoint import (CheckpointError, load_checkpoint, load_into,
                          save_checkpoint)
 from .config import RunConfig
+from .reference import rel_err
 from .scan import SOBEL_X, SOBEL_Y, AdaptiveWeights, adaptive_merge
 from .ssm import (SsmCore, causal_conv, discretize_zoh, lti_kernel,
                   scan_recurrent, selective_scan)
@@ -39,11 +40,6 @@ class SuiteResult:
     passed: bool
     lines: list[str] = field(default_factory=list)
     seconds: float = 0.0
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(b))), 1e-300)
-    return float(np.max(np.abs(a - b))) / scale
 
 
 def suite_oracles(quick: bool = False) -> SuiteResult:
@@ -63,24 +59,25 @@ def suite_oracles(quick: bool = False) -> SuiteResult:
         k = rng.standard_normal((co, ci, kh, kw))
         got = conv2d(Tensor(x), Tensor(k), stride, pad).data
         want = reference.conv2d_reference(x, k, stride, pad)
-        worst = max(worst, _rel(got, want))
+        worst = max(worst, rel_err(got, want))
         kd = rng.standard_normal((ci, 1, kh, kw))
         # depthwise_conv2d is channel-last; the oracle is NCHW.
         got = depthwise_conv2d(Tensor(x.transpose(0, 2, 3, 1)), Tensor(kd),
                                stride, pad).data.transpose(0, 3, 1, 2)
         want = reference.depthwise_conv2d_reference(x, kd, stride, pad)
-        worst = max(worst, _rel(got, want))
+        worst = max(worst, rel_err(got, want))
         xm = rng.standard_normal((3, 4))
         wm = rng.standard_normal((5, 4))
         bv = rng.standard_normal(5)
         got = linear(Tensor(xm), Tensor(wm), Tensor(bv)).data
-        worst = max(worst, _rel(got, reference.linear_reference(xm, wm, bv)))
+        worst = max(worst,
+                    rel_err(got, reference.linear_reference(xm, wm, bv)))
         xl = rng.standard_normal((2, 3, 6))
         gam = rng.standard_normal(6)
         bet = rng.standard_normal(6)
         got = layer_norm(Tensor(xl), Tensor(gam), Tensor(bet)).data
         worst = max(worst,
-                    _rel(got, reference.layer_norm_reference(xl, gam, bet)))
+                    rel_err(got, reference.layer_norm_reference(xl, gam, bet)))
     lines.append(f"loop-nest worst rel: {worst:.3e} (tol 1e-6)")
     ok &= worst <= 1e-6
     s0 = silu(Tensor(np.zeros(1))).data[0]
@@ -101,9 +98,10 @@ def suite_zoh(quick: bool = False) -> SuiteResult:
     err = max(abs(float(a_bar) - 0.5), abs(float(b_bar) - 0.5))
     lines.append(f"scalar case |err|: {err:.2e} (tol 1e-12)")
     ok &= err <= 1e-12
-    a_bar, b_bar = discretize_zoh(np.array([-1.0]), np.array([2.0]), 1e-12)
+    delta = 1e-12
+    a_bar, b_bar = discretize_zoh(np.array([-1.0]), np.array([1.0]), delta)
     err = max(abs(float(a_bar[0]) - 1.0),
-              abs(float(b_bar[0]) - 2e-12) / 2e-12)
+              abs(float(b_bar[0]) - delta) / delta)
     lines.append(f"limit branch rel err: {err:.2e} (tol 1e-6)")
     ok &= err <= 1e-6
     rng = np.random.default_rng(3)
@@ -112,7 +110,7 @@ def suite_zoh(quick: bool = False) -> SuiteResult:
     a1, b1 = discretize_zoh(np.diag(diag), bvec.reshape(4, 1), 0.37,
                             diagonal=False)
     a2, b2 = discretize_zoh(diag, bvec, 0.37)
-    err = max(_rel(np.diag(a1), a2), _rel(b1.ravel(), b2))
+    err = max(rel_err(np.diag(a1), a2), rel_err(b1.ravel(), b2))
     lines.append(f"general vs diagonal rel err: {err:.2e} (tol 1e-9)")
     ok &= err <= 1e-9
     try:
@@ -127,7 +125,7 @@ def suite_zoh(quick: bool = False) -> SuiteResult:
 
 def suite_lti(quick: bool = False) -> SuiteResult:
     """Kernel form equals the recurrence on random diagonal systems."""
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(101)
     cases = 20 if quick else 100
     worst = 0.0
     for _ in range(cases):
@@ -136,19 +134,19 @@ def suite_lti(quick: bool = False) -> SuiteResult:
         a = -np.exp(rng.standard_normal(n))
         b = rng.standard_normal(n)
         c = rng.standard_normal(n)
-        delta = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
+        delta = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
         a_bar, b_bar = discretize_zoh(a, b, delta)
         x = rng.standard_normal(length)
         y_scan = scan_recurrent(a_bar, b_bar, c, x)
         y_conv = causal_conv(x, lti_kernel(a_bar, b_bar, c, length))
-        worst = max(worst, _rel(y_conv, y_scan))
+        worst = max(worst, rel_err(y_conv, y_scan))
     lines = [f"{cases} systems, worst rel: {worst:.3e} (tol 1e-6)"]
     return SuiteResult("lti", worst <= 1e-6, lines)
 
 
 def suite_scan(quick: bool = False) -> SuiteResult:
-    """Chunked fast path equals the sequential reference; causality."""
-    rng = np.random.default_rng(13)
+    """Taped scan equals the sequential reference; causality."""
+    rng = np.random.default_rng(103)
     cases = 10 if quick else 50
     worst = 0.0
     for i in range(cases):
@@ -156,13 +154,13 @@ def suite_scan(quick: bool = False) -> SuiteResult:
         length = int(rng.integers(1, 129))
         ch = int(rng.integers(1, 9))
         nst = int(rng.integers(1, 3))
-        core = SsmCore(ch, d_state=nst, rng=np.random.default_rng(100 + i),
+        core = SsmCore(ch, d_state=nst, rng=np.random.default_rng(1000 + i),
                        dtype="f64",
                        exact_input_discretization=bool(i % 2))
         x = Tensor(rng.standard_normal((bsz, length, ch)))
         fast = selective_scan(x, core).data
         ref = selective_scan(x, core, path="reference").data
-        worst = max(worst, _rel(fast, ref))
+        worst = max(worst, rel_err(fast, ref))
     lines = [f"{cases} cases fast vs reference, worst rel: {worst:.3e} "
              "(tol 1e-5)"]
     ok = worst <= 1e-5
@@ -187,10 +185,12 @@ def suite_gradcheck(quick: bool = False) -> SuiteResult:
     seeds = VERIFICATION_SEEDS[:1] if quick else VERIFICATION_SEEDS
     lines = []
     ok = True
+    worst = 0.0
     for seed in seeds:
         rep = gradcheck_suite(bb.desk(), seed=seed)
-        worst = max(rep.entries.values())
-        lines.append(f"seed {seed}: worst rel {worst:.2e} "
+        seed_worst = max(rep.entries.values())
+        worst = max(worst, seed_worst)
+        lines.append(f"seed {seed}: worst rel {seed_worst:.2e} "
                      f"({len(rep.entries)} groups); "
                      f"evaluations: {rep.evaluations()}")
         if not rep.passed:
@@ -198,19 +198,21 @@ def suite_gradcheck(quick: bool = False) -> SuiteResult:
             for name in rep.failures:
                 lines.append(f"  FAILED group {name}: "
                              f"{rep.entries[name]:.3e}")
+    lines.append(f"{len(seeds)} seeds, worst rel {worst:.2e} (tol 1e-4)")
+    ok &= worst <= 1e-4
     return SuiteResult("gradcheck", bool(ok), lines)
 
 
 def suite_covariance(quick: bool = False) -> SuiteResult:
     """Reordering vs filtering identities on empirical moments (6x6 grids)."""
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(105)
     n_pairs = 4 if quick else 20
     samples = rng.standard_normal((200, 36))
     moments = theory.empirical_moments(samples)
     lines = []
     worst = 0.0
-    kernels = [SOBEL_X, SOBEL_Y, np.array([[0.5]]),
-               rng.standard_normal((3, 3)), rng.standard_normal((2, 2))]
+    kernels = [SOBEL_X, SOBEL_Y, rng.standard_normal((3, 3)),
+               np.array([[0.7]]), rng.standard_normal((2, 2))]
     for i in range(n_pairs):
         if i % 2 == 0:
             p_i = theory.permutation_matrix(rng.permutation(36))
@@ -229,8 +231,17 @@ def suite_covariance(quick: bool = False) -> SuiteResult:
     lines.append(f"{n_pairs} operator pairs, worst max-abs: {worst:.3e} "
                  "(tol 1e-10)")
     ok = worst <= 1e-10
-    # Operator matrices agree with conv2d on random inputs.
+    # Spectrum invariance under reordering vs movement under the Sobel.
     op = theory.conv_as_matrix(SOBEL_X, 6, 6, padding=1)
+    perm = theory.permutation_matrix(rng.permutation(36))
+    rep = theory.spectrum_report(moments.covariance, perm, op)
+    lines.append(f"permutation spectral distance: "
+                 f"{rep.permutation_distance:.2e} (tol 1e-8)")
+    lines.append(f"sobel spectral distance: {rep.filter_distance:.2e} "
+                 "(must exceed 1e-3)")
+    ok &= rep.permutation_distance <= 1e-8
+    ok &= rep.filter_distance > 1e-3
+    # Operator matrices agree with conv2d on random inputs.
     conv_worst = 0.0
     for _ in range(10 if quick else 50):
         z = rng.standard_normal((6, 6))
@@ -242,16 +253,6 @@ def suite_covariance(quick: bool = False) -> SuiteResult:
     lines.append(f"conv-as-matrix vs conv2d max-abs: {conv_worst:.3e} "
                  "(tol 1e-10)")
     ok &= conv_worst <= 1e-10
-    # Spectrum invariance under reordering vs movement under the Sobel.
-    sig = moments.covariance
-    perm = theory.permutation_matrix(rng.permutation(36))
-    rep = theory.spectrum_report(sig, perm, op)
-    lines.append(f"permutation spectral distance: "
-                 f"{rep.permutation_distance:.2e} (tol 1e-8)")
-    lines.append(f"sobel spectral distance: {rep.filter_distance:.2e} "
-                 "(must exceed 1e-3)")
-    ok &= rep.permutation_distance <= 1e-8
-    ok &= rep.filter_distance > 1e-3
     sym = moments.symmetry_error()
     mineig = moments.min_eigenvalue()
     lines.append(f"covariance symmetry {sym:.1e}, min eigenvalue "
@@ -287,18 +288,7 @@ def suite_structure(quick: bool = False) -> SuiteResult:
         lines.append(f"{name} flops {fl / 1e9:.2f}G vs {ref_f / 1e9:.1f}G "
                      f"({100 * dev_f:.1f}% dev, tol 20%)")
         ok &= dev_f <= 0.20
-    desk_cfg = bb.desk()
-    model = bb.build(desk_cfg, seed=0)
-    tally = sum(p.size for p in model.parameters().values())
-    exact = tally == bb.count_params(desk_cfg)
-    lines.append(f"desk analytic == instantiated tally: {exact}")
-    ok &= exact
     rng = np.random.default_rng(0)
-    x64 = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
-                 dtype="f32")
-    trace = model.spatial_trace(x64)
-    lines.append(f"desk 64 trace: {trace}")
-    ok &= trace == [16, 8, 4, 2, 2]
     if not quick:
         tiny_model = bb.build(t.with_overrides(num_classes=10), seed=0)
         x224 = Tensor(rng.standard_normal((1, 3, 224, 224)).astype(
@@ -306,6 +296,17 @@ def suite_structure(quick: bool = False) -> SuiteResult:
         trace224 = tiny_model.spatial_trace(x224)
         lines.append(f"tiny 224 trace: {trace224}")
         ok &= trace224 == [56, 28, 14, 7, 7]
+    desk_cfg = bb.desk()
+    model = bb.build(desk_cfg, seed=0)
+    tally = sum(p.size for p in model.parameters().values())
+    exact = tally == bb.count_params(desk_cfg)
+    lines.append(f"desk analytic == instantiated tally: {exact}")
+    ok &= exact
+    x64 = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
+                 dtype="f32")
+    trace = model.spatial_trace(x64)
+    lines.append(f"desk 64 trace: {trace}")
+    ok &= trace == [16, 8, 4, 2, 2]
     model2 = bb.build(desk_cfg, seed=0)
     p1, p2 = model.parameters(), model2.parameters()
     det = all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
@@ -336,15 +337,22 @@ def suite_structure(quick: bool = False) -> SuiteResult:
 
 def suite_merge(quick: bool = False) -> SuiteResult:
     """Fusion-weight properties: sums, hull, uniformity, saturation."""
-    rng = np.random.default_rng(23)
+    rng = np.random.default_rng(107)
     lines = []
-    ok = True
     weights = AdaptiveWeights(4, dtype="f64")
     alphas = weights.alphas().data
-    ok &= abs(alphas.sum() - 1.0) <= 1e-6 and np.allclose(alphas, 0.25)
+    ok = abs(alphas.sum() - 1.0) <= 1e-6 and np.allclose(alphas, 0.25)
     lines.append(f"zero weights give uniform alphas summing to "
                  f"{alphas.sum():.9f}")
-    maps = [Tensor(rng.standard_normal((1, 3, 4, 4))) for _ in range(4)]
+    sums = True
+    for _ in range(10):
+        weights.w.data = 5.0 * rng.standard_normal(4)
+        alphas = weights.alphas().data
+        sums &= abs(alphas.sum() - 1.0) <= 1e-6 and np.all(alphas > 0)
+    lines.append(f"10 random weights give positive alphas summing to 1: "
+                 f"{bool(sums)}")
+    ok &= sums
+    maps = [Tensor(rng.standard_normal((1, 2, 4, 4))) for _ in range(4)]
     weights.w.data = rng.standard_normal(4)
     alphas = weights.alphas().data
     ok &= abs(alphas.sum() - 1.0) <= 1e-6 and np.all(alphas > 0)
@@ -355,10 +363,17 @@ def suite_merge(quick: bool = False) -> SuiteResult:
     lines.append(f"convex hull containment: {hull}")
     ok &= hull
     same = adaptive_merge([maps[0]] * 4, weights).data
-    ok &= np.allclose(same, maps[0].data, rtol=1e-12, atol=1e-12)
+    same_ok = bool(np.allclose(same, maps[0].data, rtol=1e-12, atol=1e-12))
+    lines.append(f"same map in gives the same map out: {same_ok}")
+    ok &= same_ok
+    weights.w.data = np.zeros(4)
+    rel = rel_err(adaptive_merge(maps, weights).data, np.mean(stack, axis=0))
+    lines.append(f"zero weights give the mean map, rel err {rel:.2e} "
+                 "(tol 1e-12)")
+    ok &= rel <= 1e-12
     weights.w.data = np.array([50.0, 0.0, 0.0, 0.0])
     sat = adaptive_merge(maps, weights).data
-    rel = _rel(sat, maps[0].data)
+    rel = rel_err(sat, maps[0].data)
     lines.append(f"saturation (w0 = 50) rel distance to map 0: {rel:.2e} "
                  "(tol 1e-6)")
     ok &= rel <= 1e-6
@@ -381,16 +396,16 @@ def suite_erf(quick: bool = False) -> SuiteResult:
 def suite_checkpoint(quick: bool = False) -> SuiteResult:
     lines = []
     ok = True
-    model = bb.build(bb.desk(), seed=4)
+    model = bb.build(bb.desk(), seed=2)
     params = model.parameters()
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32),
                dtype="f32")
     logits_before = model.forward(x).data.copy()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.mfil"
         save_checkpoint(path, params)
-        model2 = bb.build(bb.desk(), seed=9)
+        model2 = bb.build(bb.desk(), seed=77)
         load_into(model2.parameters(), load_checkpoint(path))
         logits_after = model2.forward(x).data
         bitexact = bool(np.array_equal(logits_before, logits_after))

@@ -3,6 +3,8 @@ import gc
 import numpy as np
 import pytest
 
+from mfil.reference import rel_err  # noqa: F401  (re-exported for tests)
+
 
 @pytest.fixture
 def rng():
@@ -17,14 +19,6 @@ def no_gc():
     yield
     if enabled:
         gc.enable()
-
-
-def rel_err(got, want):
-    """Max elementwise deviation relative to the reference scale."""
-    got = np.asarray(got)
-    want = np.asarray(want)
-    scale = max(float(np.max(np.abs(want))), 1e-300)
-    return float(np.max(np.abs(got - want))) / scale
 
 
 def grad_close(analytic, numeric, rtol=1e-4, atol=1e-9):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from mfil import cli
+import mfil
+from mfil import cli, verify
 from mfil import tensor as T
 from mfil.cli import main
 
@@ -87,6 +93,36 @@ def test_verify_corrupted_backward_fails_naming_gradcheck(monkeypatch,
     out = capsys.readouterr().out
     assert "[gradcheck] FAIL" in out
     assert "VERIFY: FAIL (gradcheck)" in out
+
+
+def test_verify_crashing_suite_fails_and_the_next_still_runs(monkeypatch,
+                                                             capsys):
+    def crash(quick=False):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(verify.SUITES, "zoh", crash)
+    code = main(["verify", "--suite", "zoh", "--suite", "merge"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "[zoh] FAIL" in out
+    assert "    exception: RuntimeError: boom" in out
+    assert "[merge] PASS" in out
+    assert "VERIFY: FAIL (zoh)" in out
+
+
+def test_run_suites_rejects_unknown_names():
+    with pytest.raises(ValueError, match="no_such_suite"):
+        verify.run_suites(["zoh", "no_such_suite"])
+
+
+def test_python_dash_m_mfil_runs_verify():
+    src = Path(mfil.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfil", "verify", "--suite", "zoh"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "VERIFY: PASS" in proc.stdout
 
 
 def test_report_params_and_flops(capsys):
