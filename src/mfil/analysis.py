@@ -26,6 +26,15 @@ VERIFICATION_SEEDS = (1, 2, 3, 4, 5)
 # counts as outside the effective field; separates float noise from signal.
 COVERAGE_THRESHOLD = 1e-6
 
+# gradcheck_suite: input side, checked elements per group, stencil step,
+# relative tolerance, and the absolute floor below which a difference is
+# finite-difference roundoff.
+GRADCHECK_INPUT_SIZE = 32
+GRADCHECK_ELEMENTS = 2
+GRADCHECK_STEP = 1e-4
+GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_ATOL = 1e-9
+
 
 def max_worker_threads() -> int:
     """Worker cap from MFIL_THREADS; defaults to 1 (fully deterministic)."""
@@ -42,19 +51,15 @@ class ErfMap:
     """Input-sensitivity grid of one output unit; max-normalized."""
 
     grid: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         if np.any(self.grid < 0):
             raise ValueError("sensitivities must be non-negative")
-        if self.normalized and self.grid.size and self.grid.max() > 0:
+        if self.grid.size and self.grid.max() > 0:
             assert abs(float(self.grid.max()) - 1.0) < 1e-12
 
     def coverage(self, threshold: float = COVERAGE_THRESHOLD) -> float:
-        peak = self.grid.max() if not self.normalized else 1.0
-        if peak == 0:
-            return 0.0
-        return float(np.mean(self.grid > threshold * peak))
+        return float(np.mean(self.grid > threshold))
 
 
 def _erf_single(model, input_size: int, stage: int, seed: int) -> np.ndarray:
@@ -105,7 +110,7 @@ def erf(model, input_size: int, stage: int = 3, samples: int = 16,
     peak = acc.max()
     if peak > 0:
         acc = acc / peak
-    return ErfMap(acc, normalized=True)
+    return ErfMap(acc)
 
 
 def saliency(model: Backbone, image: Tensor, class_index: int) -> np.ndarray:
@@ -170,9 +175,9 @@ class GradcheckReport:
         return "\n".join(self.lines())
 
 
-def _grad_error(analytic: float, numeric: float, atol: float) -> float:
+def _grad_error(analytic: float, numeric: float) -> float:
     diff = abs(analytic - numeric)
-    if diff <= atol:
+    if diff <= GRADCHECK_ATOL:
         return 0.0
     return diff / max(abs(analytic), abs(numeric))
 
@@ -204,18 +209,17 @@ def stacked_stencil_losses(model: Backbone, k: int, x: Tensor,
     return [losses[j:j + 4] for j in range(0, len(losses), 4)]
 
 
-def gradcheck_suite(config: VariantConfig, seed: int,
-                    input_size: int = 32, elements_per_group: int = 2,
-                    h: float = 1e-4, tolerance: float = 1e-4,
-                    atol: float = 1e-9) -> GradcheckReport:
+def gradcheck_suite(config: VariantConfig, seed: int) -> GradcheckReport:
     """Check every learnable parameter group against central differences.
 
     Builds the model in f64, takes a fixed random input and a fixed random
     linear readout of the logits as the scalar loss, then compares the taped
-    gradient with a fourth-order central difference at step ``h`` at the
-    largest-gradient element of each group plus ``elements_per_group - 1``
-    seeded-random elements. Differences below ``atol`` (finite-difference
-    roundoff floor) pass regardless of relative size.
+    gradient with a fourth-order central difference at step
+    ``GRADCHECK_STEP`` at the largest-gradient element of each group plus
+    ``GRADCHECK_ELEMENTS - 1`` seeded-random elements. A group fails above
+    ``GRADCHECK_TOLERANCE`` relative error; differences below
+    ``GRADCHECK_ATOL`` (finite-difference roundoff floor) pass regardless
+    of relative size.
 
     A parameter feeds only its own segment and those after it, so each
     group's losses start from its segment's input, cached once after the
@@ -229,9 +233,10 @@ def gradcheck_suite(config: VariantConfig, seed: int,
     rng = np.random.default_rng(seed)
     model = build(config, seed=seed, dtype="f64")
     params = model.parameters()
-    x = Tensor(rng.standard_normal((1, 3, input_size, input_size)),
-               dtype="f64")
+    size = GRADCHECK_INPUT_SIZE
+    x = Tensor(rng.standard_normal((1, 3, size, size)), dtype="f64")
     readout = rng.standard_normal((1, config.num_classes))
+    h = GRADCHECK_STEP
 
     with Tape() as tape:
         logits = model.forward(x)
@@ -239,7 +244,7 @@ def gradcheck_suite(config: VariantConfig, seed: int,
         grads = tape.gradients(loss, list(params.values()))
     inputs = model.segment_inputs(x)
 
-    report = GradcheckReport(seed=seed, tolerance=tolerance)
+    report = GradcheckReport(seed=seed, tolerance=GRADCHECK_TOLERANCE)
 
     def full_loss() -> float:
         report.full_evaluations += 1
@@ -251,7 +256,7 @@ def gradcheck_suite(config: VariantConfig, seed: int,
             report.grad_norms[name] = float(np.linalg.norm(g))
             flat_idx = [int(np.argmax(np.abs(g)))]
             if p.size > 1:
-                extra = rng.integers(0, p.size, size=elements_per_group - 1)
+                extra = rng.integers(0, p.size, size=GRADCHECK_ELEMENTS - 1)
                 flat_idx.extend(int(i) for i in extra)
             elements = list(dict.fromkeys(flat_idx))
             flat = p.data.reshape(-1)
@@ -267,8 +272,8 @@ def gradcheck_suite(config: VariantConfig, seed: int,
             gflat = g.reshape(-1)
             worst = 0.0
             for i, d in zip(elements, numeric):
-                worst = max(worst, _grad_error(float(gflat[i]), d, atol))
+                worst = max(worst, _grad_error(float(gflat[i]), d))
             report.entries[name] = worst
-            if worst > tolerance:
+            if worst > GRADCHECK_TOLERANCE:
                 report.failures.append(name)
     return report

@@ -90,55 +90,42 @@ def layer_norm_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def selective_scan_reference(x: np.ndarray, core,
-                             exact_input_discretization: bool | None = None,
-                             segment_reset: bool | None = None,
                              n_segments: int = 1) -> np.ndarray:
     """One-token-at-a-time selective scan, independent of the fused path.
 
     x: [B, L, C]. ``core`` is an SsmCore; its projection weights are read as
-    plain arrays here. Per token: delta = softplus(dt_proj(x_proj_dt(x)) +
-    dt_bias), B/C read from the projection, state updated with the
-    discretized recurrence, output C.h + D*x.
+    plain arrays here, and its ``exact_input_discretization`` and
+    ``segment_reset`` flags select the input term and the state resets.
+    Per token: delta = softplus(dt_proj(x_proj_dt(x)) + dt_bias), B/C read
+    from the projection, state updated with the discretized recurrence,
+    output C.h + D*x.
     """
     b, l, c = x.shape
     n = core.d_state
-    exact = (core.exact_input_discretization
-             if exact_input_discretization is None
-             else exact_input_discretization)
-    reset = core.segment_reset if segment_reset is None else segment_reset
-    seg_len = l // n_segments if n_segments > 1 else l
+    seg_len = l // n_segments
     a = -np.exp(core.A_log.data)  # [C, N]
-    d_skip = core.D_skip.data if core.D_skip is not None else None
     out = np.zeros((b, l, c), dtype=x.dtype)
     for bi in range(b):
         h = np.zeros((c, n), dtype=x.dtype)
         for t in range(l):
-            if reset and n_segments > 1 and t % seg_len == 0:
+            if core.segment_reset and t % seg_len == 0:
                 h = np.zeros((c, n), dtype=x.dtype)
             xt = x[bi, t]  # [C]
-            if core.lti_mode:
-                delta = np.logaddexp(0.0, core.dt_bias.data)
-                b_t = core.B_const.data
-                c_t = core.C_const.data
-            else:
-                proj = core.x_proj_weight.data @ xt
-                dt_raw = proj[:core.dt_rank]
-                b_t = proj[core.dt_rank:core.dt_rank + n]
-                c_t = proj[core.dt_rank + n:]
-                delta = np.logaddexp(
-                    0.0, core.dt_proj_weight.data @ dt_raw + core.dt_bias.data)
+            proj = core.x_proj_weight.data @ xt
+            dt_raw = proj[:core.dt_rank]
+            b_t = proj[core.dt_rank:core.dt_rank + n]
+            c_t = proj[core.dt_rank + n:]
+            delta = np.logaddexp(
+                0.0, core.dt_proj_weight.data @ dt_raw + core.dt_bias.data)
             da = delta[:, None] * a  # [C, N]
             a_bar = np.exp(da)
-            if exact:
+            if core.exact_input_discretization:
                 w = np.where(np.abs(da) < 1e-8,
                              delta[:, None], (a_bar - 1.0) / a)
             else:
                 w = delta[:, None]
             h = a_bar * h + (w * b_t[None, :]) * xt[:, None]
-            y = h @ c_t
-            if d_skip is not None:
-                y = y + d_skip * xt
-            out[bi, t] = y
+            out[bi, t] = h @ c_t + core.D_skip.data * xt
     return out
 
 

@@ -1,8 +1,9 @@
 """Discretized selective state-space scan.
 
-Covers the continuous-to-discrete bridge (zero-order hold), the reference
-recurrence, the time-invariant convolution-kernel form, and the
-input-dependent scan used inside every block. The recurrence per channel c
+Covers the continuous-to-discrete bridge (zero-order hold), the
+time-invariant recurrence and its convolution-kernel form as plain numpy
+functions, and the one selective scan used inside every block, in which
+delta, B and C are functions of each token. The recurrence per channel c
 and state index n is
 
     h[t] = A_bar[t] * h[t-1] + B_bar[t] * x[t],    y[t] = C[t] . h[t] + D * x[t]
@@ -11,30 +12,35 @@ with A_bar = exp(delta * A). The input term uses the simplified
 B_bar = delta * B by default; the full zero-order-hold expression
 B_bar = (delta A)^{-1} (exp(delta A) - I) delta B is available behind
 ``exact_input_discretization`` and agrees with the simplified form as
-delta -> 0.
+delta -> 0. Its sequential oracle is
+``mfil.reference.selective_scan_reference``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from . import reference
-from .init import inv_softplus, trunc_normal
+from .init import inv_softplus
 from .tensor import (Tensor, linear, neg, record_op, recording, slice_axis,
-                     softplus, tile_leading, exp as texp, _tally)
+                     softplus, exp as texp, _tally)
 
 __all__ = [
-    "SsmCore", "LtiSsm", "discretize_zoh", "scan_recurrent", "lti_kernel",
+    "SsmCore", "discretize_zoh", "scan_recurrent", "lti_kernel",
     "causal_conv", "ssm_scan", "selective_scan",
 ]
 
 # Below this threshold the input-term discretization switches to its
 # first-order limit B_bar = delta * B (removable singularity at a = 0).
 _ZOH_LIMIT = 1e-8
+
+# Tokens per chunk of discretized parameters in ``ssm_scan``.
+_CHUNK = 64
+
+# Initial step sizes are drawn log-uniform in [_DT_MIN, _DT_MAX].
+_DT_MIN, _DT_MAX = 1e-3, 1e-1
 
 
 def _as_array(x) -> np.ndarray:
@@ -124,33 +130,6 @@ def causal_conv(x, kern) -> np.ndarray:
     return np.convolve(x, kern)[:x.shape[0]]
 
 
-@dataclass
-class LtiSsm:
-    """Time-invariant triple (A, B, C) plus a positive step size."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    delta: float
-    diagonal: bool = True
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("LtiSsm: delta must be positive")
-
-    def discretize(self):
-        return discretize_zoh(self.A, self.B, self.delta,
-                              diagonal=self.diagonal)
-
-    def kernel(self, L: int) -> np.ndarray:
-        a_bar, b_bar = self.discretize()
-        return lti_kernel(a_bar, b_bar, self.C, L)
-
-    def scan(self, x) -> np.ndarray:
-        a_bar, b_bar = self.discretize()
-        return scan_recurrent(a_bar, b_bar, self.C, x)
-
-
 # ---------------------------------------------------------------------------
 # Fused scan primitive (taped, with hand-derived backward)
 
@@ -188,16 +167,15 @@ def _sweep_states_back(gh_all, ca):
 
 
 def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
-             c_tok: Tensor, d_skip: Tensor | None = None, *,
+             c_tok: Tensor, d_skip: Tensor, *,
              exact_input_discretization: bool = False,
-             reset_interval: int | None = None,
-             chunk: int = 64) -> Tensor:
+             reset_interval: int | None = None) -> Tensor:
     """Time-varying scan over a token sequence.
 
     u, delta: [B, L, C]; a: [C, N] (negative entries); b_tok, c_tok:
-    [B, L, N]; d_skip: [C] or None. The recurrence runs sequentially over L
-    but is vectorized over (B, C, N); discretized parameters are produced in
-    chunks of ``chunk`` tokens to bound the working set, with the hidden
+    [B, L, N]; d_skip: [C]. The recurrence runs sequentially over L but is
+    vectorized over (B, C, N); discretized parameters are produced in
+    chunks of ``_CHUNK`` tokens to bound the working set, with the hidden
     state carried across chunk boundaries, and the readout is formed chunk
     by chunk. Only a taped call keeps every state h[t], which its backward
     reads; exp(delta * A) is recomputed there. ``reset_interval`` zeroes the
@@ -217,16 +195,15 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         resets = set(range(0, length, reset_interval))
 
     ud, dd, ad, bd, cd = u.data, delta.data, a.data, b_tok.data, c_tok.data
-    inputs = ((u, delta, a, b_tok, c_tok) if d_skip is None
-              else (u, delta, a, b_tok, c_tok, d_skip))
+    inputs = (u, delta, a, b_tok, c_tok, d_skip)
     # The backward reads every h[t]; an untaped call keeps one chunk of them.
     taped = recording(inputs)
-    h_all = np.empty((bsz, length if taped else min(chunk, length), ch, n),
+    h_all = np.empty((bsz, length if taped else min(_CHUNK, length), ch, n),
                      dtype=dtype)
     y = np.empty((bsz, length, ch), dtype=dtype)
     prev = np.zeros((bsz, ch, n), dtype=dtype)
-    for t0 in range(0, length, chunk):
-        t1 = min(t0 + chunk, length)
+    for t0 in range(0, length, _CHUNK):
+        t1 = min(t0 + _CHUNK, length)
         hs = h_all[:, t0:t1] if taped else h_all[:, :t1 - t0]
         da = dd[:, t0:t1, :, None] * ad[None, None]
         a_bar = np.exp(da)
@@ -239,18 +216,13 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
         prev = _scan_states(hs, a_bar, bx, prev, range(t0, t1), resets)
         y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, cd[:, t0:t1])
-    if d_skip is not None:
-        y += ud * d_skip.data[None, None, :]
+    y += ud * d_skip.data[None, None, :]
     _tally(2 * bsz * length * ch * n)
 
     def bwd(gy):
         g_ctok = np.einsum("blc,blcn->bln", gy, h_all)
-        if d_skip is not None:
-            g_d = np.einsum("blc,blc->c", gy, ud)
-            g_u = gy * d_skip.data[None, None, :]
-        else:
-            g_d = None
-            g_u = np.zeros_like(ud)
+        g_d = np.einsum("blc,blc->c", gy, ud)
+        g_u = gy * d_skip.data[None, None, :]
         # Reverse-time accumulation of dL/dh[t]: gh_all starts as the
         # readout term gy[t] * C[t] of every token; ca[t] is overwritten
         # with the gradient that h[t] passes back to h[t-1].
@@ -292,8 +264,6 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         else:
             g_delta = g_delta + np.einsum("blcn,blcn,bln->blc",
                                           gh_all, dw_ddelta, bd) * ud
-        if d_skip is None:
-            return g_u, g_delta, g_a, g_btok, g_ctok
         return g_u, g_delta, g_a, g_btok, g_ctok, g_d
     return record_op("ssm_scan", inputs, y, bwd)
 
@@ -302,87 +272,62 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
 # Selective core
 
 class SsmCore:
-    """Parameters of one scan: evolution diagonal plus token projections.
+    """Parameters of one selective scan: evolution diagonal, skip gain and
+    the token projections that give delta, B and C.
 
     The evolution diagonal is stored log-parameterized, A = -exp(A_log), so
     it stays strictly negative and the discrete factor exp(delta*A) stays in
-    (0, 1) for any positive step. In selective mode the step size and the
-    input/output projections are functions of the current token; in
-    ``lti_mode`` they are learned constants, which makes the scan a
-    per-channel time-invariant system.
+    (0, 1) for any positive step. ``dt_rank`` = ceil(d_model / 16) is the
+    width of the low-rank step-size projection.
     """
 
-    def __init__(self, d_model: int, d_state: int = 1,
-                 dt_rank: int | None = None, *, lti_mode: bool = False,
+    def __init__(self, d_model: int, d_state: int = 1, *,
                  exact_input_discretization: bool = False,
-                 segment_reset: bool = False, use_skip: bool = True,
-                 dt_min: float = 1e-3, dt_max: float = 1e-1,
+                 segment_reset: bool = False,
                  rng: np.random.Generator | None = None, dtype: str = "f32"):
         if rng is None:
             rng = np.random.default_rng(0)
         self.d_model = d_model
         self.d_state = d_state
-        self.dt_rank = dt_rank if dt_rank is not None else max(
-            math.ceil(d_model / 16), 1)
-        self.lti_mode = lti_mode
+        self.dt_rank = max(math.ceil(d_model / 16), 1)
         self.exact_input_discretization = exact_input_discretization
         self.segment_reset = segment_reset
 
         a_row = np.log(np.arange(1, d_state + 1, dtype=np.float64))
         self.A_log = Tensor(np.tile(a_row, (d_model, 1)), dtype=dtype,
                             grad_enabled=True)
-        # Step sizes start log-uniform in [dt_min, dt_max].
-        dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max),
+        dt = np.exp(rng.uniform(np.log(_DT_MIN), np.log(_DT_MAX),
                                 size=d_model))
         self.dt_bias = Tensor(inv_softplus(dt), dtype=dtype,
                               grad_enabled=True)
-        self.D_skip = (Tensor(np.ones(d_model), dtype=dtype,
-                              grad_enabled=True) if use_skip else None)
-        if lti_mode:
-            self.x_proj_weight = None
-            self.dt_proj_weight = None
-            self.B_const = Tensor(trunc_normal(rng, (d_state,), 1.0),
-                                  dtype=dtype, grad_enabled=True)
-            self.C_const = Tensor(trunc_normal(rng, (d_state,), 1.0),
-                                  dtype=dtype, grad_enabled=True)
-        else:
-            # Fan-in-scaled init keeps the token-dependent pathway alive at
-            # init; a 0.02-normal here would suppress cross-token
-            # sensitivity below measurement thresholds.
-            bound_x = 1.0 / math.sqrt(d_model)
-            bound_dt = 1.0 / math.sqrt(self.dt_rank)
-            self.x_proj_weight = Tensor(
-                rng.uniform(-bound_x, bound_x,
-                            (self.dt_rank + 2 * d_state, d_model)),
-                dtype=dtype, grad_enabled=True)
-            self.dt_proj_weight = Tensor(
-                rng.uniform(-bound_dt, bound_dt, (d_model, self.dt_rank)),
-                dtype=dtype, grad_enabled=True)
-            self.B_const = None
-            self.C_const = None
+        self.D_skip = Tensor(np.ones(d_model), dtype=dtype, grad_enabled=True)
+        # Fan-in-scaled init keeps the token-dependent pathway alive at
+        # init; a 0.02-normal here would suppress cross-token sensitivity
+        # below measurement thresholds.
+        bound_x = 1.0 / math.sqrt(d_model)
+        bound_dt = 1.0 / math.sqrt(self.dt_rank)
+        self.x_proj_weight = Tensor(
+            rng.uniform(-bound_x, bound_x,
+                        (self.dt_rank + 2 * d_state, d_model)),
+            dtype=dtype, grad_enabled=True)
+        self.dt_proj_weight = Tensor(
+            rng.uniform(-bound_dt, bound_dt, (d_model, self.dt_rank)),
+            dtype=dtype, grad_enabled=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"A_log": self.A_log, "dt_bias": self.dt_bias}
-        if self.lti_mode:
-            out["B_const"] = self.B_const
-            out["C_const"] = self.C_const
-        else:
-            out["x_proj_weight"] = self.x_proj_weight
-            out["dt_proj_weight"] = self.dt_proj_weight
-        if self.D_skip is not None:
-            out["D_skip"] = self.D_skip
-        return out
+        return {"A_log": self.A_log, "dt_bias": self.dt_bias,
+                "x_proj_weight": self.x_proj_weight,
+                "dt_proj_weight": self.dt_proj_weight,
+                "D_skip": self.D_skip}
 
 
-def selective_scan(x: Tensor, core: SsmCore, *, path: str = "fast",
+def selective_scan(x: Tensor, core: SsmCore, *,
                    n_segments: int = 1) -> Tensor:
     """Scan a [B, L, C] token sequence with input-dependent parameters.
 
-    ``path="fast"`` runs ``ssm_scan`` (taped, used for training): a
-    per-token loop vectorized over (B, C, N), with the discretization
-    computed in chunks of tokens; ``path="reference"`` runs the
-    one-token-at-a-time oracle and returns an untaped tensor.
-    ``n_segments`` marks the sequence as that many equal segments; with
+    Runs ``ssm_scan`` (taped): a per-token loop vectorized over (B, C, N),
+    with the discretization computed in chunks of tokens. ``n_segments``
+    marks the sequence as that many equal segments and must divide L; with
     ``core.segment_reset`` the hidden state is zeroed at each segment
     start, otherwise it carries across the whole sequence.
     """
@@ -395,29 +340,19 @@ def selective_scan(x: Tensor, core: SsmCore, *, path: str = "fast",
             f"{core.d_model}")
     if length < 1:
         raise ValueError("selective_scan: sequence must be non-empty")
-    if path == "reference":
-        out = reference.selective_scan_reference(
-            x.data.astype(np.float64), core, n_segments=n_segments)
-        return Tensor(out.astype(x.data.dtype))
-    if path != "fast":
-        raise ValueError(f"unknown scan path {path!r}")
+    if n_segments < 1 or length % n_segments:
+        raise ValueError(
+            f"selective_scan: n_segments {n_segments} does not divide "
+            f"sequence length {length} into equal segments")
 
     n = core.d_state
-    if core.lti_mode:
-        delta = tile_leading(softplus(core.dt_bias), (bsz, length))
-        b_tok = tile_leading(core.B_const, (bsz, length))
-        c_tok = tile_leading(core.C_const, (bsz, length))
-        _tally(2 * bsz * length * n)
-    else:
-        proj = linear(x, core.x_proj_weight)
-        dt_raw = slice_axis(proj, 2, 0, core.dt_rank)
-        b_tok = slice_axis(proj, 2, core.dt_rank, core.dt_rank + n)
-        c_tok = slice_axis(proj, 2, core.dt_rank + n, core.dt_rank + 2 * n)
-        delta = softplus(linear(dt_raw, core.dt_proj_weight, core.dt_bias))
+    proj = linear(x, core.x_proj_weight)
+    dt_raw = slice_axis(proj, 2, 0, core.dt_rank)
+    b_tok = slice_axis(proj, 2, core.dt_rank, core.dt_rank + n)
+    c_tok = slice_axis(proj, 2, core.dt_rank + n, core.dt_rank + 2 * n)
+    delta = softplus(linear(dt_raw, core.dt_proj_weight, core.dt_bias))
     a = neg(texp(core.A_log))
-    reset = None
-    if core.segment_reset and n_segments > 1:
-        reset = length // n_segments
+    reset = length // n_segments if core.segment_reset else None
     return ssm_scan(x, delta, a, b_tok, c_tok, core.D_skip,
                     exact_input_discretization=core.exact_input_discretization,
                     reset_interval=reset)

@@ -92,9 +92,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data.copy()
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(_as_np_dtype(dtype)),
                       grad_enabled=self.grad_enabled, check_finite=False)

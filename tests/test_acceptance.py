@@ -3,14 +3,17 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. Criteria 1-8 run the ``mfil verify`` suite that holds their
 checks; criteria 9 and 10 train and verify end to end, so this module takes
-several minutes.
+several minutes. Each suite runs once per pytest run: criterion 10 reads the
+results criteria 1-8 already produced and runs only the rest.
 """
+
+import functools
 
 import numpy as np
 
 from mfil.config import RunConfig
 from mfil.train import compare_scan_modes, train_run
-from mfil.verify import run_suites
+from mfil.verify import SUITES, run_suites
 
 
 def _report(num: int, summary: str, passed: bool):
@@ -19,10 +22,16 @@ def _report(num: int, summary: str, passed: bool):
     assert passed, f"criterion {num}: {summary}"
 
 
+@functools.cache
+def _suite_result(name: str):
+    [result] = run_suites([name], log=lambda *a, **k: None)
+    return result
+
+
 def _suite_criterion(num: int, suite: str, bound: float | None = None):
     """Criterion ``num``: suite ``suite`` passes, within ``bound`` seconds."""
     def test():
-        [result] = run_suites([suite], log=lambda *a, **k: None)
+        result = _suite_result(suite)
         timed = bound is None or result.seconds < bound
         limit = "" if bound is None else f" (< {bound:.0f}s)"
         _report(num, f"[{suite}] " + "; ".join(result.lines)
@@ -47,13 +56,8 @@ def test_criterion_09_learnability(tmp_path):
                     checkpoint_interval=500)
     result = train_run(cfg)
     acc_ok = result.final_acc >= 0.90
-    # Determinism of the run protocol (full-length reruns are covered by the
-    # bit-identical short-run check; the data/init/update path is shared).
-    det_cfg = cfg.with_overrides(steps=30)
-    r1 = train_run(det_cfg, tmp_path / "d1")
-    r2 = train_run(det_cfg, tmp_path / "d2")
-    det_ok = ((tmp_path / "d1" / "metrics.csv").read_bytes()
-              == (tmp_path / "d2" / "metrics.csv").read_bytes())
+    # Determinism of the run protocol is suite training's check (two
+    # same-seed runs, metrics bit-identical), which criterion 10 runs.
     rows = compare_scan_modes(cfg.with_overrides(steps=150),
                               out_dir=tmp_path / "cmp")
     print("\nscan-mode comparison (identical 150-step budget):")
@@ -64,13 +68,13 @@ def test_criterion_09_learnability(tmp_path):
               and all(np.isfinite(r["final_loss"]) for r in rows))
     drift_ok = result.total_drift > 0.0
     _report(9, f"1500-step desk accuracy {result.final_acc:.4f} (>= 0.90); "
-               f"deterministic {det_ok}; ablation rows complete {cmp_ok}; "
+               f"ablation rows complete {cmp_ok}; "
                f"fusion-weight drift {result.total_drift:.4f} (> 0)",
-            acc_ok and det_ok and cmp_ok and drift_ok)
+            acc_ok and cmp_ok and drift_ok)
 
 
 def test_criterion_10_checkpoint_and_verify():
-    results = run_suites(log=lambda *a, **k: None)
+    results = [_suite_result(name) for name in SUITES]
     elapsed = sum(r.seconds for r in results)
     failed = [r.name for r in results if not r.passed]
     _report(10, f"verify suites all pass {not failed}{failed or ''}; "

@@ -262,9 +262,10 @@ def test_scan_modes_run_and_preserve_shape(rng, mode, n):
 
 def test_merge_symmetry_under_scan_order_swap(rng):
     """Swapping the h/v stacking slots plus their fusion weights is a no-op
-    when segments are scanned independently by a time-invariant core."""
+    when segments are scanned independently: with resets, each segment's
+    output depends only on its own tokens."""
     c = 3
-    core = _core(c, seed=4, lti_mode=True, segment_reset=True)
+    core = _core(c, seed=4, segment_reset=True)
     bank = _bank(c, seed=6)
     bank.refine_h.data = 0.5 * rng.standard_normal(bank.refine_h.shape)
     bank.refine_v.data = 0.5 * rng.standard_normal(bank.refine_v.shape)

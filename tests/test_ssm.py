@@ -3,8 +3,8 @@ import pytest
 
 from conftest import grad_close, rel_err
 from mfil import reference, ssm
-from mfil.ssm import (LtiSsm, SsmCore, causal_conv, discretize_zoh,
-                      lti_kernel, scan_recurrent, selective_scan)
+from mfil.ssm import (SsmCore, discretize_zoh, lti_kernel, scan_recurrent,
+                      selective_scan)
 from mfil.tensor import Tape, Tensor, mul, tsum
 
 
@@ -76,26 +76,6 @@ def test_lti_kernel_memoryless():
     assert np.allclose(k, [1.4, 0.0, 0.0, 0.0])
 
 
-def test_lti_kernel_equals_recurrence_random(rng):
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        length = int(rng.integers(1, 65))
-        sys = LtiSsm(A=-np.exp(rng.standard_normal(n)),
-                     B=rng.standard_normal(n), C=rng.standard_normal(n),
-                     delta=float(np.exp(rng.uniform(np.log(1e-3), 0.0))))
-        x = rng.standard_normal(length)
-        worst = max(worst,
-                    rel_err(causal_conv(x, sys.kernel(length)), sys.scan(x)))
-    assert worst <= 1e-6
-
-
-def test_lti_delta_must_be_positive():
-    with pytest.raises(ValueError):
-        LtiSsm(A=np.array([-1.0]), B=np.array([1.0]), C=np.array([1.0]),
-               delta=-0.5)
-
-
 # ---------------------------------------------------------------------------
 # selective scan
 
@@ -138,7 +118,7 @@ def test_fast_path_matches_sequential_reference(rng, exact):
                      exact_input_discretization=exact)
         x = Tensor(rng.standard_normal((bsz, length, ch)))
         fast = selective_scan(x, core).data
-        ref = selective_scan(x, core, path="reference").data
+        ref = reference.selective_scan_reference(x.data, core)
         worst = max(worst, rel_err(fast, ref))
     assert worst <= 1e-5
 
@@ -147,7 +127,7 @@ def test_segment_reset_matches_reference(rng):
     core = _core(ch=3, nst=1, seed=7, segment_reset=True)
     x = Tensor(rng.standard_normal((2, 12, 3)))
     fast = selective_scan(x, core, n_segments=4).data
-    ref = selective_scan(x, core, path="reference", n_segments=4).data
+    ref = reference.selective_scan_reference(x.data, core, n_segments=4)
     assert rel_err(fast, ref) <= 1e-12
     # Resetting actually changes the result vs carrying state across.
     carried = selective_scan(
@@ -205,14 +185,9 @@ def test_stability_bound(rng):
         assert max_h <= bound * (1.0 + 1e-9)
 
 
-def test_linearity_holds_lti_fails_selective(rng):
-    lti = _core(ch=3, nst=2, seed=11, lti_mode=True)
+def test_selective_scan_is_nonlinear(rng):
     x1 = rng.standard_normal((1, 16, 3))
     x2 = rng.standard_normal((1, 16, 3))
-    lhs = selective_scan(Tensor(2.0 * x1 + 3.0 * x2), lti).data
-    rhs = (2.0 * selective_scan(Tensor(x1), lti).data
-           + 3.0 * selective_scan(Tensor(x2), lti).data)
-    assert rel_err(lhs, rhs) <= 1e-6
     sel = _core(ch=3, nst=2, seed=11)
     lhs = selective_scan(Tensor(2.0 * x1 + 3.0 * x2), sel).data
     rhs = (2.0 * selective_scan(Tensor(x1), sel).data
@@ -232,12 +207,11 @@ def test_exact_and_first_order_input_terms_agree_as_delta_vanishes(rng):
     assert rel_err(y_exact, y_first) <= 1e-6
 
 
-@pytest.mark.parametrize("mode", ["selective", "exact", "lti"])
+@pytest.mark.parametrize("mode", ["selective", "exact"])
 def test_selective_scan_parameter_gradients(mode):
     rng = np.random.default_rng(17)
     core = _core(ch=4, nst=2, seed=21,
-                 exact_input_discretization=(mode == "exact"),
-                 lti_mode=(mode == "lti"))
+                 exact_input_discretization=(mode == "exact"))
     x = Tensor(rng.standard_normal((2, 10, 4)), grad_enabled=True)
     readout = Tensor(rng.standard_normal((2, 10, 4)))
     params = list(core.parameters().values()) + [x]
@@ -263,7 +237,7 @@ def test_segment_reset_gradients_across_chunk_edges():
     x = Tensor(rng.standard_normal((1, 150, 3)), grad_enabled=True)
     readout = Tensor(rng.standard_normal((1, 150, 3)))
     fast = selective_scan(x, core, n_segments=3).data
-    ref = selective_scan(x, core, path="reference", n_segments=3).data
+    ref = reference.selective_scan_reference(x.data, core, n_segments=3)
     assert rel_err(fast, ref) <= 1e-12
     params = list(core.parameters().values()) + [x]
 
@@ -346,5 +320,12 @@ def test_selective_scan_shape_validation(rng):
         selective_scan(Tensor(np.zeros((4, 4))), core)
     with pytest.raises(ValueError, match="channel"):
         selective_scan(Tensor(np.zeros((1, 4, 3))), core)
-    with pytest.raises(ValueError, match="path"):
-        selective_scan(Tensor(np.zeros((1, 4, 4))), core, path="bogus")
+
+
+@pytest.mark.parametrize("length,n_segments", [(10, 3), (4, 0), (2, 3)])
+def test_selective_scan_rejects_unequal_segments(length, n_segments):
+    core = _core(ch=4, segment_reset=True)
+    with pytest.raises(ValueError, match=rf"n_segments {n_segments}\b.*"
+                                         rf"length {length}\b"):
+        selective_scan(Tensor(np.zeros((1, length, 4))), core,
+                       n_segments=n_segments)
