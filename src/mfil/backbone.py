@@ -15,7 +15,6 @@ Named variants: tiny/small at widths (94, 188, 376, 752) with depths
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -24,6 +23,7 @@ import numpy as np
 from .block import MfilBlock, block_param_count
 from .init import trunc_normal
 from .scan import SCAN_MODES, filter_bank_cost, num_scans
+from .ssm import dt_rank
 from .tensor import (Tensor, conv2d, layer_norm, linear, silu, tmean,
                      transpose)
 
@@ -364,15 +364,15 @@ def _block_flops(dim: int, hw: int, config: VariantConfig) -> float:
     ci = int(round(config.ssm_ratio * dim))
     r = int(round(config.ffn_ratio * dim))
     nst = config.d_state
-    dt_rank = max(math.ceil(ci / 16), 1)
+    rank = dt_rank(ci)
     length = num_scans(config.scan_mode) * hw
     f = 5.0 * hw * dim                 # norm1
     f += hw * (2 * ci) * dim           # in_proj
     f += hw * ci * 9                   # branch depthwise
     f += 5.0 * hw * ci                 # branch silu
     f += hw * filter_bank_cost(config.scan_mode, ci)[1]  # filter bank
-    f += length * (dt_rank + 2 * nst) * ci   # x_proj
-    f += length * ci * dt_rank               # dt_proj
+    f += length * (rank + 2 * nst) * ci      # x_proj
+    f += length * ci * rank                  # dt_proj
     f += 5.0 * length * ci                   # softplus(delta)
     f += 2.0 * length * ci * nst             # scan recurrence
     f += 5.0 * hw * ci                 # gate silu

@@ -19,14 +19,12 @@ at initialization.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .init import identity_depthwise_kernel, trunc_normal
 from .scan import (AdaptiveWeights, FilterBank, filter_bank_cost, mfil_ssm,
                    num_scans)
-from .ssm import SsmCore
+from .ssm import SsmCore, dt_rank
 from .tensor import (Tensor, add, depthwise_conv2d, gelu, layer_norm, linear,
                      mul, scale_per_sample, silu, slice_axis)
 
@@ -163,15 +161,15 @@ def block_param_count(dim: int, d_state: int = 1, ssm_ratio: float = 1.0,
     """
     ci = int(round(ssm_ratio * dim))
     r = int(round(ffn_ratio * dim))
-    dt_rank = max(math.ceil(ci / 16), 1)
+    rank = dt_rank(ci)
     n = 2 * dim                       # norm1
     n += 2 * ci * dim                 # in_proj, no bias
     n += 9 * ci                       # branch depthwise 3x3
     n += filter_bank_cost(scan_mode, ci)[0]  # filter bank
     n += ci * d_state                 # A_log
     n += ci                           # dt_bias
-    n += (dt_rank + 2 * d_state) * ci  # x_proj
-    n += ci * dt_rank                 # dt_proj
+    n += (rank + 2 * d_state) * ci    # x_proj
+    n += ci * rank                    # dt_proj
     n += ci                           # D_skip
     scans = num_scans(scan_mode)
     if adaptive_weighting and scans > 1:

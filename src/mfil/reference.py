@@ -95,12 +95,17 @@ def selective_scan_reference(x: np.ndarray, core,
 
     x: [B, L, C]. ``core`` is an SsmCore; its projection weights are read as
     plain arrays here, and its ``exact_input_discretization`` and
-    ``segment_reset`` flags select the input term and the state resets.
+    ``segment_reset`` flags select the input term and the state resets;
+    ``n_segments`` must divide L, as in ``selective_scan``.
     Per token: delta = softplus(dt_proj(x_proj_dt(x)) + dt_bias), B/C read
     from the projection, state updated with the discretized recurrence,
     output C.h + D*x.
     """
     b, l, c = x.shape
+    if n_segments < 1 or l % n_segments:
+        raise ValueError(
+            f"selective_scan: n_segments {n_segments} does not divide "
+            f"sequence length {l} into equal segments")
     n = core.d_state
     seg_len = l // n_segments
     a = -np.exp(core.A_log.data)  # [C, N]

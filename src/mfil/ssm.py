@@ -29,7 +29,7 @@ from .tensor import (Tensor, linear, neg, record_op, recording, slice_axis,
 
 __all__ = [
     "SsmCore", "discretize_zoh", "scan_recurrent", "lti_kernel",
-    "causal_conv", "ssm_scan", "selective_scan",
+    "causal_conv", "ssm_scan", "selective_scan", "dt_rank",
 ]
 
 # Below this threshold the input-term discretization switches to its
@@ -271,14 +271,20 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
 # ---------------------------------------------------------------------------
 # Selective core
 
+def dt_rank(d_model: int) -> int:
+    """Width of the low-rank step-size projection: ceil(d_model / 16), at
+    least 1."""
+    return max(math.ceil(d_model / 16), 1)
+
+
 class SsmCore:
     """Parameters of one selective scan: evolution diagonal, skip gain and
     the token projections that give delta, B and C.
 
     The evolution diagonal is stored log-parameterized, A = -exp(A_log), so
     it stays strictly negative and the discrete factor exp(delta*A) stays in
-    (0, 1) for any positive step. ``dt_rank`` = ceil(d_model / 16) is the
-    width of the low-rank step-size projection.
+    (0, 1) for any positive step. ``dt_rank`` is the width of the low-rank
+    step-size projection (``dt_rank(d_model)``).
     """
 
     def __init__(self, d_model: int, d_state: int = 1, *,
@@ -289,7 +295,7 @@ class SsmCore:
             rng = np.random.default_rng(0)
         self.d_model = d_model
         self.d_state = d_state
-        self.dt_rank = max(math.ceil(d_model / 16), 1)
+        self.dt_rank = dt_rank(d_model)
         self.exact_input_discretization = exact_input_discretization
         self.segment_reset = segment_reset
 

@@ -762,26 +762,26 @@ def _check_conv_pre(name, h, w, kh, kw, stride, padding, axes):
             f"{h + 2 * padding}x{w + 2 * padding} (axes {axes})")
 
 
-def _zero_pad(a: np.ndarray, padding: int, axes) -> np.ndarray:
-    """Zero-pad two spatial axes of a 4-D array; ``a`` itself at 0."""
-    if not padding:
+def _zero_pad(a: np.ndarray, shape, at) -> np.ndarray:
+    """``a`` written at index ``at`` of a zero array of ``shape``; ``a``
+    itself when ``shape`` is its own."""
+    if shape == a.shape:
         return a
-    shape = list(a.shape)
-    idx = [slice(None)] * 4
-    for ax in axes:
-        shape[ax] += 2 * padding
-        idx[ax] = slice(padding, padding + a.shape[ax])
     out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(idx)] = a
+    out[at] = a
     return out
 
 
-def _windows(xp, kh, kw, stride, oh, ow):
-    n, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    shape = (n, c, oh, ow, kh, kw)
-    strides = (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
+def _window(a: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
+    """Read-only strided view into the C-contiguous array ``a``.
+
+    ``strides`` and ``offset`` are in bytes; a negative stride walks its
+    axis backwards from ``offset``. Building the array on ``a``'s buffer
+    costs a fraction of ``as_strided``'s overhead, which shows on B=1 maps.
+    """
+    view = np.ndarray(shape, a.dtype, a, offset, strides)
+    view.flags.writeable = False
+    return view
 
 
 def _col2im(cols6, xshape, stride, padding):
@@ -817,8 +817,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
             f"channels (axis 1 = {kc})")
     _check_conv_pre("conv2d", h, w, kh, kw, stride, padding, "2, 3")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    xp = _zero_pad(x.data, padding, (2, 3))
-    win = _windows(xp, kh, kw, stride, oh, ow)
+    xp = _zero_pad(x.data, (n, c_in, h + 2 * padding, w + 2 * padding),
+                   np.s_[:, :, padding:padding + h, padding:padding + w])
+    s0, s1, s2, s3 = xp.strides
+    win = _window(xp, (n, c_in, oh, ow, kh, kw),
+                  (s0, s1, s2 * stride, s3 * stride, s2, s3))
     # [N, C, OH, OW, kh, kw] -> cols [N, C*kh*kw, OH*OW]
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
         n, c_in * kh * kw, oh * ow)
@@ -847,41 +850,38 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     return record_op("conv2d", inputs, out, bwd)
 
 
-# Target size of one block of output rows in ``_tap_sum``: small enough
-# that the block and its scratch product stay in cache across all taps.
-_TAP_BLOCK_BYTES = 256 * 1024
+# Bytes of one block of output pixels in ``_window_tap_sum``: whole
+# channel vectors, as many pixels as fit, that stay in cache across taps.
+_PIXEL_BLOCK_BYTES = 8 * 1024
 
 
-def _tap_sum(src, offsets, weights, stride, out):
-    """out[n, y, x] = sum_t weights[t] * src[n, s*y + di_t, s*x + dj_t].
+def _window_tap_sum(src, taps, oh, ow, stride=1, flip=False):
+    """Depthwise tap sum over the padded NHWC map ``src``, as one einsum.
 
-    ``src`` and ``out`` are NHWC, ``offsets`` lists (di, dj) per tap and
-    ``weights`` is [T, C]. Each output element is summed from zero in tap
-    order, block by block: a block is a run of whole images, or of rows of
-    one image, of about ``_TAP_BLOCK_BYTES``, and one scratch buffer holds
-    each tap's product.
+    out[n, y, x, c] = sum over taps (i, j) of taps[i, j, c] *
+    src[n, s*y + i, s*x + j, c], or src[n, y + kH-1-i, x + kW-1-j, c] when
+    ``flip`` (stride 1). Output rows are cut into blocks of P pixels, P
+    dividing OW; at stride 1 a block reads P*C contiguous values, so the
+    view is [N, OH, OW/P, kH, kW, P*C] against ``taps`` [kH, kW, C] tiled P
+    times. P is 1 at stride > 1.
     """
-    n, oh, ow, c = out.shape
-    row = ow * c * out.itemsize
-    if oh * row <= _TAP_BLOCK_BYTES:
-        step = max(1, _TAP_BLOCK_BYTES // (oh * row))
-        blocks = [(a, min(a + step, n), 0, oh) for a in range(0, n, step)]
+    n, _, _, c = src.shape
+    kh, kw, _ = taps.shape
+    p = max(1, min(ow, _PIXEL_BLOCK_BYTES // (c * src.itemsize)))
+    p = 1 if stride > 1 else p
+    while ow % p:
+        p -= 1
+    s0, s1, s2, s3 = src.strides
+    if flip:
+        offset, si, sj = (kh - 1) * s1 + (kw - 1) * s2, -s1, -s2
     else:
-        step = max(1, _TAP_BLOCK_BYTES // row)
-        blocks = [(a, a + 1, y, min(y + step, oh))
-                  for a in range(n) for y in range(0, oh, step)]
-    a, b, y0, y1 = blocks[0]
-    scratch = np.empty((b - a, y1 - y0, ow, c), dtype=out.dtype)
-    span = stride * (ow - 1) + 1
-    for a, b, y0, y1 in blocks:
-        acc = out[a:b, y0:y1]
-        prod = scratch[:b - a, :y1 - y0]
-        acc.fill(0)
-        for (di, dj), wt in zip(offsets, weights):
-            win = src[a:b, di + stride * y0:di + stride * (y1 - 1) + 1:stride,
-                      dj:dj + span:stride]
-            np.multiply(win, wt, out=prod)
-            acc += prod
+        offset, si, sj = 0, s1, s2
+    win = _window(src, (n, oh, ow // p, kh, kw, p * c),
+                  (s0, s1 * stride, s2 * stride * p, si, sj, s3), offset)
+    tiled = np.empty((kh, kw, p, c), dtype=taps.dtype)
+    tiled[...] = taps[:, :, None]
+    return np.einsum("nhbijq,ijq->nhbq", win,
+                     tiled.reshape(kh, kw, p * c)).reshape(n, oh, ow, c)
 
 
 def _dilate_pad(g, h, w, kh, kw, stride, padding):
@@ -916,12 +916,19 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     """Per-channel 2-D cross-correlation of a channel-last map.
 
     x: [N, H, W, C], kernel: [C, 1, kH, kW]; the output is [N, OH, OW, C]
-    with the sizes of ``conv2d``. Every output element is a sum over the
-    kernel taps in (i, j) order, from zero, computed as one multiply-add
-    per tap over contiguous rows of whole channel vectors (``_tap_sum``).
-    The input gradient is the same tap sum, gathered from the upstream
-    gradient placed on the padded grid; the kernel gradient is one channel
-    reduction per tap, and is skipped when the kernel is not grad-enabled.
+    with the sizes of ``conv2d``. The forward and the input gradient are
+    each one einsum over a window view of a padded map
+    (``_window_tap_sum``); the input gradient gathers from the upstream
+    gradient placed on the padded grid (``_dilate_pad``), with the tap
+    axes walked backwards. The kernel gradient is one einsum over the
+    [N, OH, OW, kH, kW, C] windows of the re-padded input, skipped when the
+    kernel is not grad-enabled.
+
+    einsum sums each output element from zero in the order of its reduced
+    axes as long as its innermost loop runs over a kept axis: the channel
+    axis, when C >= 2. So every element is the sum of a multiply-add loop
+    over the taps in (i, j) order, or over (n, y, x) for the kernel; a
+    1-channel map runs with a second, zero channel and keeps channel 0.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("depthwise_conv2d: input and kernel must be 4-D")
@@ -934,31 +941,32 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     _check_conv_pre("depthwise_conv2d", h, w, kh, kw, stride, padding,
                     "1, 2")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    xp = _zero_pad(x.data, padding, (1, 2))
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    weights = np.ascontiguousarray(
-        kernel.data[:, 0].reshape(c, kh * kw).T)  # [kh*kw, C], tap order
-    out = np.empty((n, oh, ow, c), dtype=x.data.dtype)
-    _tap_sum(xp, taps, weights, stride, out)
+    cc = max(c, 2)
+    taps = np.zeros((kh, kw, cc), dtype=x.data.dtype)
+    taps[:, :, :c] = kernel.data[:, 0].transpose(1, 2, 0)
+    padded = (n, h + 2 * padding, w + 2 * padding, cc)
+    inner = np.s_[:, padding:padding + h, padding:padding + w, :c]
+    xp = _zero_pad(x.data, padded, inner)
+    out = _window_tap_sum(xp, taps, oh, ow, stride)
     _tally(n * c * oh * ow * kh * kw)
     # Only the kernel gradient reads the input; it pads x again rather than
     # keep a padded copy alive until the sweep.
     x_saved = x.data if kernel.grad_enabled else None
 
     def bwd(g):
+        g = _zero_pad(g, (n, oh, ow, cc), np.s_[..., :c])
         gk = None
         if x_saved is not None:
-            xp = _zero_pad(x_saved, padding, (1, 2))
-            gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
-            for i, j in taps:
-                win = xp[:, i:i + stride * oh:stride,
-                         j:j + stride * ow:stride]
-                gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
-        gx = np.empty((n, h, w, c), dtype=g.dtype)
-        _tap_sum(_dilate_pad(g, h, w, kh, kw, stride, padding),
-                 [(kh - 1 - i, kw - 1 - j) for i, j in taps], weights, 1, gx)
-        return gx, gk
-    return record_op("depthwise_conv2d", (x, kernel), out, bwd)
+            xp = _zero_pad(x_saved, padded, inner)
+            s0, s1, s2, s3 = xp.strides
+            win = _window(xp, (n, oh, ow, kh, kw, cc),
+                          (s0, s1 * stride, s2 * stride, s1, s2, s3))
+            gk = np.einsum("nhwijc,nhwc->cij", win, g)[:c, None]
+        gx = _window_tap_sum(_dilate_pad(g, h, w, kh, kw, stride, padding),
+                             taps, h, w, flip=True)
+        return np.ascontiguousarray(gx[..., :c]), gk
+    return record_op("depthwise_conv2d", (x, kernel),
+                     np.ascontiguousarray(out[..., :c]), bwd)
 
 
 def pointwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:

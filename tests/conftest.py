@@ -29,3 +29,43 @@ def grad_close(analytic, numeric, rtol=1e-4, atol=1e-9):
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
     ok = (diff <= atol) | (diff <= rtol * denom)
     return bool(np.all(ok))
+
+
+# The depthwise convolution written tap by tap, in (i, j) order: the byte
+# references of ``tensor.depthwise_conv2d``. Maps are channel-last
+# [N, H, W, C], kernels [C, 1, kH, kW].
+
+def depthwise_tap_forward(xp, k, stride, oh, ow):
+    """Forward over the padded input ``xp``: one multiply-add per tap."""
+    n, _, _, c = xp.shape
+    out = np.zeros((n, oh, ow, c), dtype=xp.dtype)
+    for i in range(k.shape[2]):
+        for j in range(k.shape[3]):
+            out += k[:, 0, i, j] * xp[:, i:i + stride * oh:stride,
+                                      j:j + stride * ow:stride]
+    return out
+
+
+def depthwise_tap_input_grad(g, k, stride, padding, h, w):
+    """Input gradient as a scatter of the upstream gradient, tap by tap."""
+    n, oh, ow, c = g.shape
+    gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=g.dtype)
+    for i in range(k.shape[2]):
+        for j in range(k.shape[3]):
+            gxp[:, i:i + stride * oh:stride,
+                j:j + stride * ow:stride] += k[:, 0, i, j] * g
+    return np.ascontiguousarray(gxp[:, padding:padding + h,
+                                    padding:padding + w])
+
+
+def depthwise_tap_kernel_grad(x, g, kh, kw, stride, padding):
+    """Kernel gradient as one channel reduction per tap over the padded
+    input."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    _, oh, ow, c = g.shape
+    gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
+    return gk

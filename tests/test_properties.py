@@ -5,7 +5,8 @@ Hypothesis draws the batch, channels and grid (1x1 included), kernels of
 the forward against the loop oracle of ``mfil.reference`` and the input
 and kernel gradients against ``reference.central_difference``, taken on an
 f64 copy of the same loss. The channel-last depthwise forward and input
-gradient must also equal, bit for bit, the tap-ordered loops written here.
+gradient must also equal, bit for bit, the tap-ordered loops of
+``conftest``, and so must its kernel gradient at two or more channels.
 
 The activations are checked the same way: the f32 fast forms of
 ``softplus`` and ``gelu`` against the f64 reference over the whole f32
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
+                      depthwise_tap_kernel_grad)
 from mfil import reference
 from mfil.tensor import (NonFiniteError, Tape, Tensor, _sigmoid_np, conv2d,
                          depthwise_conv2d, gelu, mul, silu, softplus, tsum)
@@ -83,28 +86,6 @@ def _check_gradients(op, arrays, readout, dtype, rng):
                 f"operand {a.shape}[{i}]: {g[i]} vs {numeric}"
 
 
-def _tap_loop_forward(xp, k, stride, oh, ow):
-    """The depthwise forward as a plain loop over taps in (i, j) order."""
-    n, _, _, c = xp.shape
-    out = np.zeros((n, oh, ow, c), dtype=xp.dtype)
-    for i in range(k.shape[2]):
-        for j in range(k.shape[3]):
-            out += k[:, 0, i, j] * xp[:, i:i + stride * oh:stride,
-                                      j:j + stride * ow:stride]
-    return out
-
-
-def _tap_loop_input_grad(g, k, stride, padding, h, w):
-    """The depthwise input gradient as a scatter over taps in (i, j) order."""
-    n, oh, ow, c = g.shape
-    gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=g.dtype)
-    for i in range(k.shape[2]):
-        for j in range(k.shape[3]):
-            gxp[:, i:i + stride * oh:stride,
-                j:j + stride * ow:stride] += k[:, 0, i, j] * g
-    return gxp[:, padding:padding + h, padding:padding + w]
-
-
 @PROPERTY
 @given(conv_cases())
 def test_depthwise_conv2d_properties(case):
@@ -116,7 +97,8 @@ def test_depthwise_conv2d_properties(case):
     k = rng.standard_normal((c, 1, kh, kw)).astype(NP[dt])
     xt = Tensor(_nhwc(x), dtype=dt, grad_enabled=True)
     with Tape():
-        out = depthwise_conv2d(xt, Tensor(k, dtype=dt), s, p)
+        out = depthwise_conv2d(xt, Tensor(k, dtype=dt, grad_enabled=True),
+                               s, p)
     want = reference.depthwise_conv2d_reference(
         x.astype(np.float64), k.astype(np.float64), s, p)
     scale = max(float(np.max(np.abs(want))), 1e-300)
@@ -126,12 +108,17 @@ def test_depthwise_conv2d_properties(case):
     oh, ow = out.shape[1], out.shape[2]
     xp = np.pad(xt.data, ((0, 0), (p, p), (p, p), (0, 0)))
     assert out.data.tobytes() == \
-        _tap_loop_forward(xp, k, s, oh, ow).tobytes()
+        depthwise_tap_forward(xp, k, s, oh, ow).tobytes()
     g = rng.standard_normal(out.shape).astype(NP[dt])
     g[g < -1.5] = -0.0  # signed zeros must come out as the loop's
-    gx, _ = out.node.backward(g)
-    assert gx.tobytes() == np.ascontiguousarray(
-        _tap_loop_input_grad(g, k, s, p, h, w)).tobytes()
+    gx, gk = out.node.backward(g)
+    assert gx.tobytes() == \
+        depthwise_tap_input_grad(g, k, s, p, h, w).tobytes()
+    if c >= 2:
+        # At C = 1 the per-tap einsum below reduces over the grid with
+        # einsum's unrolled sum, not in (n, y, x) order.
+        assert gk.tobytes() == \
+            depthwise_tap_kernel_grad(xt.data, g, kh, kw, s, p).tobytes()
 
     readout = rng.standard_normal(out.shape)
     _check_gradients(lambda a, b: depthwise_conv2d(a, b, s, p),

@@ -329,3 +329,16 @@ def test_selective_scan_rejects_unequal_segments(length, n_segments):
                                          rf"length {length}\b"):
         selective_scan(Tensor(np.zeros((1, length, 4))), core,
                        n_segments=n_segments)
+
+
+@pytest.mark.parametrize("length,n_segments", [(10, 3), (4, 0), (2, 3)])
+def test_selective_scan_reference_rejects_unequal_segments(length,
+                                                           n_segments):
+    # The oracle refuses what the fused scan refuses, with the same
+    # message: L=10 in 3 segments would reset at token 9, and 0 segments
+    # would divide by zero.
+    core = _core(ch=4, segment_reset=True)
+    with pytest.raises(ValueError, match=rf"n_segments {n_segments}\b.*"
+                                         rf"length {length}\b"):
+        reference.selective_scan_reference(np.zeros((1, length, 4)), core,
+                                           n_segments=n_segments)

@@ -3,7 +3,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import grad_close, rel_err
+from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
+                      depthwise_tap_kernel_grad, grad_close, rel_err)
 from mfil import reference
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          backward, concat, conv2d, depthwise_conv2d, exp,
@@ -101,6 +102,43 @@ def test_depthwise_matches_loop_oracle(rng):
     got = depthwise_conv2d(Tensor(_nhwc(x)), Tensor(k), padding=1).data
     want = reference.depthwise_conv2d_reference(x, k, padding=1)
     assert rel_err(got.transpose(0, 3, 1, 2), want) <= 1e-6
+
+
+# The depthwise maps the model runs (3x3, stride 1, padding 1): desk's
+# stages at its f32 training batch and at the gradcheck's f64 batches, and
+# tiny's largest grids and widest map at 224x224.
+_DESK_MAPS = [(8, 8), (8, 32), (4, 16), (4, 64), (2, 32), (2, 128), (1, 64),
+              (1, 256)]
+_MODEL_MAPS = ([("f32", (32, s, s, c)) for s, c in _DESK_MAPS]
+               + [("f64", (b, s, s, c)) for b in (1, 8) for s, c in _DESK_MAPS]
+               + [("f32", (1, 56, 56, 94)), ("f32", (1, 56, 56, 376)),
+                  ("f32", (1, 7, 7, 3008))])
+
+
+@pytest.mark.parametrize("dtype,shape", _MODEL_MAPS,
+                         ids=[f"{d}-{'x'.join(map(str, s))}"
+                              for d, s in _MODEL_MAPS])
+def test_depthwise_bytes_at_model_shapes(dtype, shape):
+    # Forward, input gradient and kernel gradient equal the tap loops byte
+    # for byte at the shapes training and gradcheck run; the property test
+    # draws only grids up to 6x6 and up to 4 channels.
+    rng = np.random.default_rng(sum(shape))
+    n, h, w, c = shape
+    x = Tensor(rng.standard_normal(shape), dtype=dtype, grad_enabled=True)
+    k = Tensor(rng.standard_normal((c, 1, 3, 3)), dtype=dtype,
+               grad_enabled=True)
+    with Tape():
+        out = depthwise_conv2d(x, k, padding=1)
+    g = rng.standard_normal(shape).astype(out.data.dtype)
+    g[g < -1.5] = -0.0
+    gx, gk = out.node.backward(g)
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    assert out.data.tobytes() == \
+        depthwise_tap_forward(xp, k.data, 1, h, w).tobytes()
+    assert gx.tobytes() == \
+        depthwise_tap_input_grad(g, k.data, 1, 1, h, w).tobytes()
+    assert gk.tobytes() == \
+        depthwise_tap_kernel_grad(x.data, g, 3, 3, 1, 1).tobytes()
 
 
 def test_constant_kernel_gets_no_gradient(rng):
@@ -459,19 +497,6 @@ def test_layer_norm_recomputed_xhat_equals_saved_bytes(rng, dtype):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _depthwise_kernel_grad_saved_xp(x, g, kh, kw, stride, padding):
-    """The depthwise kernel gradient read from a padded input saved by the
-    forward: one channel reduction per tap."""
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    _, oh, ow, c = g.shape
-    gk = np.empty((c, 1, kh, kw), dtype=g.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            win = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-            gk[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, win)
-    return gk
-
-
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_depthwise_kernel_grad_from_repadded_input_equals_saved_bytes(
@@ -484,7 +509,7 @@ def test_depthwise_kernel_grad_from_repadded_input_equals_saved_bytes(
         out = depthwise_conv2d(x, k, stride, padding)
     g = rng.standard_normal(out.shape).astype(out.data.dtype)
     _, gk = out.node.backward(g)
-    want = _depthwise_kernel_grad_saved_xp(x.data, g, 3, 3, stride, padding)
+    want = depthwise_tap_kernel_grad(x.data, g, 3, 3, stride, padding)
     assert gk.dtype == want.dtype and gk.tobytes() == want.tobytes()
 
 
