@@ -13,7 +13,8 @@ from .backbone import (Backbone, VariantConfig, base, build,
 from .block import MfilBlock, block_param_count, conv_ffn
 from .config import ConfigError, RunConfig
 from .scan import (AdaptiveWeights, FilterBank, adaptive_merge, dynamic_map,
-                   mfil_ssm, orthogonal_maps, stack_scans, unstack_scans)
+                   merge_views, mfil_ssm, orthogonal_maps, stack_scans,
+                   unstack_scans)
 from .ssm import (SsmCore, causal_conv, discretize_zoh, lti_kernel,
                   scan_recurrent, selective_scan)
 from .tensor import NonFiniteError, ShapeError, Tape, Tensor

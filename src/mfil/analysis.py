@@ -225,7 +225,9 @@ def gradcheck_suite(config: VariantConfig, seed: int) -> GradcheckReport:
     group's losses start from its segment's input, cached once after the
     taped pass. The segment runs once per stencil point of every checked
     element, and the rest of the network runs once on the stacked outputs
-    (``stacked_stencil_losses``). Only the stem groups run the whole
+    (``stacked_stencil_losses``). A block is two segments, so its
+    ``norm2``/``ffn`` groups rerun only the FFN half, from the cached
+    output of the mixer half. Only the stem groups run the whole
     ``model.forward``, once per stencil point. Batching changes only the
     row count some BLAS calls see, so a loss can differ from its B=1 value
     in the last bits.

@@ -7,7 +7,8 @@ the head is layer norm, global average pooling, and a linear classifier.
 Images and the convolutions of the stem and downsamples are NCHW; every
 map between them is channel-last, [B, H, W, C]. ``Backbone`` holds the
 network as one ordered list of ``Segment``s, each owning the parameters
-under its name prefix.
+under its name prefix; a block is two segments of one name, its mixer half
+and its FFN half.
 Named variants: tiny/small at widths (94, 188, 376, 752) with depths
 (1, 3, 8, 2) and (2, 2, 18, 2); base at (128, 256, 512, 1024) with depths
 (2, 2, 18, 2); desk is a scaled-down instance for tests and training demos.
@@ -65,7 +66,12 @@ class VariantConfig:
         if self.scan_mode not in SCAN_MODES:
             raise ValueError(f"unknown scan_mode {self.scan_mode!r}")
         if self.d_state < 1 or self.ssm_ratio <= 0:
-            raise ValueError("d_state must be >= 1 and ssm_ratio positive")
+            raise ValueError(
+                f"d_state must be >= 1 and ssm_ratio positive, got "
+                f"d_state {self.d_state} and ssm_ratio {self.ssm_ratio}")
+        if not 0.0 <= self.drop_path < 1.0:
+            raise ValueError(
+                f"drop_path must be in [0, 1), got {self.drop_path}")
 
     def with_overrides(self, **kw) -> "VariantConfig":
         return replace(self, **kw)
@@ -152,9 +158,11 @@ def _patch_merge(name: str, c_in: int, c_out: int, k: int, rng, dtype: str,
 class Backbone:
     """Instantiated network; parameters are deterministic in the seed.
 
-    The network is one ordered list of segments: the stem, each block and
-    downsample in stage order, the head norm and the classifier. The
-    forward passes and the parameter registry all walk that list.
+    The network is one ordered list of segments: the stem, each block's
+    mixer half and FFN half and each downsample in stage order, the head
+    norm and the classifier. The forward passes and the parameter registry
+    all walk that list, so a parameter feeds only its own segment and the
+    ones after it.
     """
 
     def __init__(self, config: VariantConfig, seed: int = 0,
@@ -181,12 +189,14 @@ class Backbone:
                                 drop_path=config.drop_path, rng=rng,
                                 dtype=dtype)
                 blocks.append(blk)
-                # MfilBlock.forward is looked up per call, not bound here,
-                # so a wrapper set on the class after build still applies.
+                # Two segments per block under one name; the halves are
+                # bound here, so a wrapper set on MfilBlock after build
+                # does not apply to them.
+                name = f"stages.{s}.blocks.{i}"
                 self.segments.append(Segment(
-                    f"stages.{s}.blocks.{i}", blk.parameters(),
-                    lambda x, train, rng, blk=blk: blk.forward(
-                        x, train=train, rng=rng),
+                    name, blk.mixer_parameters(), blk.mixer_forward))
+                self.segments.append(Segment(
+                    name, blk.ffn_parameters(), blk.ffn_forward,
                     feature=i == config.depths[s] - 1))
             self.stages.append(blocks)
             if s < 3:

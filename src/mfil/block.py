@@ -15,6 +15,10 @@ The norm after the FFN sits inside the residual on purpose. The projection
 back to C and the FFN's second linear are drawn like the other linears,
 from a truncated normal with std 0.02, so a block is not the identity map
 at initialization.
+
+The block runs as two halves: ``mixer_forward`` (x -> y') and
+``ffn_forward`` (y' -> y), each owning the parameters it reads. The
+backbone holds each half as its own segment.
 """
 
 from __future__ import annotations
@@ -108,7 +112,8 @@ class MfilBlock:
                                  grad_enabled=True)
         self.ffn = _ConvFfn(dim, int(round(ffn_ratio * dim)), rng, dtype)
 
-    def parameters(self) -> dict[str, Tensor]:
+    def mixer_parameters(self) -> dict[str, Tensor]:
+        """Parameters of the mixer half, norm1 through out_proj."""
         out = {
             "norm1.gamma": self.norm1_gamma, "norm1.beta": self.norm1_beta,
             "in_proj.weight": self.in_proj,
@@ -121,15 +126,21 @@ class MfilBlock:
         if self.weights is not None:
             out["weights.w"] = self.weights.w
         out["out_proj.weight"] = self.out_proj
-        out["norm2.gamma"] = self.norm2_gamma
-        out["norm2.beta"] = self.norm2_beta
+        return out
+
+    def ffn_parameters(self) -> dict[str, Tensor]:
+        """Parameters of the FFN half: norm2 and the ConvFFN."""
+        out = {"norm2.gamma": self.norm2_gamma, "norm2.beta": self.norm2_beta}
         for k, v in self.ffn.parameters().items():
             out[f"ffn.{k}"] = v
         return out
 
-    def forward(self, x: Tensor, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """[B, H, W, C] -> [B, H, W, C]."""
+    def parameters(self) -> dict[str, Tensor]:
+        return {**self.mixer_parameters(), **self.ffn_parameters()}
+
+    def mixer_forward(self, x: Tensor, train: bool = False,
+                      rng: np.random.Generator | None = None) -> Tensor:
+        """Mixer half, x -> y' = x + drop_path(out_proj(...)); [B, H, W, C]."""
         ci = self.d_inner
         xn = layer_norm(x, self.norm1_gamma, self.norm1_beta)
         u = linear(xn, self.in_proj)
@@ -141,11 +152,22 @@ class MfilBlock:
                           scan_mode=self.scan_mode)
         gated = mul(z_scan, silu(u2))
         delta1 = linear(gated, self.out_proj)
-        y1 = add(x, _drop_path(delta1, self.drop_path, train, rng))
+        return add(x, _drop_path(delta1, self.drop_path, train, rng))
 
-        ffn_out = conv_ffn(y1, self.ffn)
-        normed = layer_norm(ffn_out, self.norm2_gamma, self.norm2_beta)
+    def ffn_forward(self, y1: Tensor, train: bool = False,
+                    rng: np.random.Generator | None = None) -> Tensor:
+        """FFN half, y' -> y' + drop_path(LN(ConvFFN(y'))); [B, H, W, C]."""
+        normed = layer_norm(conv_ffn(y1, self.ffn), self.norm2_gamma,
+                            self.norm2_beta)
         return add(y1, _drop_path(normed, self.drop_path, train, rng))
+
+    def forward(self, x: Tensor, train: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        """[B, H, W, C] -> [B, H, W, C]: the mixer half, then the FFN half.
+
+        Each half draws its drop-path mask from ``rng`` in that order.
+        """
+        return self.ffn_forward(self.mixer_forward(x, train, rng), train, rng)
 
     __call__ = forward
 

@@ -56,7 +56,8 @@ class RunConfig:
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1")
+            raise ConfigError(
+                f"batch_size must be >= 1, got {self.batch_size}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}, expected one of "
@@ -70,6 +71,10 @@ class RunConfig:
                 f"image_size must be divisible by 32, got {self.image_size}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
+        try:
+            self.model_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
     def model_config(self) -> VariantConfig:

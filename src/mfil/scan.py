@@ -4,12 +4,16 @@ Instead of traversing the same feature map in several directions, the input
 is expanded into parallel views: the map itself, two Sobel-filtered gradient
 maps refined by learnable depthwise convolutions, and a learnable
 depthwise-separable dynamic map. The views are flattened into one token
-sequence, scanned by a single selective SSM, split back into per-view maps,
-and fused as a softmax-weighted convex combination.
+sequence, scanned by a single selective SSM, and fused as a
+softmax-weighted convex combination of the per-view outputs.
 
 Maps are channel-last, [B, H, W, C], so a map is its own row-major token
-sequence: flattening, stacking and splitting views are reshapes and one
-concat or slice along H, with no layout copy.
+sequence: flattening and stacking views are a reshape and one concat along
+H, with no layout copy. The fusion is one node, ``merge_views``, which
+reads the stacked scan output in place. ``unstack_scans`` followed by
+``adaptive_merge`` is the same arithmetic as separate slices, products and
+sums; it is the reference the tests and suite merge check, not the path
+``mfil_ssm`` runs.
 
 Each scan mode is one entry of ``SCAN_VIEWS``: the (map, token order) rows
 it stacks, in stream order. Maps are ``input``, ``sobel_h``, ``sobel_v`` and
@@ -26,13 +30,14 @@ import numpy as np
 from .init import identity_depthwise_kernel, trunc_normal
 from .ssm import SsmCore, selective_scan
 from .tensor import (Tensor, add, concat, depthwise_conv2d, mul,
-                     pointwise_conv2d, reshape, slice_axis, softmax, take)
+                     pointwise_conv2d, record_op, reshape, slice_axis,
+                     softmax, take)
 
 __all__ = [
     "SOBEL_X", "SOBEL_Y", "FilterBank", "AdaptiveWeights",
     "orthogonal_maps", "dynamic_map", "stack_scans", "unstack_scans",
-    "adaptive_merge", "mfil_ssm", "SCAN_VIEWS", "SCAN_MODES", "num_scans",
-    "filter_bank_cost", "cross_scan_permutations",
+    "adaptive_merge", "merge_views", "mfil_ssm", "SCAN_VIEWS", "SCAN_MODES",
+    "num_scans", "filter_bank_cost", "cross_scan_permutations",
 ]
 
 # Canonical Sobel pair in the cross-correlation convention. SOBEL_X responds
@@ -234,6 +239,57 @@ def adaptive_merge(maps, weights: AdaptiveWeights | None) -> Tensor:
     return out
 
 
+def merge_views(tokens: Tensor, alphas: Tensor | None, h: int,
+                w: int) -> Tensor:
+    """Fuse the n >= 2 views of a [B, n*H*W, C] scan output; [B, H, W, C].
+
+    One node for ``adaptive_merge(unstack_scans(tokens, h, w, n), ...)``,
+    given the softmax ``alphas`` of the weights, or None for the uniform
+    mean. The products and sums run in the same order, so the output and
+    both gradients have the bytes of that reference graph. The backward
+    writes every view's gradient into one [B, n*H*W, C] buffer. The
+    reference added one zero-filled array per view, which turns each -0.0
+    into +0.0, and so does the ``+= 0.0`` here.
+    """
+    b, length, c = tokens.shape
+    n = length // (h * w)
+    if n < 2 or length != n * h * w:
+        raise ValueError(
+            f"merge_views: sequence length {length} is not n*{h * w} "
+            "with n >= 2")
+    if alphas is not None and alphas.shape != (n,):
+        raise ValueError(
+            f"merge_views: alphas shape {alphas.shape} for {n} views")
+    views = tokens.data.reshape(b, n, h, w, c)
+    if alphas is None:
+        coefs = [np.asarray(1.0 / n, dtype=views.dtype)] * n
+        out = views[:, 0] + views[:, 1]
+        for i in range(2, n):
+            out += views[:, i]
+        out *= coefs[0]
+    else:
+        coefs = list(alphas.data)
+        out = views[:, 0] * coefs[0]
+        term = np.empty_like(out)
+        for i in range(1, n):
+            np.multiply(views[:, i], coefs[i], out=term)
+            out += term
+
+    def bwd(g):
+        gv = np.empty_like(views)
+        for i in range(n):
+            np.multiply(g, coefs[i], out=gv[:, i])
+        gv += 0.0
+        gtokens = gv.reshape(b, length, c)
+        if alphas is None:
+            return (gtokens,)
+        # np.sum starts from +0.0, so it never returns -0.0.
+        return gtokens, np.array([np.sum(g * views[:, i]) for i in range(n)],
+                                 dtype=g.dtype)
+    inputs = (tokens,) if alphas is None else (tokens, alphas)
+    return record_op("merge_views", inputs, out, bwd)
+
+
 def cross_scan_permutations(h: int, w: int) -> list[np.ndarray]:
     """Token orderings of the four-directional cross scan.
 
@@ -273,8 +329,9 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
     the views, one (map, token order) row per stream. The path is the same
     for every mode: build the maps the rows name, stack them, reorder the
     tokens of rows that are not row-major, scan with one segment per row,
-    restore the order, unstack, and fuse (a single view is returned as
-    is). ``bank`` may be None when the rows read only the input.
+    restore the order, and fuse with ``merge_views`` (a single view is
+    only reshaped). ``bank`` may be None when the rows read only the
+    input.
     """
     if scan_mode not in SCAN_VIEWS:
         raise ValueError(f"unknown scan_mode {scan_mode!r}")
@@ -294,5 +351,7 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
     out = selective_scan(seq, core, n_segments=len(rows))
     if order is not None:
         out = take(out, _invert_permutation(order), axis=1)
-    views = unstack_scans(out, h, w, n=len(rows))
-    return views[0] if len(rows) == 1 else adaptive_merge(views, weights)
+    if len(rows) == 1:
+        return reshape(out, (out.shape[0], h, w, out.shape[2]))
+    return merge_views(out, None if weights is None else weights.alphas(),
+                       h, w)

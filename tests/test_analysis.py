@@ -219,6 +219,7 @@ STACKED_LOSS_ATOL = 2e-15
 @pytest.mark.parametrize("scan_mode", SCAN_MODES)
 @pytest.mark.parametrize("segment,group", [
     ("stages.1.blocks.0", "core.x_proj_weight"),
+    ("stages.1.blocks.0", "ffn.fc2.bias"),
     ("downsample.1", "conv.weight"),
     ("head.norm", "gamma"),
     ("head.fc", "weight"),
@@ -226,7 +227,9 @@ STACKED_LOSS_ATOL = 2e-15
 def test_stacked_stencil_losses_match_batch_one_losses(scan_mode, segment,
                                                        group):
     model, inputs, readout = _stencil_setup(scan_mode)
-    k = [seg.name for seg in model.segments].index(segment)
+    # A block's two halves share its name; take the one owning the group.
+    k = next(k for k, seg in enumerate(model.segments)
+             if seg.name == segment and group in seg.params)
     flat = model.segments[k].params[group].data.reshape(-1)
     elements = [0, flat.size // 2, flat.size - 1]
     stacked = stacked_stencil_losses(model, k, inputs[k], flat, elements,

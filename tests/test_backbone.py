@@ -36,6 +36,9 @@ def test_config_validation():
         bb.VariantConfig((8, 16, 32, 64), (1, 0, 1, 1))
     with pytest.raises(ValueError, match="scan_mode"):
         bb.VariantConfig((8, 16, 32, 64), (1, 1, 1, 1), scan_mode="spiral")
+    for rate in (-0.5, 1.0, 1.5):
+        with pytest.raises(ValueError, match="drop_path"):
+            bb.desk(drop_path=rate)
 
 
 def test_desk_spatial_traces(rng):
@@ -135,6 +138,30 @@ def test_cached_segment_inputs_reproduce_forward(rng, mode):
                     cached[j].data.tobytes(), (name, j)
             changed += want != base
     assert changed > len(model.parameters()) // 2  # perturbations are live
+
+
+def test_train_forward_equals_chained_block_forwards(rng):
+    """With drop path on, ``forward`` over the split segments equals the
+    stem, each whole ``MfilBlock.forward`` and the downsamples and head
+    chained by hand: the two halves draw their masks in the block's order."""
+    model = bb.build(bb.desk(drop_path=0.1), seed=6)
+    x = _input(rng, 32, batch=8)
+    got_rng = np.random.default_rng(11)
+    got = model.forward(x, train=True, rng=got_rng).data
+
+    want_rng = np.random.default_rng(11)
+    by_name = {seg.name: seg for seg in model.segments}
+    y = by_name["stem"].run(x, True, want_rng)
+    for s, blocks in enumerate(model.stages):
+        for blk in blocks:
+            y = blk.forward(y, train=True, rng=want_rng)
+        if s < 3:
+            y = by_name[f"downsample.{s}"].run(y, True, want_rng)
+    for name in ("head.norm", "head.fc"):
+        y = by_name[name].run(y, True, want_rng)
+    assert got.tobytes() == y.data.tobytes()
+    assert got_rng.random() == want_rng.random()
+    assert got.tobytes() != model.forward(x).data.tobytes()  # masks drawn
 
 
 def test_logits_finite_on_bounded_inputs(rng):
@@ -249,9 +276,9 @@ def test_layout_flip_budget(rng):
     records at most 8 transposes in every scan mode (1 after the stem, 2
     around each of the 3 downsamples, 1 before the pool), and stays within
     each mode's node budget: a single view is stacked and unstacked by
-    reshapes alone."""
-    node_budget = {"multi_filter": 289, "single_flatten": 154,
-                   "cross_4dir": 269, "original_plus_one_filter": 219}
+    reshapes alone, and n views merge in one node."""
+    node_budget = {"multi_filter": 194, "single_flatten": 154,
+                   "cross_4dir": 174, "original_plus_one_filter": 174}
     for mode in SCAN_MODES:
         model = bb.build(bb.desk(scan_mode=mode), seed=0)
         with Tape() as tape:

@@ -64,6 +64,27 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,lines,message", [
+    (["--d-state", "0"], "", "d_state must be >= 1"),
+    (["--ssm-ratio", "0"], "", "ssm_ratio positive"),
+    ([], "drop_path = 1.0\n", "drop_path must be in [0, 1), got 1.0"),
+    ([], "drop_path = -0.5\n", "drop_path must be in [0, 1), got -0.5"),
+    ([], "drop_path = 1.5\n", "drop_path must be in [0, 1), got 1.5"),
+    ([], "batch_size = 0\n", "batch_size must be >= 1, got 0"),
+], ids=["d_state_0", "ssm_ratio_0", "drop_path_1", "drop_path_-0.5",
+        "drop_path_1.5", "batch_size_0"])
+def test_train_rejects_bad_model_values_as_config_errors(
+        monkeypatch, tmp_path, capsys, flags, lines, message):
+    """Values the model config rejects exit 2 with a config error before
+    any training: no traceback, no exit 3 from a non-finite loss."""
+    monkeypatch.setattr(cli, "train_run", lambda cfg: pytest.fail("ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    assert main(["train", "--config", str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_eval_shape_mismatch_reports_diff(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["train", "--steps", "2", "--seed", "0", "--out", str(out)])

@@ -5,8 +5,8 @@ from conftest import grad_close, rel_err
 from mfil import reference
 from mfil.scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, FilterBank,
                        adaptive_merge, cross_scan_permutations, dynamic_map,
-                       mfil_ssm, num_scans, orthogonal_maps, stack_scans,
-                       unstack_scans)
+                       merge_views, mfil_ssm, num_scans, orthogonal_maps,
+                       stack_scans, unstack_scans)
 from mfil.ssm import SsmCore, selective_scan
 from mfil.tensor import Tape, Tensor, depthwise_conv2d, mul, tsum
 
@@ -215,6 +215,68 @@ def test_merge_uniform_average_without_weights(rng):
     maps = [Tensor(rng.standard_normal((1, 2, 3, 3))) for _ in range(4)]
     fused = adaptive_merge(maps, None).data
     assert rel_err(fused, np.mean([m.data for m in maps], axis=0)) <= 1e-12
+
+
+class _FixedAlphas:
+    """Weights whose ``alphas()`` is a leaf, so its gradient is kept."""
+
+    def __init__(self, alphas):
+        self.leaf = alphas
+
+    def alphas(self):
+        return self.leaf
+
+
+def _merge_and_grads(merge, tokens, alphas, upstream):
+    leaves = [tokens] if alphas is None else [tokens, alphas]
+    with Tape() as tape:
+        out = merge(tokens, alphas)
+        grads = tape.gradients(tsum(mul(out, Tensor(upstream))), leaves)
+    return [out.data.tobytes()] + [grads[t].data.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("upstream", ["signed", "negative_zero"])
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_merge_views_bytes_equal_unstack_then_adaptive_merge(
+        rng, dtype, bsz, n, weighted, upstream):
+    """The fused node against its reference graph, by ``tobytes``: output,
+    token gradient and alpha gradient. A -0.0 in the upstream gradient
+    must come back as the +0.0 the reference's zero-filled slices give."""
+    h, w, c = 5, 7, 13
+    tokens = Tensor(rng.standard_normal((bsz, n * h * w, c)), dtype=dtype,
+                    grad_enabled=True)
+    alphas = None
+    if weighted:
+        alphas = Tensor(rng.dirichlet(np.ones(n)), dtype=dtype,
+                        grad_enabled=True)
+    if upstream == "signed":
+        g = rng.standard_normal((bsz, h, w, c)).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+    else:  # every product of g with a token or an alpha is -0.0
+        tokens.data = np.abs(tokens.data)
+        g = np.full((bsz, h, w, c), -0.0, dtype=dtype)
+
+    def reference_merge(t, a):
+        views = unstack_scans(t, h, w, n=n)
+        return adaptive_merge(views, None if a is None else _FixedAlphas(a))
+
+    want = _merge_and_grads(reference_merge, tokens, alphas, g)
+    got = _merge_and_grads(lambda t, a: merge_views(t, a, h, w), tokens,
+                           alphas, g)
+    assert got == want
+
+
+def test_merge_views_rejects_bad_shapes(rng):
+    tokens = Tensor(rng.standard_normal((1, 4 * 6, 2)))
+    with pytest.raises(ValueError, match="sequence length"):
+        merge_views(tokens, None, 2, 5)
+    with pytest.raises(ValueError, match="sequence length"):
+        merge_views(tokens, None, 4, 6)
+    with pytest.raises(ValueError, match="alphas shape"):
+        merge_views(tokens, Tensor(np.full(3, 1 / 3)), 2, 3)
 
 
 # ---------------------------------------------------------------------------
