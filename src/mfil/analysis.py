@@ -64,15 +64,14 @@ class ErfMap:
 
 def _erf_single(model, input_size: int, stage: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    dtype = getattr(model, "dtype", "f32")
     x = Tensor(rng.standard_normal((1, 3, input_size, input_size)),
-               dtype=dtype, grad_enabled=True)
+               dtype=model.dtype, grad_enabled=True)
     with Tape() as tape:
         feats = model.forward_features(x)
         fmap = feats[stage]
-        _, _, h, w = fmap.shape
-        center = slice_axis(slice_axis(fmap, 2, h // 2, h // 2 + 1),
-                            3, w // 2, w // 2 + 1)
+        _, h, w, _ = fmap.shape
+        center = slice_axis(slice_axis(fmap, 1, h // 2, h // 2 + 1),
+                            2, w // 2, w // 2 + 1)
         loss = tsum(center)
         grads = tape.gradients(loss, [x])
     return np.abs(grads[x].data[0]).sum(axis=0)
@@ -90,7 +89,7 @@ def erf(model, input_size: int, stage: int = 3, samples: int = 16,
     """
     n_feats = len(model.forward_features(
         Tensor(np.zeros((1, 3, input_size, input_size)),
-               dtype=getattr(model, "dtype", "f32"))))
+               dtype=model.dtype)))
     if not (0 <= stage < n_feats):
         raise ValueError(f"stage {stage} out of range [0, {n_feats})")
     if samples < 1:

@@ -4,8 +4,8 @@ Stem: 4x4 stride-4 convolution (3 -> dims[0]) plus layer norm, so a 224x224
 image becomes a 56x56 grid. Each stage runs its blocks at constant width,
 then a 2x2 stride-2 convolution doubles the channels and halves the grid;
 the head is layer norm, global average pooling, and a linear classifier.
-Images and the convolutions of the stem and downsamples are NCHW; every
-map between them is channel-last, [B, H, W, C]. ``Backbone`` holds the
+Images are NCHW; the stem transposes them once, and every map from there
+to the head is channel-last, [B, H, W, C]. ``Backbone`` holds the
 network as one ordered list of ``Segment``s, each owning the parameters
 under its name prefix; a block is two segments of one name, its mixer half
 and its FFN half.
@@ -69,6 +69,9 @@ class VariantConfig:
             raise ValueError(
                 f"d_state must be >= 1 and ssm_ratio positive, got "
                 f"d_state {self.d_state} and ssm_ratio {self.ssm_ratio}")
+        if not self.ffn_ratio > 0:
+            raise ValueError(
+                f"ffn_ratio must be positive, got {self.ffn_ratio}")
         if not 0.0 <= self.drop_path < 1.0:
             raise ValueError(
                 f"drop_path must be in [0, 1), got {self.drop_path}")
@@ -103,16 +106,6 @@ VARIANTS = {"tiny": tiny, "small": small, "base": base, "desk": desk}
 _TOTAL_STRIDE = 32  # 4 * 2^3
 
 
-def _to_channel_last(x: Tensor) -> Tensor:
-    """[B, C, H, W] -> [B, H, W, C]."""
-    return transpose(x, (0, 2, 3, 1))
-
-
-def _to_channel_first(x: Tensor) -> Tensor:
-    """[B, H, W, C] -> [B, C, H, W]."""
-    return transpose(x, (0, 3, 1, 2))
-
-
 def _param(data: np.ndarray, dtype: str) -> Tensor:
     return Tensor(data, dtype=dtype, grad_enabled=True)
 
@@ -135,24 +128,28 @@ class Segment:
         return {f"{self.name}.{k}": v for k, v in self.params.items()}
 
 
-def _patch_merge(name: str, c_in: int, c_out: int, k: int, rng, dtype: str,
-                 channel_last_input: bool) -> Segment:
-    """k x k stride-k convolution plus layer norm; channel-last output.
+def _patch_merge(name: str, c_in: int, c_out: int, k: int, rng,
+                 dtype: str) -> Segment:
+    """k x k stride-k convolution plus layer norm of a channel-last map.
 
-    The stem reads NCHW images; a downsample reads a channel-last map and
-    copies it to NCHW for the convolution.
+    The convolution is a patchify: each output pixel is one linear map of
+    a k x k patch.
     """
     conv = _param(trunc_normal(rng, (c_out, c_in, k, k)), dtype)
     gamma = _param(np.ones(c_out), dtype)
     beta = _param(np.zeros(c_out), dtype)
 
     def run(x, train, rng):
-        if channel_last_input:
-            x = _to_channel_first(x)
-        x = _to_channel_last(conv2d(x, conv, stride=k, padding=0))
-        return layer_norm(x, gamma, beta)
+        return layer_norm(conv2d(x, conv, stride=k, padding=0), gamma, beta)
     return Segment(name, {"conv.weight": conv, "norm.gamma": gamma,
                           "norm.beta": beta}, run)
+
+
+def _image_stem(merge: Segment) -> Segment:
+    """``merge`` run on NCHW images, transposed to channel-last first."""
+    def run(images, train, rng):
+        return merge.run(transpose(images, (0, 2, 3, 1)), train, rng)
+    return replace(merge, run=run)
 
 
 class Backbone:
@@ -172,8 +169,7 @@ class Backbone:
         rng = np.random.default_rng(seed)
         d = config.dims
         self.segments: list[Segment] = [
-            _patch_merge("stem", 3, d[0], 4, rng, dtype,
-                         channel_last_input=False)]
+            _image_stem(_patch_merge("stem", 3, d[0], 4, rng, dtype))]
         self.stages: list[list[MfilBlock]] = []
         for s in range(4):
             blocks = []
@@ -201,8 +197,7 @@ class Backbone:
             self.stages.append(blocks)
             if s < 3:
                 self.segments.append(_patch_merge(
-                    f"downsample.{s}", d[s], d[s + 1], 2, rng, dtype,
-                    channel_last_input=True))
+                    f"downsample.{s}", d[s], d[s + 1], 2, rng, dtype))
         gamma = _param(np.ones(d[3]), dtype)
         beta = _param(np.zeros(d[3]), dtype)
         self.segments.append(Segment(
@@ -212,10 +207,7 @@ class Backbone:
         bias = _param(np.zeros(config.num_classes), dtype)
 
         def classify(x, train, rng):
-            # Pool over the contiguous H, W axes of the NCHW map: the order
-            # the mean sums in is part of the logits' bytes.
-            pooled = tmean(_to_channel_first(x), axis=(2, 3))
-            return linear(pooled, weight, bias)
+            return linear(tmean(x, axis=(1, 2)), weight, bias)
         self.segments.append(Segment(
             "head.fc", {"weight": weight, "bias": bias}, classify))
 
@@ -237,19 +229,15 @@ class Backbone:
 
     def forward_features(self, images: Tensor, train: bool = False,
                          rng: np.random.Generator | None = None):
-        """Stage outputs plus the head-normed final map (five NCHW tensors).
-
-        Maps stay [B, H, W, C] from the stem to the head; only the NCHW
-        ``conv2d`` of the stem and of each downsample needs a layout copy
-        around it (one after the stem, two per downsample).
-        """
+        """Stage outputs plus the head-normed final map: five channel-last
+        maps, [B, H, W, C]."""
         self._check_input(images)
         x, feats = images, []
         for seg in self.segments[:-1]:  # all but the classifier
             x = seg.run(x, train, rng)
             if seg.feature:
                 feats.append(x)
-        return [_to_channel_first(f) for f in feats]
+        return feats
 
     def forward(self, images: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -280,7 +268,7 @@ class Backbone:
 
     def spatial_trace(self, images: Tensor) -> list[int]:
         """Spatial extents of the five feature maps for a given input."""
-        return [f.shape[2] for f in self.forward_features(images)]
+        return [f.shape[1] for f in self.forward_features(images)]
 
 
 def build(config: VariantConfig, seed: int = 0, dtype: str = "f32") -> Backbone:
@@ -291,12 +279,14 @@ class ConvBaseline:
     """Same skeleton with every block replaced by a plain 3x3 conv + SiLU.
 
     Receptive-field ablation: the theoretical footprint of the final center
-    unit is bounded, unlike the scanned model's.
+    unit is bounded, unlike the scanned model's. Like ``Backbone``, it
+    transposes the NCHW images once and runs channel-last from there.
     """
 
     def __init__(self, config: VariantConfig, seed: int = 0,
                  dtype: str = "f32"):
         self.config = config
+        self.dtype = dtype
         rng = np.random.default_rng(seed)
         d = config.dims
         self.stem_conv = Tensor(trunc_normal(rng, (d[0], 3, 4, 4)),
@@ -325,7 +315,8 @@ class ConvBaseline:
 
     def forward_features(self, images: Tensor, train: bool = False,
                          rng=None):
-        x = conv2d(images, self.stem_conv, stride=4, padding=0)
+        x = conv2d(transpose(images, (0, 2, 3, 1)), self.stem_conv,
+                   stride=4, padding=0)
         feats = []
         for s in range(4):
             for k in self.stage_convs[s]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .backbone import VARIANTS, VariantConfig
+from .data import CLASS_NAMES
 from .scan import SCAN_MODES
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "load_run_config"]
@@ -66,9 +67,26 @@ class RunConfig:
             raise ConfigError(
                 f"unknown scan_mode {self.scan_mode!r}, expected one of "
                 f"{SCAN_MODES}")
-        if self.image_size % 32:
+        if self.image_size < 32 or self.image_size % 32:
             raise ConfigError(
-                f"image_size must be divisible by 32, got {self.image_size}")
+                f"image_size must be positive and divisible by 32, got "
+                f"{self.image_size}")
+        if not 2 <= self.num_classes <= len(CLASS_NAMES):
+            raise ConfigError(
+                f"num_classes must be in [2, {len(CLASS_NAMES)}], got "
+                f"{self.num_classes}")
+        if self.dataset_size < self.batch_size:
+            raise ConfigError(
+                f"dataset_size must be >= batch_size ({self.batch_size}), "
+                f"got {self.dataset_size}")
+        if not self.noise >= 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ConfigError(
+                f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
         try:

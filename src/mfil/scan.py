@@ -29,9 +29,8 @@ import numpy as np
 
 from .init import identity_depthwise_kernel, trunc_normal
 from .ssm import SsmCore, selective_scan
-from .tensor import (Tensor, add, concat, depthwise_conv2d, mul,
-                     pointwise_conv2d, record_op, reshape, slice_axis,
-                     softmax, take)
+from .tensor import (Tensor, add, concat, conv2d, depthwise_conv2d, mul,
+                     record_op, reshape, slice_axis, softmax, take)
 
 __all__ = [
     "SOBEL_X", "SOBEL_Y", "FilterBank", "AdaptiveWeights",
@@ -166,7 +165,7 @@ def dynamic_map(image: Tensor, bank: FilterBank) -> Tensor:
     """Depthwise 3x3 stage then a pointwise 1x1 channel mix; [B, H, W, C]."""
     _check_spatial(image)
     d = depthwise_conv2d(image, bank.dyn_depthwise, stride=1, padding=1)
-    return pointwise_conv2d(d, bank.dyn_pointwise)
+    return conv2d(d, bank.dyn_pointwise)
 
 
 def _check_spatial(image: Tensor):

@@ -26,7 +26,7 @@ __all__ = [
     "exp", "sigmoid", "silu", "gelu", "softplus", "softmax",
     "tsum", "tmean", "reshape", "transpose", "concat", "slice_axis",
     "take", "tile_leading", "scale_per_sample",
-    "linear", "layer_norm", "conv2d", "depthwise_conv2d", "pointwise_conv2d",
+    "linear", "layer_norm", "conv2d", "depthwise_conv2d",
     "softmax_cross_entropy", "backward", "record_op", "recording",
     "flop_counter", "FlopCounter",
 ]
@@ -98,28 +98,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.grad_enabled})"
-
-    # Small conveniences; the functional API below is the primary surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 class _Node:
@@ -742,8 +720,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# Convolutions (cross-correlation convention). ``conv2d`` works on NCHW
-# maps; ``depthwise_conv2d`` and ``pointwise_conv2d`` on channel-last NHWC.
+# Convolutions (cross-correlation convention) of channel-last maps,
+# [N, H, W, C], with kernels [C_out, C_in, kH, kW].
 
 def _conv_out_size(h, w, kh, kw, stride, padding):
     oh = (h + 2 * padding - kh) // stride + 1
@@ -784,69 +762,61 @@ def _window(a: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
     return view
 
 
-def _col2im(cols6, xshape, stride, padding):
-    # cols6: [N, C, kh, kw, OH, OW] gradients per window tap.
-    n, c, h, w = xshape
-    kh, kw = cols6.shape[2], cols6.shape[3]
-    oh, ow = cols6.shape[4], cols6.shape[5]
-    hp, wp = h + 2 * padding, w + 2 * padding
-    gx = np.zeros((n, c, hp, wp), dtype=cols6.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i:i + stride * oh:stride,
-               j:j + stride * ow:stride] += cols6[:, :, i, j]
-    if padding:
-        gx = gx[:, :, padding:padding + h, padding:padding + w]
-    return np.ascontiguousarray(gx)
-
-
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
            padding: int = 0, bias: Tensor | None = None) -> Tensor:
-    """2-D cross-correlation.
+    """2-D cross-correlation of a channel-last map.
 
-    x: [N, C_in, H, W], kernel: [C_out, C_in, kH, kW]. Output spatial size is
-    floor((H + 2*padding - kH)/stride) + 1 (same for W). No kernel flip.
+    x: [N, H, W, C_in], kernel: [C_out, C_in, kH, kW]; the output is
+    [N, OH, OW, C_out] with OH = floor((H + 2*padding - kH)/stride) + 1
+    (same for W). No kernel flip. im2col is one window view
+    [N, OH, OW, C_in, kH, kW], in the kernel's (c, i, j) order, and the
+    forward is one GEMM of its rows with the flattened kernel; a k x k,
+    stride-k convolution is a patchify (reshape + linear). The input
+    gradient scatters the per-tap column gradients back tap by tap.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d: input and kernel must be 4-D (NCHW)")
-    n, c_in, h, w = x.shape
+        raise ShapeError("conv2d: input and kernel must be 4-D")
+    n, h, w, c_in = x.shape
     c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
         raise ShapeError(
-            f"conv2d: input channels (axis 1 = {c_in}) != kernel input "
+            f"conv2d: input channels (axis 3 = {c_in}) != kernel input "
             f"channels (axis 1 = {kc})")
-    _check_conv_pre("conv2d", h, w, kh, kw, stride, padding, "2, 3")
+    _check_conv_pre("conv2d", h, w, kh, kw, stride, padding, "1, 2")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    xp = _zero_pad(x.data, (n, c_in, h + 2 * padding, w + 2 * padding),
-                   np.s_[:, :, padding:padding + h, padding:padding + w])
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = _zero_pad(x.data, (n, hp, wp, c_in),
+                   np.s_[:, padding:padding + h, padding:padding + w])
     s0, s1, s2, s3 = xp.strides
-    win = _window(xp, (n, c_in, oh, ow, kh, kw),
-                  (s0, s1, s2 * stride, s3 * stride, s2, s3))
-    # [N, C, OH, OW, kh, kw] -> cols [N, C*kh*kw, OH*OW]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, c_in * kh * kw, oh * ow)
+    win = _window(xp, (n, oh, ow, c_in, kh, kw),
+                  (s0, s1 * stride, s2 * stride, s3, s1, s2))
+    cols = np.ascontiguousarray(win).reshape(n * oh * ow, c_in * kh * kw)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(kmat, cols).reshape(n, c_out, oh, ow)
+    out = (cols @ kmat.T).reshape(n, oh, ow, c_out)
     if bias is not None:
         if bias.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+        out = out + bias.data
     _tally(n * oh * ow * c_out * c_in * kh * kw)
-    xshape = x.shape
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
-        g2 = g.reshape(n, c_out, oh * ow)
-        gk = np.tensordot(g2, cols, axes=((0, 2), (0, 2))).reshape(
-            kernel.shape)
+        g2 = g.reshape(n * oh * ow, c_out)
+        gk = (g2.T @ cols).reshape(kernel.shape)
         gx = None
         if x.grad_enabled:  # input images need no gradient in training
-            gcols = np.matmul(kmat.T, g2)  # [N, C*kh*kw, OH*OW]
-            cols6 = gcols.reshape(n, c_in, kh, kw, oh, ow)
-            gx = _col2im(cols6, xshape, stride, padding)
+            gcols = (g2 @ kmat).reshape(n, oh, ow, c_in, kh, kw)
+            gx = np.zeros((n, hp, wp, c_in), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gx[:, i:i + stride * oh:stride,
+                       j:j + stride * ow:stride] += gcols[..., i, j]
+            if padding:
+                gx = np.ascontiguousarray(
+                    gx[:, padding:padding + h, padding:padding + w])
         if bias is None:
             return gx, gk
-        return gx, gk, g.sum(axis=(0, 2, 3))
+        return gx, gk, g.sum(axis=(0, 1, 2))
     return record_op("conv2d", inputs, out, bwd)
 
 
@@ -967,41 +937,6 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
         return np.ascontiguousarray(gx[..., :c]), gk
     return record_op("depthwise_conv2d", (x, kernel),
                      np.ascontiguousarray(out[..., :c]), bwd)
-
-
-def pointwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """1x1 convolution of a channel-last map; kernel [C_out, C_in, 1, 1].
-
-    x: [N, H, W, C_in] -> [N, H, W, C_out]. The products are formed image
-    by image as kernel @ x[n]^T, the BLAS call of a 1x1 NCHW ``conv2d``,
-    so the two give the same bytes; one flattened x @ kernel^T (``linear``)
-    rounds differently on small grids. The kernel gradient is one BLAS
-    product over all pixels.
-    """
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError("pointwise_conv2d: input and kernel must be 4-D")
-    n, h, w, c_in = x.shape
-    c_out, kc, kh, kw = kernel.shape
-    if kc != c_in or (kh, kw) != (1, 1):
-        raise ShapeError(
-            f"pointwise_conv2d: kernel shape {kernel.shape} incompatible "
-            f"with {c_in} input channels (axis 3; want [C_out, {c_in}, 1, 1])")
-    x3 = x.data.reshape(n, h * w, c_in)
-    kmat = kernel.data.reshape(c_out, c_in)
-    out = np.matmul(kmat, x3.transpose(0, 2, 1)).transpose(0, 2, 1)
-    _tally(n * h * w * c_out * c_in)
-
-    def bwd(g):
-        g2 = g.reshape(n * h * w, c_out)
-        gk = (g2.T @ x3.reshape(n * h * w, c_in)).reshape(kernel.shape)
-        gx = np.matmul(kmat.T, g.reshape(n, h * w, c_out).transpose(0, 2, 1))
-        # Adding 0 while copying to channel-last turns -0 into +0, as the
-        # zero-initialised accumulation of conv2d's backward does.
-        gx_last = np.empty((n, h * w, c_in), dtype=g.dtype)
-        np.add(gx.transpose(0, 2, 1), 0.0, out=gx_last)
-        return gx_last.reshape(x.shape), gk
-    return record_op("pointwise_conv2d", (x, kernel),
-                     np.ascontiguousarray(out).reshape(n, h, w, c_out), bwd)
 
 
 # ---------------------------------------------------------------------------

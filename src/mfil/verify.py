@@ -57,12 +57,13 @@ def suite_oracles(quick: bool = False) -> SuiteResult:
         pad = int(rng.integers(0, 2))
         x = rng.standard_normal((n, ci, h, w))
         k = rng.standard_normal((co, ci, kh, kw))
-        got = conv2d(Tensor(x), Tensor(k), stride, pad).data
+        # The convolutions are channel-last; the oracles are NCHW.
+        xc = Tensor(x.transpose(0, 2, 3, 1))
+        got = conv2d(xc, Tensor(k), stride, pad).data.transpose(0, 3, 1, 2)
         want = reference.conv2d_reference(x, k, stride, pad)
         worst = max(worst, rel_err(got, want))
         kd = rng.standard_normal((ci, 1, kh, kw))
-        # depthwise_conv2d is channel-last; the oracle is NCHW.
-        got = depthwise_conv2d(Tensor(x.transpose(0, 2, 3, 1)), Tensor(kd),
+        got = depthwise_conv2d(xc, Tensor(kd),
                                stride, pad).data.transpose(0, 3, 1, 2)
         want = reference.depthwise_conv2d_reference(x, kd, stride, pad)
         worst = max(worst, rel_err(got, want))
@@ -246,7 +247,7 @@ def suite_covariance(quick: bool = False) -> SuiteResult:
     for _ in range(10 if quick else 50):
         z = rng.standard_normal((6, 6))
         via_matrix = op.apply(z.ravel())
-        via_conv = conv2d(Tensor(z[None, None]),
+        via_conv = conv2d(Tensor(z[None, :, :, None]),
                           Tensor(SOBEL_X[None, None]), 1, 1).data.ravel()
         conv_worst = max(conv_worst, float(np.max(np.abs(
             via_matrix - via_conv))))

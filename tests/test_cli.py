@@ -85,6 +85,31 @@ def test_train_rejects_bad_model_values_as_config_errors(
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("image_size = 0\n", "image_size must be positive"),
+    ("noise = -1\n", "noise must be >= 0, got -1.0"),
+    ("num_classes = 1\n", "num_classes must be in [2, 4], got 1"),
+    ("num_classes = 7\n", "num_classes must be in [2, 4], got 7"),
+    ("dataset_size = 0\n", "dataset_size must be >= batch_size (32), got 0"),
+    ("dataset_size = 16\n", "dataset_size must be >= batch_size (32)"),
+    ("ffn_ratio = 0\n", "ffn_ratio must be positive, got 0.0"),
+    ("warmup_frac = 2\n", "warmup_frac must be in [0, 1], got 2.0"),
+    ("weight_decay = -1\n", "weight_decay must be >= 0, got -1.0"),
+], ids=["image_size_0", "noise_-1", "num_classes_1", "num_classes_7",
+        "dataset_size_0", "dataset_size_16", "ffn_ratio_0", "warmup_frac_2",
+        "weight_decay_-1"])
+def test_train_rejects_bad_run_values_as_config_errors(
+        monkeypatch, tmp_path, capsys, lines, message):
+    """Run values that would crash, abort as a non-finite loss or train a
+    wrong model exit 2 with a config error before any training."""
+    monkeypatch.setattr(cli, "train_run", lambda cfg: pytest.fail("ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_eval_shape_mismatch_reports_diff(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["train", "--steps", "2", "--seed", "0", "--out", str(out)])

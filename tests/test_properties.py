@@ -134,14 +134,15 @@ def test_conv2d_properties(case):
     dt = case["dtype"]
     x = rng.standard_normal((n, c, h, w)).astype(NP[dt])
     k = rng.standard_normal((case["c_out"], c, kh, kw)).astype(NP[dt])
-    out = conv2d(Tensor(x, dtype=dt), Tensor(k, dtype=dt), s, p)
+    out = conv2d(Tensor(_nhwc(x), dtype=dt), Tensor(k, dtype=dt), s, p)
     want = reference.conv2d_reference(x.astype(np.float64),
                                       k.astype(np.float64), s, p)
     scale = max(float(np.max(np.abs(want))), 1e-300)
-    assert np.max(np.abs(out.data - want)) <= FWD_TOL[dt] * scale
+    assert np.max(np.abs(out.data.transpose(0, 3, 1, 2) - want)) <= \
+        FWD_TOL[dt] * scale
     readout = rng.standard_normal(out.shape)
-    _check_gradients(lambda a, b: conv2d(a, b, s, p), [x, k], readout, dt,
-                     rng)
+    _check_gradients(lambda a, b: conv2d(a, b, s, p), [_nhwc(x), k], readout,
+                     dt, rng)
 
 
 # ---------------------------------------------------------------------------

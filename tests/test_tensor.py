@@ -8,19 +8,29 @@ from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
 from mfil import reference
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          backward, concat, conv2d, depthwise_conv2d, exp,
-                         gelu, layer_norm, linear, mul, neg,
-                         pointwise_conv2d, record_op, reshape,
-                         scale_per_sample,
+                         gelu, layer_norm, linear, mul, neg, record_op,
+                         reshape, scale_per_sample,
                          sigmoid, silu, slice_axis,
                          softmax, softmax_cross_entropy, softplus, sub,
                          take, tile_leading, tmean, transpose, tsum)
 
 
 # ---------------------------------------------------------------------------
-# conv2d
+# Convolutions
+
+# conv2d and depthwise_conv2d are channel-last: [N, H, W, C]. The draws
+# below stay NCHW, like the loop oracles, and are transposed in.
+
+def _nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
+
+def _nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
 
 def test_conv2d_ones_sum():
-    x = Tensor(np.ones((1, 1, 3, 3)))
+    x = Tensor(np.ones((1, 3, 3, 1)))
     k = Tensor(np.ones((1, 1, 3, 3)))
     out = conv2d(x, k)
     assert out.shape == (1, 1, 1, 1)
@@ -28,20 +38,20 @@ def test_conv2d_ones_sum():
 
 
 def test_conv2d_disjoint_blocks():
-    x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
+    x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1))
     k = Tensor(np.ones((1, 1, 2, 2)))
     out = conv2d(x, k, stride=2)
     want = np.array([[0 + 1 + 4 + 5, 2 + 3 + 6 + 7],
                      [8 + 9 + 12 + 13, 10 + 11 + 14 + 15]], dtype=float)
-    assert np.array_equal(out.data[0, 0], want)
+    assert np.array_equal(out.data[0, :, :, 0], want)
 
 
 def test_conv2d_matches_loop_oracle(rng):
     x = rng.standard_normal((1, 2, 5, 5))
     k = rng.standard_normal((3, 2, 3, 3))
-    got = conv2d(Tensor(x), Tensor(k)).data
+    got = conv2d(Tensor(_nhwc(x)), Tensor(k)).data
     want = reference.conv2d_reference(x, k)
-    assert rel_err(got, want) <= 1e-6
+    assert rel_err(_nchw(got), want) <= 1e-6
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1),
@@ -49,34 +59,24 @@ def test_conv2d_matches_loop_oracle(rng):
 def test_conv2d_strides_paddings_vs_oracle(rng, stride, padding):
     x = rng.standard_normal((2, 3, 6, 7))
     k = rng.standard_normal((2, 3, 3, 2))
-    got = conv2d(Tensor(x), Tensor(k), stride, padding).data
+    got = _nchw(conv2d(Tensor(_nhwc(x)), Tensor(k), stride, padding).data)
     want = reference.conv2d_reference(x, k, stride, padding)
     assert got.shape == want.shape
     assert rel_err(got, want) <= 1e-6
 
 
 def test_conv2d_channel_mismatch_names_axes():
-    x = Tensor(np.zeros((1, 2, 4, 4)))
+    x = Tensor(np.zeros((1, 4, 4, 2)))
     k = Tensor(np.zeros((1, 3, 2, 2)))
-    with pytest.raises(ShapeError, match="axis 1"):
+    with pytest.raises(ShapeError, match="axis 3"):
         conv2d(x, k)
 
 
 def test_conv2d_kernel_too_large():
-    x = Tensor(np.zeros((1, 1, 2, 2)))
+    x = Tensor(np.zeros((1, 2, 2, 1)))
     k = Tensor(np.zeros((1, 1, 3, 3)))
     with pytest.raises(ShapeError):
         conv2d(x, k)
-
-
-# ---------------------------------------------------------------------------
-# depthwise_conv2d
-
-# depthwise_conv2d and pointwise_conv2d are channel-last: [N, H, W, C]. The
-# draws below stay NCHW, like the loop oracles, and are transposed in.
-
-def _nhwc(a):
-    return a.transpose(0, 2, 3, 1)
 
 
 def test_depthwise_channel_isolation(rng):
@@ -101,7 +101,7 @@ def test_depthwise_matches_loop_oracle(rng):
     k = rng.standard_normal((4, 1, 3, 3))
     got = depthwise_conv2d(Tensor(_nhwc(x)), Tensor(k), padding=1).data
     want = reference.depthwise_conv2d_reference(x, k, padding=1)
-    assert rel_err(got.transpose(0, 3, 1, 2), want) <= 1e-6
+    assert rel_err(_nchw(got), want) <= 1e-6
 
 
 # The depthwise maps the model runs (3x3, stride 1, padding 1): desk's
@@ -154,37 +154,13 @@ def test_constant_kernel_gets_no_gradient(rng):
 
 
 def test_conv2d_skips_the_gradient_of_a_constant_input(rng):
-    x = Tensor(rng.standard_normal((1, 3, 4, 4)))
+    x = Tensor(rng.standard_normal((1, 4, 4, 3)))
     k = Tensor(rng.standard_normal((2, 3, 2, 2)), grad_enabled=True)
     with Tape():
         out = conv2d(x, k, stride=2)
     gx, gk = out.node.backward(np.ones(out.shape))
     assert gx is None
     assert gk.shape == k.shape
-
-
-def test_pointwise_conv2d_equals_1x1_conv2d_bytes(rng):
-    # Same BLAS product per image as the NCHW 1x1 convolution, so forward
-    # and input gradient agree bit for bit, at f32 and f64.
-    cases = [("f64", (1, 8, 8, 8)), ("f32", (32, 32, 2, 2)),
-             ("f32", (32, 64, 1, 1)), ("f64", (2, 5, 3, 4))]
-    for dtype, (n, c, h, w) in cases:
-        x = rng.standard_normal((n, c, h, w))
-        k = Tensor(0.1 * rng.standard_normal((c, c, 1, 1)), dtype=dtype)
-        g = rng.standard_normal((n, c, h, w))
-        g[g < -1.0] = 0.0
-        xt = Tensor(x, dtype=dtype, grad_enabled=True)
-        xc = Tensor(_nhwc(x), dtype=dtype, grad_enabled=True)
-        with Tape():
-            want = conv2d(xt, k)
-            got = pointwise_conv2d(xc, k)
-        gx_want, _ = want.node.backward(g.astype(want.data.dtype))
-        gx_got, _ = got.node.backward(
-            np.ascontiguousarray(_nhwc(g)).astype(got.data.dtype))
-        assert np.ascontiguousarray(_nhwc(want.data)).tobytes() \
-            == got.data.tobytes()
-        assert np.ascontiguousarray(_nhwc(gx_want)).tobytes() \
-            == gx_got.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +523,7 @@ def test_central_difference_restores_element_when_f_raises(order):
 @pytest.mark.parametrize("seed", range(20))
 def test_primitive_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((2, 2, 4, 4)), grad_enabled=True)
+    x = Tensor(rng.standard_normal((2, 4, 4, 2)), grad_enabled=True)
     k = Tensor(0.3 * rng.standard_normal((3, 2, 3, 3)), grad_enabled=True)
     kd = Tensor(0.3 * rng.standard_normal((2, 1, 3, 3)), grad_enabled=True)
     w = Tensor(0.3 * rng.standard_normal((3, 2)), grad_enabled=True)
@@ -562,19 +538,17 @@ def test_primitive_gradients_match_finite_differences(seed):
     _fd_check(conv_loss, [x, k], seed)
 
     def dw_loss():
-        return tsum(silu(depthwise_conv2d(transpose(x, (0, 2, 3, 1)), kd,
-                                          padding=1)))
+        return tsum(silu(depthwise_conv2d(x, kd, padding=1)))
 
     _fd_check(dw_loss, [x, kd], seed)
 
     def pw_loss():
-        return tsum(silu(pointwise_conv2d(transpose(x, (0, 2, 3, 1)),
-                                          reshape(w, (3, 2, 1, 1)))))
+        return tsum(silu(conv2d(x, reshape(w, (3, 2, 1, 1)))))
 
     _fd_check(pw_loss, [x, w], seed)
 
     def mixed_loss():
-        h = transpose(x, (0, 2, 3, 1))
+        h = transpose(x, (0, 2, 1, 3))
         h = layer_norm(h, g, beta)
         h = linear(h, w, b)
         h = gelu(h)
@@ -642,13 +616,13 @@ def test_shape_and_dtype_mismatch_errors(rng):
 def test_nonfinite_surfaced_not_propagated():
     with pytest.raises(NonFiniteError, match="exp"):
         exp(Tensor(np.array([1000.0])))
-    big = Tensor(np.full((1, 1, 2, 2), 1e30, dtype=np.float32), dtype="f32")
+    big = Tensor(np.full((1, 2, 2, 1), 1e30, dtype=np.float32), dtype="f32")
     with pytest.raises(NonFiniteError, match="mul"), \
             np.errstate(over="ignore"):
         mul(big, big)
     with pytest.raises(NonFiniteError, match="conv2d"), \
             np.errstate(over="ignore"):
-        conv2d(big, big, padding=0)
+        conv2d(big, reshape(big, (1, 1, 2, 2)), padding=0)
     with pytest.raises(NonFiniteError):
         Tensor(np.array([np.nan]))
 

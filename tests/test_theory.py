@@ -72,7 +72,7 @@ def test_sobel_matrix_columns_are_impulse_responses():
     for j in range(16):
         impulse = np.zeros((4, 4))
         impulse[j // 4, j % 4] = 1.0
-        response = conv2d(Tensor(impulse[None, None]),
+        response = conv2d(Tensor(impulse[None, :, :, None]),
                           Tensor(SOBEL_X[None, None]), 1, 1).data.ravel()
         assert np.array_equal(op.matrix[:, j], response)
 
@@ -84,7 +84,7 @@ def test_conv_as_matrix_agrees_with_conv2d_random(rng):
         for _ in range(50):
             z = rng.standard_normal((6, 6))
             via_op = op.apply(z.ravel())
-            via_conv = conv2d(Tensor(z[None, None]),
+            via_conv = conv2d(Tensor(z[None, :, :, None]),
                               Tensor(np.asarray(kern)[None, None]),
                               1, pad).data.ravel()
             assert np.max(np.abs(via_op - via_conv)) <= 1e-10
