@@ -59,6 +59,11 @@ class RunConfig:
         if self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_interval < 0:
+            raise ConfigError(f"checkpoint_interval must be >= 0, got "
+                              f"{self.checkpoint_interval}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}, expected one of "

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ssm import _ZOH_LIMIT
+
 
 def conv2d_reference(x: np.ndarray, k: np.ndarray, stride: int = 1,
                      padding: int = 0) -> np.ndarray:
@@ -125,7 +127,7 @@ def selective_scan_reference(x: np.ndarray, core,
             da = delta[:, None] * a  # [C, N]
             a_bar = np.exp(da)
             if core.exact_input_discretization:
-                w = np.where(np.abs(da) < 1e-8,
+                w = np.where(np.abs(da) < _ZOH_LIMIT,
                              delta[:, None], (a_bar - 1.0) / a)
             else:
                 w = delta[:, None]
@@ -154,34 +156,19 @@ def fourth_order_difference(fp: float, fm: float, fp2: float, fm2: float,
     return (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
 
 
-def central_difference(f, flat: np.ndarray, i: int, h: float,
-                       order: int = 4) -> float:
+def central_difference(f, flat: np.ndarray, i: int, h: float) -> float:
     """Central difference of scalar-valued ``f`` in element i of ``flat``.
 
-    order=2 is the two-point stencil; order=4 adds the +-2h points, which
-    keeps truncation error well below 1e-4 relative at h=1e-4 even for
-    sharply curved losses. Element i is restored even when ``f`` raises.
+    The four-point stencil keeps truncation error well below 1e-4 relative
+    at h=1e-4 even for sharply curved losses. Element i is restored even
+    when ``f`` raises.
     """
     orig = flat[i]
-    points = stencil_points(orig, h)[:2 if order == 2 else 4]
     values = []
     try:
-        for v in points:
+        for v in stencil_points(orig, h):
             flat[i] = v
             values.append(f())
     finally:
         flat[i] = orig
-    if order == 2:
-        fp, fm = values
-        return (fp - fm) / (2.0 * h)
     return fourth_order_difference(*values, h)
-
-
-def numeric_gradient(f, x: np.ndarray, h: float = 1e-4,
-                     order: int = 4) -> np.ndarray:
-    """Central finite differences of a scalar-valued f at every element of x."""
-    g = np.zeros_like(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        g.reshape(-1)[i] = central_difference(f, flat, i, h, order)
-    return g

@@ -49,6 +49,17 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _zoh_weight(delta, da, a, a_bar):
+    """ZOH input weight (a_bar - 1) / a of a diagonal system, with its
+    limit delta where |da| < ``_ZOH_LIMIT``; also the limit mask and ``a``
+    with zeros replaced by 1, which the scan's backward reuses."""
+    limit = np.abs(da) < _ZOH_LIMIT
+    safe_a = np.where(a == 0, 1.0, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(limit, delta, (a_bar - 1.0) / safe_a)
+    return w, limit, safe_a
+
+
 def discretize_zoh(A, B, delta, diagonal: bool | None = None):
     """Zero-order-hold discretization of (A, B) with step ``delta``.
 
@@ -87,13 +98,10 @@ def discretize_zoh(A, B, delta, diagonal: bool | None = None):
         return a_bar, b_bar.reshape(b.shape)
     da = d * a
     a_bar = np.exp(da)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(np.abs(da) < _ZOH_LIMIT, d * np.ones_like(da),
-                          (a_bar - 1.0) / np.where(a == 0, 1.0, a))
-    return a_bar, factor * b
+    return a_bar, _zoh_weight(d, da, a, a_bar)[0] * b
 
 
-def scan_recurrent(A_bar, B_bar, C, x, h0=None) -> np.ndarray:
+def scan_recurrent(A_bar, B_bar, C, x) -> np.ndarray:
     """Run the discrete recurrence over a 1-D input sequence.
 
     A_bar, B_bar, C: per-state vectors [N] (scalars are promoted);
@@ -103,8 +111,7 @@ def scan_recurrent(A_bar, B_bar, C, x, h0=None) -> np.ndarray:
     b_bar = np.atleast_1d(_as_array(B_bar)).astype(np.float64)
     c = np.atleast_1d(_as_array(C)).astype(np.float64)
     x = np.atleast_1d(_as_array(x)).astype(np.float64)
-    h = (np.zeros_like(a_bar) if h0 is None
-         else np.atleast_1d(_as_array(h0)).astype(np.float64).copy())
+    h = np.zeros_like(a_bar)
     y = np.zeros(x.shape[0], dtype=np.float64)
     for t in range(x.shape[0]):
         h = a_bar * h + b_bar * x[t]
@@ -208,9 +215,7 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         da = dd[:, t0:t1, :, None] * ad[None, None]
         a_bar = np.exp(da)
         if exact_input_discretization:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(np.abs(da) < _ZOH_LIMIT, dd[:, t0:t1, :, None],
-                             (a_bar - 1.0) / np.where(ad == 0, 1.0, ad))
+            w = _zoh_weight(dd[:, t0:t1, :, None], da, ad, a_bar)[0]
         else:
             w = dd[:, t0:t1, :, None]
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
@@ -242,11 +247,9 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         g_a = np.einsum("blcn,blcn,blc->cn", g_abar, a_bar_all, dd)
         if exact_input_discretization:
             da = dd[:, :, :, None] * ad[None, None]
-            safe_a = np.where(ad == 0, 1.0, ad)
-            limit = np.abs(da) < _ZOH_LIMIT
+            w, limit, safe_a = _zoh_weight(dd[:, :, :, None], da, ad,
+                                           a_bar_all)
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(limit, dd[:, :, :, None],
-                             (a_bar_all - 1.0) / safe_a)
                 dw_da = np.where(
                     limit, 0.5 * dd[:, :, :, None] ** 2,
                     (dd[:, :, :, None] * a_bar_all * safe_a

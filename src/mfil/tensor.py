@@ -763,7 +763,7 @@ def _window(a: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
-           padding: int = 0, bias: Tensor | None = None) -> Tensor:
+           padding: int = 0) -> Tensor:
     """2-D cross-correlation of a channel-last map.
 
     x: [N, H, W, C_in], kernel: [C_out, C_in, kH, kW]; the output is
@@ -793,12 +793,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     cols = np.ascontiguousarray(win).reshape(n * oh * ow, c_in * kh * kw)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
     out = (cols @ kmat.T).reshape(n, oh, ow, c_out)
-    if bias is not None:
-        if bias.shape != (c_out,):
-            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-        out = out + bias.data
     _tally(n * oh * ow * c_out * c_in * kh * kw)
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
         g2 = g.reshape(n * oh * ow, c_out)
@@ -814,10 +809,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
             if padding:
                 gx = np.ascontiguousarray(
                     gx[:, padding:padding + h, padding:padding + w])
-        if bias is None:
-            return gx, gk
-        return gx, gk, g.sum(axis=(0, 1, 2))
-    return record_op("conv2d", inputs, out, bwd)
+        return gx, gk
+    return record_op("conv2d", (x, kernel), out, bwd)
 
 
 # Bytes of one block of output pixels in ``_window_tap_sum``: whole

@@ -8,7 +8,7 @@ operator F, and the corresponding identity Sigma_ij = F_i Sigma F_j^T
 reweights and reorients the covariance, moving the spectrum. Both identities
 are linear in Sigma, so they hold exactly on finite-sample moments; this
 module checks them numerically on small grids where the operators fit in
-explicit matrices.
+explicit matrices. Spectra come from ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = [
     "LinearOperatorMatrix", "EmpiricalMoments", "empirical_moments",
     "permutation_matrix", "conv_as_matrix", "cross_covariance",
     "verify_permutation_identity", "verify_filter_identity",
-    "jacobi_eigvals", "spectrum_report", "IdentityReport", "SpectrumReport",
+    "spectrum_report", "IdentityReport", "SpectrumReport",
 ]
 
 _MAX_GRID = 16
@@ -72,8 +72,8 @@ def conv_as_matrix(kernel: np.ndarray, H: int, W: int,
     """Stride-1 single-channel convolution as an explicit [H'W', HW] matrix.
 
     Row r holds the kernel taps contributing to output position r (doubly
-    block Toeplitz). Grids are capped at 16x16 so the matrices stay small
-    enough for exact-arithmetic-friendly eigenwork.
+    block Toeplitz). Grids are capped at 16x16, so a matrix has at most
+    256 x 256 entries and a dense eigendecomposition of it stays cheap.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2:
@@ -110,7 +110,7 @@ class EmpiricalMoments:
         return float(np.max(np.abs(self.covariance - self.covariance.T)))
 
     def min_eigenvalue(self) -> float:
-        return float(jacobi_eigvals(self.covariance)[0])
+        return float(np.linalg.eigvalsh(self.covariance)[0])
 
 
 def empirical_moments(samples) -> EmpiricalMoments:
@@ -191,50 +191,6 @@ def verify_filter_identity(f_i: LinearOperatorMatrix,
                             tol)
 
 
-def jacobi_eigvals(sym: np.ndarray, tol: float = 1e-12,
-                   max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Self-contained (no external solver); sweeps until the off-diagonal
-    Frobenius norm drops below ``tol`` (scaled by the matrix norm for
-    conditioning safety). Returns eigenvalues sorted ascending.
-    """
-    a = np.asarray(sym, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(a.diagonal() ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    # hypot avoids overflow for extreme theta
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(a.diagonal())
-
-
 @dataclass
 class SpectrumReport:
     eig_base: np.ndarray
@@ -271,9 +227,9 @@ def spectrum_report(sigma: np.ndarray, perm: LinearOperatorMatrix,
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.max(np.abs(sigma - sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(sigma))):
         raise ValueError("sigma must be symmetric")
-    eig_base = jacobi_eigvals(sigma)
-    eig_perm = jacobi_eigvals(perm.matrix @ sigma @ perm.matrix.T)
-    eig_filt = jacobi_eigvals(filt.matrix @ sigma @ filt.matrix.T)
+    eig_base = np.linalg.eigvalsh(sigma)
+    eig_perm = np.linalg.eigvalsh(perm.matrix @ sigma @ perm.matrix.T)
+    eig_filt = np.linalg.eigvalsh(filt.matrix @ sigma @ filt.matrix.T)
     perm_dist = float(np.max(np.abs(eig_perm - eig_base)))
     if eig_filt.shape == eig_base.shape:
         filt_dist = float(np.max(np.abs(eig_filt - eig_base)))

@@ -25,7 +25,7 @@ from .data import SyntheticDataset
 from .tensor import NonFiniteError, Tape, Tensor, softmax_cross_entropy
 
 __all__ = ["TrainAbort", "TrainResult", "cosine_lr", "AdamW", "train_run",
-           "evaluate", "adaptive_weight_drift", "compare_scan_modes"]
+           "evaluate", "adaptive_weight_drift"]
 
 _FLOOR_FRAC = 1e-6  # cosine decays to this fraction of the peak rate
 # f64 elements per AdamW update block: three 256 KiB scratch buffers.
@@ -250,22 +250,3 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
                        metrics_path=metrics_path, checkpoints=checkpoints,
                        alpha_drift=adaptive_weight_drift(model))
 
-
-def compare_scan_modes(cfg: RunConfig, modes=("single_flatten",
-                                              "multi_filter"),
-                       out_dir=None) -> list[dict]:
-    """Train each scan mode under the identical budget; emit comparison rows.
-
-    No ordering between the modes is asserted, only completion; accuracy
-    differences at this scale are not evidence either way.
-    """
-    rows = []
-    for mode in modes:
-        run_cfg = cfg.with_overrides(scan_mode=mode)
-        run_out = Path(out_dir if out_dir is not None
-                       else cfg.out_dir) / f"scan-{mode}"
-        result = train_run(run_cfg, run_out)
-        rows.append({"scan_mode": mode, "steps": cfg.steps,
-                     "final_acc": result.final_acc,
-                     "final_loss": result.final_loss})
-    return rows

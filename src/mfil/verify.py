@@ -24,7 +24,8 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_into,
                          save_checkpoint)
 from .config import RunConfig
 from .reference import rel_err
-from .scan import SOBEL_X, SOBEL_Y, AdaptiveWeights, adaptive_merge
+from .scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, adaptive_merge,
+                   merge_views, stack_scans, unstack_scans)
 from .ssm import (SsmCore, causal_conv, discretize_zoh, lti_kernel,
                   scan_recurrent, selective_scan)
 from .tensor import (Tensor, conv2d, depthwise_conv2d, layer_norm, linear,
@@ -337,7 +338,8 @@ def suite_structure(quick: bool = False) -> SuiteResult:
 
 
 def suite_merge(quick: bool = False) -> SuiteResult:
-    """Fusion-weight properties: sums, hull, uniformity, saturation."""
+    """Fusion-weight properties of the model's ``merge_views``: sums, hull,
+    uniformity, saturation; its bytes equal the per-map reference."""
     rng = np.random.default_rng(107)
     lines = []
     weights = AdaptiveWeights(4, dtype="f64")
@@ -354,27 +356,33 @@ def suite_merge(quick: bool = False) -> SuiteResult:
                  f"{bool(sums)}")
     ok &= sums
     maps = [Tensor(rng.standard_normal((1, 2, 4, 4))) for _ in range(4)]
+
+    def fuse(views):
+        return merge_views(stack_scans(*views), weights.alphas(), 2, 4).data
     weights.w.data = rng.standard_normal(4)
     alphas = weights.alphas().data
     ok &= abs(alphas.sum() - 1.0) <= 1e-6 and np.all(alphas > 0)
-    fused = adaptive_merge(maps, weights).data
+    fused = fuse(maps)
+    per_map = adaptive_merge(unstack_scans(stack_scans(*maps), 2, 4), weights)
+    tie = fused.tobytes() == per_map.data.tobytes()
+    lines.append(f"merge_views bytes equal the per-map merge: {tie}")
+    ok &= tie
     stack = np.stack([m.data for m in maps])
     hull = bool(np.all(fused >= stack.min(axis=0) - 1e-12)
                 and np.all(fused <= stack.max(axis=0) + 1e-12))
     lines.append(f"convex hull containment: {hull}")
     ok &= hull
-    same = adaptive_merge([maps[0]] * 4, weights).data
+    same = fuse([maps[0]] * 4)
     same_ok = bool(np.allclose(same, maps[0].data, rtol=1e-12, atol=1e-12))
     lines.append(f"same map in gives the same map out: {same_ok}")
     ok &= same_ok
     weights.w.data = np.zeros(4)
-    rel = rel_err(adaptive_merge(maps, weights).data, np.mean(stack, axis=0))
+    rel = rel_err(fuse(maps), np.mean(stack, axis=0))
     lines.append(f"zero weights give the mean map, rel err {rel:.2e} "
                  "(tol 1e-12)")
     ok &= rel <= 1e-12
     weights.w.data = np.array([50.0, 0.0, 0.0, 0.0])
-    sat = adaptive_merge(maps, weights).data
-    rel = rel_err(sat, maps[0].data)
+    rel = rel_err(fuse(maps), maps[0].data)
     lines.append(f"saturation (w0 = 50) rel distance to map 0: {rel:.2e} "
                  "(tol 1e-6)")
     ok &= rel <= 1e-6

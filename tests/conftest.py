@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 
+from mfil.reference import central_difference
 from mfil.reference import rel_err  # noqa: F401  (re-exported for tests)
 
 
@@ -29,6 +30,15 @@ def grad_close(analytic, numeric, rtol=1e-4, atol=1e-9):
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
     ok = (diff <= atol) | (diff <= rtol * denom)
     return bool(np.all(ok))
+
+
+def numeric_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Central finite differences of a scalar-valued f at every element of x."""
+    g = np.zeros_like(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        g.reshape(-1)[i] = central_difference(f, flat, i, h)
+    return g
 
 
 # The depthwise convolution written tap by tap, in (i, j) order: the byte

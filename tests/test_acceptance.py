@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from mfil.config import RunConfig
-from mfil.train import compare_scan_modes, train_run
+from mfil.train import train_run
 from mfil.verify import SUITES, run_suites
 
 
@@ -58,14 +58,17 @@ def test_criterion_09_learnability(tmp_path):
     acc_ok = result.final_acc >= 0.90
     # Determinism of the run protocol is suite training's check (two
     # same-seed runs, metrics bit-identical), which criterion 10 runs.
-    rows = compare_scan_modes(cfg.with_overrides(steps=150),
-                              out_dir=tmp_path / "cmp")
+    # Each scan mode trains under the identical budget. No ordering between
+    # them is asserted, only completion: accuracy differences at this scale
+    # are not evidence either way.
     print("\nscan-mode comparison (identical 150-step budget):")
-    for row in rows:
-        print(f"  {row['scan_mode']:<16} final_acc {row['final_acc']:.4f} "
-              f"final_loss {row['final_loss']:.4f}")
-    cmp_ok = (len(rows) == 2
-              and all(np.isfinite(r["final_loss"]) for r in rows))
+    cmp_ok = True
+    for mode in ("single_flatten", "multi_filter"):
+        run = train_run(cfg.with_overrides(steps=150, scan_mode=mode),
+                        tmp_path / "cmp" / f"scan-{mode}")
+        print(f"  {mode:<16} final_acc {run.final_acc:.4f} "
+              f"final_loss {run.final_loss:.4f}")
+        cmp_ok &= bool(np.isfinite(run.final_loss))
     drift_ok = result.total_drift > 0.0
     _report(9, f"1500-step desk accuracy {result.final_acc:.4f} (>= 0.90); "
                f"ablation rows complete {cmp_ok}; "

@@ -95,9 +95,11 @@ def test_train_rejects_bad_model_values_as_config_errors(
     ("ffn_ratio = 0\n", "ffn_ratio must be positive, got 0.0"),
     ("warmup_frac = 2\n", "warmup_frac must be in [0, 1], got 2.0"),
     ("weight_decay = -1\n", "weight_decay must be >= 0, got -1.0"),
+    ("seed = -1\n", "seed must be >= 0, got -1"),
+    ("checkpoint_interval = -5\n", "checkpoint_interval must be >= 0"),
 ], ids=["image_size_0", "noise_-1", "num_classes_1", "num_classes_7",
         "dataset_size_0", "dataset_size_16", "ffn_ratio_0", "warmup_frac_2",
-        "weight_decay_-1"])
+        "weight_decay_-1", "seed_-1", "checkpoint_interval_-5"])
 def test_train_rejects_bad_run_values_as_config_errors(
         monkeypatch, tmp_path, capsys, lines, message):
     """Run values that would crash, abort as a non-finite loss or train a

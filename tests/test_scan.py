@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grad_close, rel_err
+from conftest import grad_close, numeric_gradient, rel_err
 from mfil import reference
 from mfil.scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, FilterBank,
                        adaptive_merge, cross_scan_permutations, dynamic_map,
@@ -379,8 +379,7 @@ def test_mfil_parameter_gradients(rng):
         loss = build()
     grads = tape.gradients(loss, list(params.values()))
     for name, p in params.items():
-        numeric = reference.numeric_gradient(lambda: float(build().data),
-                                             p.data)
+        numeric = numeric_gradient(lambda: float(build().data), p.data)
         assert grad_close(grads[p].data, numeric), f"mismatch for {name}"
 
 

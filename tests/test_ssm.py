@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grad_close, rel_err
+from conftest import grad_close, numeric_gradient, rel_err
 from mfil import reference, ssm
 from mfil.ssm import (SsmCore, discretize_zoh, lti_kernel, scan_recurrent,
                       selective_scan)
@@ -224,8 +224,7 @@ def test_selective_scan_parameter_gradients(mode):
         loss = build()
     grads = tape.gradients(loss, params)
     for p in params:
-        numeric = reference.numeric_gradient(lambda: float(build().data),
-                                             p.data)
+        numeric = numeric_gradient(lambda: float(build().data), p.data)
         assert grad_close(grads[p].data, numeric), \
             f"{mode}: mismatch for param shape {p.shape}"
 
@@ -248,8 +247,7 @@ def test_segment_reset_gradients_across_chunk_edges():
         loss = build()
     grads = tape.gradients(loss, params)
     for p in params:
-        numeric = reference.numeric_gradient(lambda: float(build().data),
-                                             p.data)
+        numeric = numeric_gradient(lambda: float(build().data), p.data)
         assert grad_close(grads[p].data, numeric), \
             f"mismatch for param shape {p.shape}"
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
-                      depthwise_tap_kernel_grad, grad_close, rel_err)
+                      depthwise_tap_kernel_grad, grad_close, numeric_gradient,
+                      rel_err)
 from mfil import reference
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          backward, concat, conv2d, depthwise_conv2d, exp,
@@ -498,14 +499,12 @@ def _fd_check(build, params, seed, rtol=1e-4):
         loss = build()
     grads = tape.gradients(loss, params)
     for p in params:
-        numeric = reference.numeric_gradient(lambda: float(build().data),
-                                             p.data)
+        numeric = numeric_gradient(lambda: float(build().data), p.data)
         assert grad_close(grads[p].data, numeric, rtol=rtol), \
             f"seed {seed}: gradient mismatch for shape {p.shape}"
 
 
-@pytest.mark.parametrize("order", (2, 4))
-def test_central_difference_restores_element_when_f_raises(order):
+def test_central_difference_restores_element_when_f_raises():
     x = np.array([0.5, -1.25, 3.0])
     calls = []
 
@@ -515,7 +514,7 @@ def test_central_difference_restores_element_when_f_raises(order):
             raise NonFiniteError("loss")
         return float(np.sum(x ** 2))
     with pytest.raises(NonFiniteError):
-        reference.central_difference(f, x, 1, 1e-3, order=order)
+        reference.central_difference(f, x, 1, 1e-3)
     assert x.tobytes() == np.array([0.5, -1.25, 3.0]).tobytes()
     assert calls == [-1.25 + 1e-3, -1.25 - 1e-3]
 

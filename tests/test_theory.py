@@ -183,20 +183,6 @@ def test_sobel_pair_identity(rng):
 # ---------------------------------------------------------------------------
 # spectra
 
-def test_jacobi_matches_numpy_oracle(rng):
-    for n in (2, 5, 12, 36):
-        s = rng.standard_normal((n, n))
-        s = s @ s.T
-        got = theory.jacobi_eigvals(s)
-        want = np.sort(np.linalg.eigvalsh(s))
-        assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.abs(want).max())
-
-
-def test_jacobi_rejects_nonsymmetric(rng):
-    with pytest.raises(ValueError, match="symmetric"):
-        theory.jacobi_eigvals(rng.standard_normal((4, 4)))
-
-
 def test_identity_covariance_spectrum_under_permutation(rng):
     perm = theory.permutation_matrix(rng.permutation(16))
     filt = theory.conv_as_matrix(np.array([[1.0]]), 4, 4)
