@@ -10,7 +10,7 @@ deterministic training CLI.
 from .backbone import (Backbone, VariantConfig, base, build,
                        build_conv_baseline, count_flops, count_params, desk,
                        small, tiny)
-from .block import MfilBlock, block_param_count, conv_ffn
+from .block import MfilBlock, block_cost, conv_ffn
 from .config import ConfigError, RunConfig
 from .scan import (AdaptiveWeights, FilterBank, adaptive_merge, dynamic_map,
                    merge_views, mfil_ssm, orthogonal_maps, stack_scans,

@@ -8,7 +8,11 @@ Images are NCHW; the stem transposes them once, and every map from there
 to the head is channel-last, [B, H, W, C]. ``Backbone`` holds the
 network as one ordered list of ``Segment``s, each owning the parameters
 under its name prefix; a block is two segments of one name, its mixer half
-and its FFN half.
+and its FFN half. Each block is built from its stage width and the
+``VariantConfig``, which holds every other block option.
+``count_params`` and ``count_flops`` sum one cost table, ``_costs``: the
+stem, downsample and head rows are written there, and each stage's row
+comes from ``block.block_cost``.
 Named variants: tiny/small at widths (94, 188, 376, 752) with depths
 (1, 3, 8, 2) and (2, 2, 18, 2); base at (128, 256, 512, 1024) with depths
 (2, 2, 18, 2); desk is a scaled-down instance for tests and training demos.
@@ -21,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .block import MfilBlock, block_param_count
+from .block import MfilBlock, block_cost
 from .init import trunc_normal
-from .scan import SCAN_MODES, filter_bank_cost, num_scans
-from .ssm import dt_rank
+from .scan import SCAN_MODES
 from .tensor import (Tensor, conv2d, layer_norm, linear, silu, tmean,
                      transpose)
 
@@ -174,16 +177,7 @@ class Backbone:
         for s in range(4):
             blocks = []
             for i in range(config.depths[s]):
-                blk = MfilBlock(d[s], d_state=config.d_state,
-                                ssm_ratio=config.ssm_ratio,
-                                ffn_ratio=config.ffn_ratio,
-                                scan_mode=config.scan_mode,
-                                adaptive_weighting=config.adaptive_weighting,
-                                exact_input_discretization=(
-                                    config.exact_input_discretization),
-                                segment_reset=config.segment_reset,
-                                drop_path=config.drop_path, rng=rng,
-                                dtype=dtype)
+                blk = MfilBlock(d[s], config, rng=rng, dtype=dtype)
                 blocks.append(blk)
                 # Two segments per block under one name; the halves are
                 # bound here, so a wrapper set on MfilBlock after build
@@ -227,14 +221,13 @@ class Backbone:
                 f"input spatial size {h}x{w} must be divisible by "
                 f"{_TOTAL_STRIDE}")
 
-    def forward_features(self, images: Tensor, train: bool = False,
-                         rng: np.random.Generator | None = None):
-        """Stage outputs plus the head-normed final map: five channel-last
-        maps, [B, H, W, C]."""
+    def forward_features(self, images: Tensor):
+        """Eval-mode stage outputs plus the head-normed final map: five
+        channel-last maps, [B, H, W, C]."""
         self._check_input(images)
         x, feats = images, []
         for seg in self.segments[:-1]:  # all but the classifier
-            x = seg.run(x, train, rng)
+            x = seg.run(x, False, None)
             if seg.feature:
                 feats.append(x)
         return feats
@@ -313,8 +306,7 @@ class ConvBaseline:
                 out[f"downsample.{s}.conv.weight"] = self.down_convs[s]
         return out
 
-    def forward_features(self, images: Tensor, train: bool = False,
-                         rng=None):
+    def forward_features(self, images: Tensor):
         x = conv2d(transpose(images, (0, 2, 3, 1)), self.stem_conv,
                    stride=4, padding=0)
         feats = []
@@ -336,61 +328,32 @@ def build_conv_baseline(config: VariantConfig, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Analytic parameter and flop counts
 
+def _costs(config: VariantConfig, H: int,
+           W: int) -> list[tuple[int, float, float]]:
+    """(parameters, flops per image, flops per forward) of each part of the
+    network on HxW images, under ``block.block_cost``'s counting rules."""
+    if H % _TOTAL_STRIDE or W % _TOTAL_STRIDE:
+        raise ValueError(
+            f"input spatial size {H}x{W} must be divisible by "
+            f"{_TOTAL_STRIDE}")
+    d, k = config.dims, config.num_classes
+    hw = (H // 4) * (W // 4)
+    rows = [(3 * 16 * d[0] + 2 * d[0], hw * d[0] * (3 * 16 + 5), 0)]  # stem
+    for s in range(4):
+        params, per_pixel, per_forward = block_cost(d[s], config)
+        n = config.depths[s]
+        rows.append((n * params, n * hw * per_pixel, n * per_forward))
+        if s < 3:
+            hw //= 4
+            rows.append((4 * d[s] * d[s + 1] + 2 * d[s + 1],  # downsample
+                         hw * d[s + 1] * (4 * d[s] + 5), 0))
+    rows.append((2 * d[3] + k * d[3] + k, 5 * hw * d[3] + k * d[3], 0))  # head
+    return rows
+
+
 def count_params(config: VariantConfig) -> int:
     """Closed-form learnable-parameter count; equals the instantiated tally."""
-    d = config.dims
-    n = 3 * d[0] * 16 + 2 * d[0]  # stem conv + norm
-    for s in range(4):
-        n += config.depths[s] * block_param_count(
-            d[s], d_state=config.d_state, ssm_ratio=config.ssm_ratio,
-            ffn_ratio=config.ffn_ratio, scan_mode=config.scan_mode,
-            adaptive_weighting=config.adaptive_weighting)
-        if s < 3:
-            n += 4 * d[s] * d[s + 1] + 2 * d[s + 1]
-    n += 2 * d[3]                              # head norm
-    n += config.num_classes * d[3] + config.num_classes
-    return n
-
-
-def _block_flops(dim: int, hw: int, config: VariantConfig) -> float:
-    """Per-block cost at spatial size hw, one batch element.
-
-    Counting rules: convolutions and linears at one unit per
-    multiply-accumulate (the convention the published size tables use),
-    the scan at two units per state per token, norms and activations at
-    five ops per element. Arithmetic glue (adds, gating products) is
-    uncounted. Mirrors the tallies made by the instrumented counter, except
-    for the parameter-only terms of ``_block_param_flops``.
-    """
-    ci = int(round(config.ssm_ratio * dim))
-    r = int(round(config.ffn_ratio * dim))
-    nst = config.d_state
-    rank = dt_rank(ci)
-    length = num_scans(config.scan_mode) * hw
-    f = 5.0 * hw * dim                 # norm1
-    f += hw * (2 * ci) * dim           # in_proj
-    f += hw * ci * 9                   # branch depthwise
-    f += 5.0 * hw * ci                 # branch silu
-    f += hw * filter_bank_cost(config.scan_mode, ci)[1]  # filter bank
-    f += length * (rank + 2 * nst) * ci      # x_proj
-    f += length * ci * rank                  # dt_proj
-    f += 5.0 * length * ci                   # softplus(delta)
-    f += 2.0 * length * ci * nst             # scan recurrence
-    f += 5.0 * hw * ci                 # gate silu
-    f += hw * dim * ci                 # out_proj
-    f += 5.0 * hw * dim                # norm2
-    f += hw * r * dim + hw * r * 9 + 5.0 * hw * r + hw * dim * r  # ffn
-    return f
-
-
-def _block_param_flops(dim: int, config: VariantConfig) -> float:
-    """Per-block cost of ops on parameters alone, paid once per forward."""
-    ci = int(round(config.ssm_ratio * dim))
-    scans = num_scans(config.scan_mode)
-    f = 5.0 * ci * config.d_state            # exp(A_log)
-    if config.adaptive_weighting and scans > 1:
-        f += 5.0 * scans                     # fusion softmax
-    return f
+    return sum(row[0] for row in _costs(config, _TOTAL_STRIDE, _TOTAL_STRIDE))
 
 
 def count_flops(config: VariantConfig, H: int, W: int,
@@ -401,21 +364,6 @@ def count_flops(config: VariantConfig, H: int, W: int,
     per-image terms scale with the batch, and ``exp(A_log)`` and the fusion
     softmax, which see parameters only, are counted once.
     """
-    if H % _TOTAL_STRIDE or W % _TOTAL_STRIDE:
-        raise ValueError(
-            f"input spatial size {H}x{W} must be divisible by "
-            f"{_TOTAL_STRIDE}")
-    d = config.dims
-    h, w = H // 4, W // 4
-    f = h * w * d[0] * 3 * 16 + 5.0 * h * w * d[0]  # stem conv + norm
-    shared = 0.0
-    for s in range(4):
-        f += config.depths[s] * _block_flops(d[s], h * w, config)
-        shared += config.depths[s] * _block_param_flops(d[s], config)
-        if s < 3:
-            h, w = h // 2, w // 2
-            f += h * w * d[s + 1] * d[s] * 4          # downsample conv
-            f += 5.0 * h * w * d[s + 1]               # downsample norm
-    f += 5.0 * h * w * d[3]                           # head norm
-    f += config.num_classes * d[3]                    # classifier
-    return batch * f + shared
+    rows = _costs(config, H, W)
+    return float(batch * sum(row[1] for row in rows)
+                 + sum(row[2] for row in rows))

@@ -19,9 +19,15 @@ at initialization.
 The block runs as two halves: ``mixer_forward`` (x -> y') and
 ``ffn_forward`` (y' -> y), each owning the parameters it reads. The
 backbone holds each half as its own segment.
+
+A block takes its width and a ``VariantConfig`` for every other option.
+``_widths`` and ``_fusion_weights`` hold the width and fusion-weight rules
+once; the constructor and the cost table ``block_cost`` both read them.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,7 +38,23 @@ from .ssm import SsmCore, dt_rank
 from .tensor import (Tensor, add, depthwise_conv2d, gelu, layer_norm, linear,
                      mul, scale_per_sample, silu, slice_axis)
 
-__all__ = ["MfilBlock", "block_param_count", "conv_ffn"]
+if TYPE_CHECKING:
+    from .backbone import VariantConfig
+
+__all__ = ["MfilBlock", "block_cost", "conv_ffn"]
+
+
+def _widths(dim: int, config: VariantConfig) -> tuple[int, int]:
+    """(scan width C_inner, FFN hidden width) of a block of width ``dim``."""
+    return (int(round(config.ssm_ratio * dim)),
+            int(round(config.ffn_ratio * dim)))
+
+
+def _fusion_weights(config: VariantConfig) -> int:
+    """Learned fusion weights per block: one per view, and none unless
+    adaptive weighting has two or more views to fuse."""
+    views = num_scans(config.scan_mode)
+    return views if config.adaptive_weighting and views > 1 else 0
 
 
 def _drop_path(delta: Tensor, rate: float, train: bool,
@@ -74,19 +96,17 @@ def conv_ffn(x: Tensor, ffn: _ConvFfn) -> Tensor:
 
 
 class MfilBlock:
-    def __init__(self, dim: int, d_state: int = 1, ssm_ratio: float = 1.0,
-                 ffn_ratio: float = 4.0, scan_mode: str = "multi_filter",
-                 adaptive_weighting: bool = True,
-                 exact_input_discretization: bool = False,
-                 segment_reset: bool = False, drop_path: float = 0.0,
+    """A residual block of width ``dim``, options from a VariantConfig."""
+
+    def __init__(self, dim: int, config: VariantConfig,
                  rng: np.random.Generator | None = None, dtype: str = "f32"):
         if rng is None:
             rng = np.random.default_rng(0)
+        ci, hidden = _widths(dim, config)
         self.dim = dim
-        self.d_inner = int(round(ssm_ratio * dim))
-        self.scan_mode = scan_mode
-        self.drop_path = drop_path
-        ci = self.d_inner
+        self.d_inner = ci
+        self.scan_mode = config.scan_mode
+        self.drop_path = config.drop_path
 
         self.norm1_gamma = Tensor(np.ones(dim), dtype=dtype,
                                   grad_enabled=True)
@@ -96,21 +116,22 @@ class MfilBlock:
                               grad_enabled=True)
         self.branch_conv = Tensor(identity_depthwise_kernel(ci), dtype=dtype,
                                   grad_enabled=True)
-        self.bank = FilterBank(ci, rng=rng, dtype=dtype, scan_mode=scan_mode)
+        self.bank = FilterBank(ci, rng=rng, dtype=dtype,
+                               scan_mode=config.scan_mode)
         self.core = SsmCore(
-            ci, d_state=d_state,
-            exact_input_discretization=exact_input_discretization,
-            segment_reset=segment_reset, rng=rng, dtype=dtype)
-        n_scans = num_scans(scan_mode)
-        self.weights = (AdaptiveWeights(n_scans, dtype=dtype)
-                        if adaptive_weighting and n_scans > 1 else None)
+            ci, d_state=config.d_state,
+            exact_input_discretization=config.exact_input_discretization,
+            segment_reset=config.segment_reset, rng=rng, dtype=dtype)
+        n_weights = _fusion_weights(config)
+        self.weights = (AdaptiveWeights(n_weights, dtype=dtype)
+                        if n_weights else None)
         self.out_proj = Tensor(trunc_normal(rng, (dim, ci)), dtype=dtype,
                                grad_enabled=True)
         self.norm2_gamma = Tensor(np.ones(dim), dtype=dtype,
                                   grad_enabled=True)
         self.norm2_beta = Tensor(np.zeros(dim), dtype=dtype,
                                  grad_enabled=True)
-        self.ffn = _ConvFfn(dim, int(round(ffn_ratio * dim)), rng, dtype)
+        self.ffn = _ConvFfn(dim, hidden, rng, dtype)
 
     def mixer_parameters(self) -> dict[str, Tensor]:
         """Parameters of the mixer half, norm1 through out_proj."""
@@ -172,33 +193,40 @@ class MfilBlock:
     __call__ = forward
 
 
-def block_param_count(dim: int, d_state: int = 1, ssm_ratio: float = 1.0,
-                      ffn_ratio: float = 4.0,
-                      scan_mode: str = "multi_filter",
-                      adaptive_weighting: bool = True) -> int:
-    """Closed-form learnable-parameter count of one block.
+def block_cost(dim: int, config: VariantConfig) -> tuple[int, float, float]:
+    """(parameters, flops per pixel, flops per forward) of one block.
 
-    Must stay in lockstep with the constructor above; the test suite asserts
-    bit-exact agreement with the instantiated tally.
+    One row per component. Convolutions and linears count one unit per
+    multiply-accumulate (the convention the published size tables use),
+    the scan two units per state per token, norms and activations five
+    ops per element; arithmetic glue (adds, gating products) is uncounted.
+    Every term that sees the map is linear in H * W. ``exp(A_log)`` and
+    the fusion softmax see parameters alone, so a forward pays them once
+    whatever the batch. The tests assert bit-exact agreement with the
+    instantiated tally and with the instrumented counter.
     """
-    ci = int(round(ssm_ratio * dim))
-    r = int(round(ffn_ratio * dim))
+    ci, r = _widths(dim, config)
+    nst = config.d_state
     rank = dt_rank(ci)
-    n = 2 * dim                       # norm1
-    n += 2 * ci * dim                 # in_proj, no bias
-    n += 9 * ci                       # branch depthwise 3x3
-    n += filter_bank_cost(scan_mode, ci)[0]  # filter bank
-    n += ci * d_state                 # A_log
-    n += ci                           # dt_bias
-    n += (rank + 2 * d_state) * ci    # x_proj
-    n += ci * rank                    # dt_proj
-    n += ci                           # D_skip
-    scans = num_scans(scan_mode)
-    if adaptive_weighting and scans > 1:
-        n += scans
-    n += dim * ci                     # out_proj, no bias
-    n += 2 * dim                      # norm2
-    n += r * dim + r                  # ffn fc1
-    n += 9 * r                        # ffn depthwise
-    n += dim * r + dim                # ffn fc2
-    return n
+    views = num_scans(config.scan_mode)
+    fusion = _fusion_weights(config)
+    rows = [  # (parameters, flops per pixel, flops per forward)
+        (2 * dim, 5 * dim, 0),                            # norm1
+        (2 * ci * dim, 2 * ci * dim, 0),                  # in_proj, no bias
+        (9 * ci, 9 * ci + 5 * ci, 0),                     # branch dw + silu
+        (*filter_bank_cost(config.scan_mode, ci), 0),     # filter bank
+        (ci * nst, 0, 5 * ci * nst),                      # A_log, exp
+        (ci, 0, 0),                                       # dt_bias
+        ((rank + 2 * nst) * ci, views * (rank + 2 * nst) * ci, 0),  # x_proj
+        (ci * rank, views * ci * rank, 0),                # dt_proj
+        (0, views * (5 * ci + 2 * ci * nst), 0),          # softplus, scan
+        (ci, 0, 0),                                       # D_skip
+        (fusion, 0, 5 * fusion),                          # fusion softmax
+        (dim * ci, 5 * ci + dim * ci, 0),                 # gate silu, out_proj
+        (2 * dim, 5 * dim, 0),                            # norm2
+        (r * dim + r, r * dim, 0),                        # ffn fc1
+        (9 * r, 9 * r + 5 * r, 0),                        # ffn dw + gelu
+        (dim * r + dim, dim * r, 0),                      # ffn fc2
+    ]
+    params, per_pixel, per_forward = (sum(col) for col in zip(*rows))
+    return params, float(per_pixel), float(per_forward)

@@ -170,7 +170,12 @@ def cmd_report(args) -> int:
     if args.kind == "flops":
         return _report_flops()
     if args.kind == "erf":
-        return _report_erf(args.out or Path("reports"), args.seed or 0)
+        seed = args.seed or 0
+        if seed < 0:
+            print(f"config error: seed must be >= 0, got {seed}",
+                  file=sys.stderr)
+            return 2
+        return _report_erf(args.out or Path("reports"), seed)
     return _report_covariance()
 
 

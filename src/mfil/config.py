@@ -101,14 +101,11 @@ class RunConfig:
         return self
 
     def model_config(self) -> VariantConfig:
-        return VARIANTS[self.variant](num_classes=self.num_classes).\
-            with_overrides(
-                scan_mode=self.scan_mode,
-                adaptive_weighting=self.adaptive_weighting,
-                d_state=self.d_state, ssm_ratio=self.ssm_ratio,
-                ffn_ratio=self.ffn_ratio, drop_path=self.drop_path,
-                exact_input_discretization=self.exact_input_discretization,
-                segment_reset=self.segment_reset)
+        """The variant, with every field this config shares with it."""
+        own = {f.name for f in fields(self)}
+        return VARIANTS[self.variant]().with_overrides(**{
+            f.name: getattr(self, f.name) for f in fields(VariantConfig)
+            if f.name in own})
 
     def with_overrides(self, **kw) -> "RunConfig":
         return replace(self, **kw)

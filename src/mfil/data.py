@@ -90,7 +90,3 @@ class SyntheticDataset:
             flips = flip_rng.random(len(indices)) < 0.5
             x[flips] = x[flips, :, :, ::-1]
         return x, self.labels[np.asarray(indices)]
-
-    def class_counts(self, indices) -> np.ndarray:
-        return np.bincount(self.labels[np.asarray(indices)],
-                           minlength=self.num_classes)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_pgm", "read_pgm", "write_matrix_text"]
+__all__ = ["write_pgm", "write_matrix_text"]
 
 
 def _quantize(grid: np.ndarray) -> np.ndarray:
@@ -26,20 +26,6 @@ def write_pgm(path, grid: np.ndarray):
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(g.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM: magic {magic!r}")
-        line = f.readline()
-        while line.startswith(b"#"):
-            line = f.readline()
-        w, h = (int(v) for v in line.split())
-        maxval = int(f.readline())
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w).astype(np.float64) / maxval
 
 
 def write_matrix_text(path, grid: np.ndarray):

@@ -28,7 +28,7 @@ __all__ = [
     "take", "tile_leading", "scale_per_sample",
     "linear", "layer_norm", "conv2d", "depthwise_conv2d",
     "softmax_cross_entropy", "backward", "record_op", "recording",
-    "flop_counter", "FlopCounter",
+    "flop_counter",
 ]
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -131,16 +131,17 @@ class _Node:
 _LOCAL = threading.local()
 
 
-def _tape_stack():
-    stack = getattr(_LOCAL, "stack", None)
+def _stack(name: str) -> list:
+    """This thread's stack of active ``name``: "tapes" or "counters"."""
+    stack = getattr(_LOCAL, name, None)
     if stack is None:
         stack = []
-        _LOCAL.stack = stack
+        setattr(_LOCAL, name, stack)
     return stack
 
 
 def _active_tape():
-    stack = _tape_stack()
+    stack = _stack("tapes")
     return stack[-1] if stack else None
 
 
@@ -158,11 +159,11 @@ class Tape:
         self._swept = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _stack("tapes").append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _stack("tapes").pop()
         assert popped is self
         return False
 
@@ -235,12 +236,13 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
 # ---------------------------------------------------------------------------
 # FLOP accounting (used by the backbone's instrumented counter)
 
-class FlopCounter:
+class flop_counter:
     """Tallies op costs during forward execution, in fused multiply-add units.
 
     Convolutions and linears count one unit per multiply-accumulate, the scan
     counts two units per state per token, norms and activations count five
-    elementwise ops per element.
+    elementwise ops per element. ``with flop_counter() as fc`` adds the cost
+    of every op run inside the ``with`` statement to ``fc.total``.
     """
 
     def __init__(self):
@@ -249,30 +251,17 @@ class FlopCounter:
     def add(self, n):
         self.total += float(n)
 
-
-def _counter_stack():
-    stack = getattr(_LOCAL, "counters", None)
-    if stack is None:
-        stack = []
-        _LOCAL.counters = stack
-    return stack
-
-
-class flop_counter:
-    def __init__(self):
-        self.counter = FlopCounter()
-
     def __enter__(self):
-        _counter_stack().append(self.counter)
-        return self.counter
+        _stack("counters").append(self)
+        return self
 
     def __exit__(self, exc_type, exc, tb):
-        _counter_stack().pop()
+        _stack("counters").pop()
         return False
 
 
 def _tally(n):
-    stack = _counter_stack()
+    stack = _stack("counters")
     if stack:
         stack[-1].add(n)
 

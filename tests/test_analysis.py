@@ -9,7 +9,7 @@ from mfil import backbone as bb
 from mfil import tensor as T
 from mfil.analysis import (ErfMap, erf, gradcheck_suite, saliency,
                            stacked_stencil_losses)
-from mfil.imageio import read_pgm, write_matrix_text, write_pgm
+from mfil.imageio import write_matrix_text, write_pgm
 from mfil.reference import stencil_points
 from mfil.scan import SCAN_MODES
 from mfil.tensor import Tape, Tensor
@@ -352,6 +352,20 @@ def test_gradcheck_corrupted_backward_names_offenders(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # artifact emission
+
+def read_pgm(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        magic = f.readline().strip()
+        if magic != b"P5":
+            raise ValueError(f"not a binary PGM: magic {magic!r}")
+        line = f.readline()
+        while line.startswith(b"#"):
+            line = f.readline()
+        w, h = (int(v) for v in line.split())
+        maxval = int(f.readline())
+        data = np.frombuffer(f.read(w * h), dtype=np.uint8)
+    return data.reshape(h, w).astype(np.float64) / maxval
+
 
 def test_pgm_round_trip_and_max_pixel(rng, tmp_path):
     grid = np.abs(rng.standard_normal((10, 12)))

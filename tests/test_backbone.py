@@ -216,12 +216,20 @@ def test_ablation_parameter_deltas():
 # ---------------------------------------------------------------------------
 # flops
 
-@pytest.mark.parametrize("mode,size,batch", [
-    *(pytest.param(m, 32, 32, id=m) for m in SCAN_MODES),
-    *(pytest.param(m, 64, 1, id=f"{m}-64x64-b1") for m in SCAN_MODES),
+@pytest.mark.parametrize("overrides,size,batch", [
+    *(pytest.param({"scan_mode": m}, 32, 32, id=m) for m in SCAN_MODES),
+    *(pytest.param({"scan_mode": m}, 64, 1, id=f"{m}-64x64-b1")
+      for m in SCAN_MODES),
+    pytest.param({"d_state": 2}, 32, 3, id="d_state_2"),
+    pytest.param({"ssm_ratio": 1.5}, 32, 3, id="ssm_ratio_1.5"),
+    pytest.param({"ssm_ratio": 2.0}, 32, 3, id="ssm_ratio_2"),
+    pytest.param({"ffn_ratio": 2.5}, 32, 3, id="ffn_ratio_2.5"),
+    pytest.param({"adaptive_weighting": False}, 32, 3, id="no_adaptive"),
+    pytest.param({"exact_input_discretization": True, "segment_reset": True},
+                 32, 3, id="exact_segment_reset"),
 ])
-def test_count_flops_exact_for_a_batch(rng, mode, size, batch):
-    cfg = bb.desk().with_overrides(scan_mode=mode)
+def test_count_flops_exact_for_a_batch(rng, overrides, size, batch):
+    cfg = bb.desk(**overrides)
     model = bb.build(cfg, seed=0)
     with flop_counter() as fc:
         model.forward(_input(rng, size, batch=batch))

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import grad_close, rel_err
 from mfil import reference
-from mfil.block import MfilBlock, block_param_count, conv_ffn
+from mfil.backbone import desk
+from mfil.block import MfilBlock, block_cost, conv_ffn
 from mfil.tensor import Tape, Tensor, mul, tsum
 
 
@@ -13,7 +14,8 @@ def _nhwc(a):
 
 
 def _block(dim, seed=0, dtype="f64", **kw):
-    return MfilBlock(dim, rng=np.random.default_rng(seed), dtype=dtype, **kw)
+    return MfilBlock(dim, desk(**kw), rng=np.random.default_rng(seed),
+                     dtype=dtype)
 
 
 def test_block_preserves_shape_at_published_width(rng):
@@ -133,12 +135,12 @@ def test_conv_ffn_matches_composed_oracle(rng):
 def test_param_count_formula_matches_tally(dim, kw):
     blk = _block(dim, seed=1, **kw)
     tally = sum(p.size for p in blk.parameters().values())
-    assert tally == block_param_count(dim, **kw)
+    assert tally == block_cost(dim, desk(**kw))[0]
 
 
 def test_adaptive_weighting_removes_exactly_four_scalars():
-    with_w = block_param_count(8)
-    without = block_param_count(8, adaptive_weighting=False)
+    with_w = block_cost(8, desk())[0]
+    without = block_cost(8, desk(adaptive_weighting=False))[0]
     assert with_w - without == 4
 
 

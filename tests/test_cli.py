@@ -199,3 +199,11 @@ def test_report_erf_writes_pgm(tmp_path, capsys):
     assert max(pgm[header_len:]) == 255
     assert (tmp_path / "erf-conv-baseline.pgm").exists()
     assert (tmp_path / "erf-desk.txt").exists()
+
+
+def test_report_erf_rejects_negative_seed(tmp_path, capsys):
+    assert main(["report", "--kind", "erf", "--out", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed must be >= 0, got -1")
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def test_dataset_balanced_within_one():
     counts = np.bincount(ds.labels, minlength=4)
     assert counts.max() - counts.min() <= 1
     order = ds.epoch_order(np.random.default_rng(0))
-    counts = ds.class_counts(order)
+    counts = np.bincount(ds.labels[order], minlength=4)
     assert counts.max() - counts.min() <= 1
 
 
@@ -116,13 +117,17 @@ def test_run_config_validation():
 
 
 def test_model_config_carries_overrides():
-    cfg = RunConfig(variant="desk", scan_mode="single_flatten", d_state=2,
-                    ssm_ratio=2.0, adaptive_weighting=False, num_classes=3)
-    mc = cfg.model_config()
-    assert mc.scan_mode == "single_flatten"
-    assert mc.d_state == 2 and mc.ssm_ratio == 2.0
-    assert not mc.adaptive_weighting
-    assert mc.num_classes == 3
+    """Every field RunConfig shares with VariantConfig reaches the model."""
+    changed = {"scan_mode": "cross_4dir", "adaptive_weighting": False,
+               "d_state": 3, "ssm_ratio": 1.5, "ffn_ratio": 2.5,
+               "num_classes": 3, "drop_path": 0.2,
+               "exact_input_discretization": True, "segment_reset": True}
+    assert set(changed) == ({f.name for f in fields(RunConfig)}
+                            & {f.name for f in fields(bb.VariantConfig)})
+    default = RunConfig().model_config()
+    mc = RunConfig(**changed).model_config()
+    for name, value in changed.items():
+        assert getattr(mc, name) == value != getattr(default, name), name
 
 
 # ---------------------------------------------------------------------------
