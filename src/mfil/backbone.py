@@ -67,7 +67,8 @@ class VariantConfig:
             raise ValueError(
                 f"dims must be strictly increasing, got {self.dims}")
         if self.scan_mode not in SCAN_MODES:
-            raise ValueError(f"unknown scan_mode {self.scan_mode!r}")
+            raise ValueError(f"unknown scan_mode {self.scan_mode!r}, "
+                             f"expected one of {SCAN_MODES}")
         if self.d_state < 1 or self.ssm_ratio <= 0:
             raise ValueError(
                 f"d_state must be >= 1 and ssm_ratio positive, got "

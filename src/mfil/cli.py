@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
     model = bb.build(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
     try:
         load_into(model.parameters(), load_checkpoint(args.checkpoint))
-    except CheckpointError as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
     dataset = SyntheticDataset(cfg.image_size, cfg.num_classes,

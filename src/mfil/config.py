@@ -7,12 +7,12 @@ unknown keys with the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .backbone import VARIANTS, VariantConfig
 from .data import CLASS_NAMES
-from .scan import SCAN_MODES
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "load_run_config"]
 
@@ -48,8 +48,8 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ConfigError(
                 f"label_smoothing must be in [0, 1), got "
@@ -68,10 +68,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown variant {self.variant!r}, expected one of "
                 f"{sorted(VARIANTS)}")
-        if self.scan_mode not in SCAN_MODES:
-            raise ConfigError(
-                f"unknown scan_mode {self.scan_mode!r}, expected one of "
-                f"{SCAN_MODES}")
         if self.image_size < 32 or self.image_size % 32:
             raise ConfigError(
                 f"image_size must be positive and divisible by 32, got "

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .init import inv_softplus
 from .tensor import (Tensor, linear, neg, record_op, recording, slice_axis,
@@ -84,6 +83,9 @@ def discretize_zoh(A, B, delta, diagonal: bool | None = None):
     if not diagonal:
         if d.ndim != 0:
             raise ValueError("general matrix path takes a scalar delta")
+        # Only the verification suites take this path, so a training or
+        # analysis run never loads scipy.linalg.
+        from scipy.linalg import expm
         da = float(d) * a
         n = a.shape[0]
         a_bar = expm(da)

@@ -106,7 +106,7 @@ class _Node:
     The output tensor holds its node and the tape holds its nodes, so the
     node refers back to both weakly: a graph has no reference cycle, and
     reference counting frees it once its tape and last output are dropped.
-    ``out`` and ``tape`` read as None after that. ``Tape.gradients`` sets
+    ``out`` and ``tape`` read as None after that. ``Tape.sweep`` sets
     ``backward`` to None and ``inputs`` to () once it has swept the node.
     """
 
@@ -149,7 +149,7 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Recording order is topological (inputs are created before the ops that
-    consume them) so ``gradients`` is one reverse sweep that touches every
+    consume them) so ``sweep`` is one reverse pass that touches every
     recorded node at most once. Tapes are thread-local; independent tapes may
     run concurrently on different threads.
     """
@@ -171,17 +171,19 @@ class Tape:
     def nodes(self) -> tuple:
         return tuple(self._nodes)
 
-    def gradients(self, loss: Tensor, params: Iterable[Tensor] | None = None):
-        """One-shot reverse sweep from a scalar ``loss``.
+    def sweep(self, loss: Tensor, params: Iterable[Tensor] | None = None):
+        """One-shot reverse sweep from a scalar ``loss``, as a generator.
 
-        Returns a dict mapping each requested leaf tensor to its gradient.
-        Leaves that do not participate in the graph map to zeros. With
-        ``params=None`` all grad-enabled leaves encountered are returned.
+        Yields ``(leaf, gradient)`` for each requested leaf tensor once no
+        node left on the tape consumes it, so the caller may overwrite the
+        leaf's data and drop the gradient while the sweep goes on. Requested
+        tensors that are not leaves of the graph yield zeros first. With
+        ``params=None`` each grad-enabled leaf that gets a gradient yields.
 
         The sweep pops each node off the tape and, once its backward has run
         or it got no gradient, drops its backward rule and inputs, so the
         arrays a rule saved are freed while the sweep goes on. The tape is
-        spent afterwards: a second call raises ``ValueError``.
+        spent afterwards: a second sweep raises ``ValueError``.
         """
         if loss.data.ndim != 0:
             raise ValueError(
@@ -192,12 +194,26 @@ class Tape:
             raise ValueError("tape already swept: record a new tape to take "
                              "gradients again")
         self._swept = True
+        nodes = self._nodes
+        every = params is None
+        if every:
+            params = (t for node in nodes for t in node.inputs
+                      if t.node is None and t.grad_enabled)
+        wanted = {id(p): p for p in params}
+        # Leaves by the index of their earliest consumer: the sweep runs in
+        # reverse, so once that node is swept no node left reads the leaf.
+        release: dict[int, list[Tensor]] = {}
+        for i, node in enumerate(nodes):
+            for t in node.inputs:
+                if t.node is None and id(t) in wanted:
+                    release.setdefault(i, []).append(wanted.pop(id(t)))
+        for p in wanted.values():  # not a leaf of this graph
+            yield p, Tensor(np.zeros_like(p.data), check_finite=False)
         # Pending gradient per tensor id, with the tensor itself: releasing
         # its consumers' inputs must not free a tensor before its own node
         # is swept, or that node's output would read None.
         grads: dict[int, tuple[Tensor, np.ndarray]] = {
             id(loss): (loss, np.ones((), dtype=loss.data.dtype))}
-        nodes = self._nodes
         while nodes:
             node = nodes.pop()
             y = node.out
@@ -213,15 +229,17 @@ class Tape:
                     grads[key] = (t, g)
             node.backward = None
             node.inputs = ()
-        if params is None:
-            params = [t for t, _ in grads.values() if t.node is None]
-        out = {}
-        for p in params:
-            pending = grads.get(id(p))
-            g = np.zeros_like(p.data) if pending is None else pending[1]
-            out[p] = Tensor(np.asarray(g, dtype=p.data.dtype),
-                            check_finite=False)
-        return out
+            for p in release.pop(len(nodes), ()):
+                g = grads.pop(id(p), (None, None))[1]
+                if g is not None or not every:
+                    g = np.zeros_like(p.data) if g is None else g
+                    yield p, Tensor(np.asarray(g, dtype=p.data.dtype),
+                                    check_finite=False)
+
+    def gradients(self, loss: Tensor, params: Iterable[Tensor] | None = None):
+        """``sweep`` collected into a dict mapping each leaf to its
+        gradient."""
+        return dict(self.sweep(loss, params))
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None):

@@ -6,7 +6,13 @@ and stochastic depth. Metrics go to ``metrics.csv`` (schema
 trailing row (step = steps + 1) holds the full-training-set evaluation, so
 an immediate ``eval`` reproduces it exactly. Checkpoints are written every
 ``checkpoint_interval`` steps and at the end; a non-finite loss aborts the
-run, leaving the last good checkpoint in place.
+run before its step updates anything, leaving the last good checkpoint in
+place.
+
+The optimizer update is fused into the backward: the tape's sweep hands
+over each parameter's gradient as soon as no node left reads the
+parameter, and AdamW applies it and drops it, so a step never holds a
+map of every gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +35,8 @@ __all__ = ["TrainAbort", "TrainResult", "cosine_lr", "AdamW", "train_run",
            "evaluate", "adaptive_weight_drift"]
 
 _FLOOR_FRAC = 1e-6  # cosine decays to this fraction of the peak rate
-# f64 elements per AdamW update block: three 256 KiB scratch buffers.
+# f64 elements per AdamW update block: at most three 256 KiB scratch
+# buffers, sized to each parameter.
 _ADAMW_BLOCK = 1 << 15
 
 
@@ -61,10 +69,12 @@ def cosine_lr(step: int, total_steps: int, peak: float,
 class AdamW:
     """Decoupled weight decay Adam; state keyed by parameter name.
 
-    The moments are kept in f64. Each parameter is updated in place, block
-    by block over its flat view, so no temporary outgrows a cache-sized
-    block; every element sees the same operations in the same order as the
-    whole-array formula, so the result does not depend on the blocking.
+    The moments are kept in f64. The update is elementwise, so neither the
+    order in which ``step`` receives the gradients nor the blocking changes
+    the result: each parameter is updated in place, block by block over its
+    flat view, so no temporary outgrows a cache-sized block, and every
+    element sees the same operations in the same order as the whole-array
+    formula.
     """
 
     def __init__(self, betas=(0.9, 0.999), eps: float = 1e-8,
@@ -76,22 +86,29 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
-             lr: float):
+    def step(self, params: dict[str, Tensor],
+             grads: Iterable[tuple[str, np.ndarray]], lr: float):
+        """Update each parameter as its ``(name, gradient)`` pair arrives,
+        so a backward sweep's gradients can be dropped once applied. Every
+        parameter must receive exactly one pair."""
         self.t += 1
         b1, b2, eps, wd = self.beta1, self.beta2, self.eps, self.weight_decay
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        g64, upd, p64 = (np.empty(_ADAMW_BLOCK) for _ in range(3))
-        for name, p in params.items():
-            g = np.ravel(grads[name])
+        missing = set(params)
+        for name, grad in grads:
+            missing.remove(name)
+            p = params[name]
+            g = np.ravel(grad)
             if name not in self.m:
-                self.m[name] = np.zeros(np.shape(grads[name]))
-                self.v[name] = np.zeros(np.shape(grads[name]))
+                self.m[name] = np.zeros(np.shape(grad))
+                self.v[name] = np.zeros(np.shape(grad))
             if not (p.data.flags.c_contiguous and p.data.flags.writeable):
                 p.data = p.data.copy()
             m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
             flat = p.data.reshape(-1)
+            g64, upd, p64 = (np.empty(min(_ADAMW_BLOCK, g.size))
+                             for _ in range(3))
             for s in range(0, g.size, _ADAMW_BLOCK):
                 e = min(s + _ADAMW_BLOCK, g.size)
                 gb, ub, pb = g64[:e - s], upd[:e - s], p64[:e - s]
@@ -119,6 +136,8 @@ class AdamW:
                 np.multiply(ub, lr, out=ub)
                 np.subtract(pb, ub, out=pb)
                 np.copyto(flat[s:e], pb, casting="same_kind")
+        if missing:
+            raise ValueError(f"AdamW.step: no gradient for {sorted(missing)}")
 
 
 @dataclass
@@ -174,27 +193,11 @@ def adaptive_weight_drift(model: Backbone) -> dict[str, float]:
     return out
 
 
-def _step_gradients(model: Backbone, params: dict[str, Tensor], x, y,
-                    cfg: RunConfig, path_rng):
-    """One taped forward and backward: (loss, accuracy, gradient by name).
-
-    The one-shot sweep in ``tape.gradients`` frees each node's saved arrays
-    as soon as its backward has run, so the graph shrinks while the backward
-    goes on. The tape, logits, loss and gradient tensors are locals, so
-    reference counting frees what is left of the step's graph on return,
-    before the next forward.
-    """
-    with Tape() as tape:
-        logits = model.forward(Tensor(x, dtype=cfg.dtype), train=True,
-                               rng=path_rng)
-        loss = softmax_cross_entropy(logits, y, cfg.label_smoothing)
-    grad_map = tape.gradients(loss, list(params.values()))
-    acc = float((logits.data.argmax(axis=1) == y).mean())
-    return (loss.item(), acc,
-            {name: grad_map[p].data for name, p in params.items()})
-
-
 def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
+    """Train ``cfg`` from its seed, writing metrics and checkpoints. Each
+    step checks its loss before the backward, then AdamW consumes the
+    tape's sweep, updating each parameter as soon as its gradient is
+    final."""
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,6 +205,7 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
                                cfg.dataset_size, cfg.noise, seed=cfg.seed)
     model = build(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
     params = model.parameters()
+    names = {p: name for name, p in params.items()}
     opt = AdamW(weight_decay=cfg.weight_decay)
     data_rng = np.random.default_rng(cfg.seed + 1)
     aug_rng = np.random.default_rng(cfg.seed + 2)
@@ -223,16 +227,20 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
             x, y = dataset.batch(idx, flip_rng=aug_rng)
             lr = cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_frac)
             try:
-                loss_val, acc, grads = _step_gradients(model, params, x, y,
-                                                       cfg, path_rng)
+                with Tape() as tape:
+                    logits = model.forward(Tensor(x, dtype=cfg.dtype),
+                                           train=True, rng=path_rng)
+                    loss = softmax_cross_entropy(logits, y,
+                                                 cfg.label_smoothing)
+                loss_val = loss.item()
             except NonFiniteError:
+                loss_val = math.nan
+            if not math.isfinite(loss_val):  # before any update
                 raise TrainAbort(step, checkpoints[-1] if checkpoints
                                  else None)
-            if not math.isfinite(loss_val):
-                raise TrainAbort(step, checkpoints[-1] if checkpoints
-                                 else None)
-            opt.step(params, grads, lr)
-            del grads  # the next forward records without this gradient map
+            acc = float((logits.data.argmax(axis=1) == y).mean())
+            opt.step(params, ((names[p], g.data) for p, g in
+                              tape.sweep(loss, params.values())), lr)
             writer.writerow([step, f"{loss_val:.6f}", f"{lr:.8e}",
                              f"{acc:.6f}"])
             if cfg.checkpoint_interval and \

@@ -71,8 +71,10 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
     ([], "drop_path = -0.5\n", "drop_path must be in [0, 1), got -0.5"),
     ([], "drop_path = 1.5\n", "drop_path must be in [0, 1), got 1.5"),
     ([], "batch_size = 0\n", "batch_size must be >= 1, got 0"),
+    ([], "scan_mode = zigzag\n",
+     "unknown scan_mode 'zigzag', expected one of ("),
 ], ids=["d_state_0", "ssm_ratio_0", "drop_path_1", "drop_path_-0.5",
-        "drop_path_1.5", "batch_size_0"])
+        "drop_path_1.5", "batch_size_0", "scan_mode_zigzag"])
 def test_train_rejects_bad_model_values_as_config_errors(
         monkeypatch, tmp_path, capsys, flags, lines, message):
     """Values the model config rejects exit 2 with a config error before
@@ -97,9 +99,12 @@ def test_train_rejects_bad_model_values_as_config_errors(
     ("weight_decay = -1\n", "weight_decay must be >= 0, got -1.0"),
     ("seed = -1\n", "seed must be >= 0, got -1"),
     ("checkpoint_interval = -5\n", "checkpoint_interval must be >= 0"),
+    ("lr = nan\n", "lr must be finite and positive, got nan"),
+    ("lr = inf\n", "lr must be finite and positive, got inf"),
 ], ids=["image_size_0", "noise_-1", "num_classes_1", "num_classes_7",
         "dataset_size_0", "dataset_size_16", "ffn_ratio_0", "warmup_frac_2",
-        "weight_decay_-1", "seed_-1", "checkpoint_interval_-5"])
+        "weight_decay_-1", "seed_-1", "checkpoint_interval_-5", "lr_nan",
+        "lr_inf"])
 def test_train_rejects_bad_run_values_as_config_errors(
         monkeypatch, tmp_path, capsys, lines, message):
     """Run values that would crash, abort as a non-finite loss or train a
@@ -122,6 +127,13 @@ def test_eval_shape_mismatch_reports_diff(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "checkpoint error" in err and "shape mismatch" in err
+
+
+def test_eval_missing_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
+    missing = tmp_path / "missing.mfil"
+    assert main(["eval", "--checkpoint", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and str(missing) in err
 
 
 def test_verify_single_suite(capsys):

@@ -332,6 +332,46 @@ def test_backward_nonparticipating_leaf_zero(rng):
     assert np.array_equal(g[unused].data, np.zeros(4))
 
 
+def _probe(name, t, events):
+    """Identity op whose backward logs ``name`` to ``events``."""
+    return record_op(name, (t,), t.data.copy(),
+                     lambda g: (events.append(name), (g,))[1])
+
+
+def _two_use_graph(x, w, events):
+    """loss = sum(x * w * x): x feeds the first node and the fourth."""
+    a = _probe("a", x, events)
+    c = _probe("c", mul(a, w), events)
+    return tsum(mul(c, x))
+
+
+def test_sweep_yields_each_leaf_once_after_its_last_consumer(rng):
+    """Backward order is c, then the node that reads w, then a: w is handed
+    over before a's backward runs and x only after it, once, with the sum of
+    its two contributions. A leaf outside the graph yields zeros first."""
+    x = Tensor(rng.standard_normal(5), grad_enabled=True)
+    w = Tensor(rng.standard_normal(5), grad_enabled=True)
+    unused = Tensor(rng.standard_normal(3), grad_enabled=True)
+    with Tape() as tape:
+        loss = _two_use_graph(x, w, [])
+    want = tape.gradients(loss, [x, w, unused])
+    events, got = [], {}
+    with Tape() as tape:
+        loss = _two_use_graph(x, w, events)
+    for leaf, g in tape.sweep(loss, [x, w, unused]):
+        name = {id(x): "x", id(w): "w", id(unused): "unused"}[id(leaf)]
+        events.append(name)
+        got[name] = g.data
+    assert events == ["unused", "c", "w", "a", "x"]
+    assert np.array_equal(got["unused"], np.zeros(3))
+    assert got["x"].tobytes() == want[x].data.tobytes()
+    assert got["w"].tobytes() == want[w].data.tobytes()
+    assert np.allclose(got["x"], 2.0 * x.data * w.data, atol=1e-12)
+    with Tape() as tape:
+        loss = _two_use_graph(x, w, [])
+    assert [leaf for leaf, _ in tape.sweep(loss)] == [w, x]
+
+
 def test_tape_records_in_topological_order(rng):
     x = Tensor(rng.standard_normal(3), grad_enabled=True)
     with Tape() as tape:

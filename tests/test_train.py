@@ -1,18 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfil
 from mfil import backbone as bb
 from mfil.checkpoint import load_checkpoint, load_into
 from mfil.config import ConfigError, RunConfig, load_run_config, \
     parse_config_file
 from mfil.data import SyntheticDataset
-from mfil.tensor import Tape, Tensor
-from mfil.train import (AdamW, TrainAbort, _step_gradients,
-                        adaptive_weight_drift, cosine_lr, evaluate, train_run)
+from mfil.scan import SCAN_MODES
+from mfil.tensor import Tape, Tensor, softmax_cross_entropy
+from mfil.train import (AdamW, TrainAbort, adaptive_weight_drift, cosine_lr,
+                        evaluate, train_run)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +109,9 @@ def test_config_duplicate_and_syntax(tmp_path):
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigError, match="lr"):
-        RunConfig(lr=0.0).validate()
+    for lr in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite and positive, got"):
+            RunConfig(lr=lr).validate()
     with pytest.raises(ConfigError, match="label_smoothing"):
         RunConfig(label_smoothing=1.0).validate()
     with pytest.raises(ConfigError, match="steps"):
@@ -151,11 +158,17 @@ def test_adamw_single_step_hand_computed():
     p = Tensor(np.array([2.0]))
     g = np.array([0.5])
     opt = AdamW(betas=(0.9, 0.999), eps=1e-8, weight_decay=0.1)
-    opt.step({"p": p}, {"p": g}, lr=0.01)
+    opt.step({"p": p}, {"p": g}.items(), lr=0.01)
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     want = 2.0 - 0.01 * (m_hat / (math.sqrt(v_hat) + 1e-8) + 0.1 * 2.0)
     assert p.data[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_adamw_raises_for_a_parameter_without_a_gradient():
+    params = {"p": Tensor(np.array([2.0])), "q": Tensor(np.array([1.0]))}
+    with pytest.raises(ValueError, match=r"no gradient for \['q'\]"):
+        AdamW().step(params, iter([("p", np.array([0.5]))]), lr=0.01)
 
 
 def test_adamw_blocked_update_equals_whole_array_formula():
@@ -178,7 +191,7 @@ def test_adamw_blocked_update_equals_whole_array_formula():
         grads = {k: rng.standard_normal(v.shape).astype(v.dtype)
                  for k, v in init.items()}
         lr = 1e-3 * t
-        opt.step(params, grads, lr)
+        opt.step(params, grads.items(), lr)
         bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for k in init:
             g = grads[k].astype(np.float64)
@@ -274,6 +287,23 @@ def test_training_without_adaptive_weighting(tmp_path):
     assert math.isfinite(res.final_loss)
 
 
+def test_training_step_leaves_scipy_linalg_unloaded(tmp_path):
+    """Only the verification suites use scipy.linalg, so importing mfil and
+    training a step does not load it."""
+    src = Path(mfil.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, mfil\n"
+            "from mfil.train import train_run\n"
+            "train_run(mfil.RunConfig(steps=1, dataset_size=32, "
+            f"checkpoint_interval=0), {str(tmp_path)!r})\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_training_holds_one_graph_at_a_time(tmp_path, monkeypatch, no_gc):
     """With the cyclic collector off, steps 2 and 3 peak within a few percent
     of step 1 plus the AdamW moments its update creates: a step's graph and
@@ -303,32 +333,93 @@ def test_training_holds_one_graph_at_a_time(tmp_path, monkeypatch, no_gc):
     assert max(later) <= 1.05 * (step1 + moments), (step1, moments, later)
 
 
-def test_taped_step_frees_its_graph_during_the_sweep(monkeypatch):
-    """On a desk f32 B=32 step the graph holds at most 12 MiB when the
-    forward ends, and the sweep frees each node's saved arrays as it goes,
-    so its peak sits at most 1.5 MiB above that (gradients included)."""
-    cfg = RunConfig()
-    model = bb.build(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
-    params = model.parameters()
-    ds = SyntheticDataset(cfg.image_size, cfg.num_classes, 64, cfg.noise,
-                          seed=0)
-    x, y = ds.batch(np.arange(cfg.batch_size))
-    held = {}
-    sweep = Tape.gradients
+def test_streamed_step_frees_graph_and_gradients_during_the_sweep(
+        tmp_path, monkeypatch, no_gc):
+    """At step 2 of a desk f32 B=32 run the graph holds at most 12 MiB when
+    the forward ends. The sweep frees each node's saved arrays and AdamW
+    each gradient as it goes, so the sweep peaks at most 1.5 MiB above
+    that, and the whole step peaks at most 10.135 MiB over its start: a
+    step that collected every gradient before updating read 10.136 MiB."""
+    cfg = RunConfig(steps=2, dataset_size=64, checkpoint_interval=0)
+    marks = []  # (event, current, peak since the previous mark)
 
-    def measured(self, loss, params=None):
-        held["forward"] = tracemalloc.get_traced_memory()[0]
+    def mark(event):
+        marks.append((event, *tracemalloc.get_traced_memory()))
         tracemalloc.reset_peak()
-        grads = sweep(self, loss, params)
-        held["sweep"] = tracemalloc.get_traced_memory()[1]
-        return grads
 
-    monkeypatch.setattr(Tape, "gradients", measured)
+    batch, sweep = SyntheticDataset.batch, Tape.sweep
+
+    def marked_batch(self, *args, **kwargs):
+        mark("batch")
+        return batch(self, *args, **kwargs)
+
+    def marked_sweep(self, loss, params=None):
+        mark("sweep")
+        yield from sweep(self, loss, params)
+        mark("swept")
+
+    monkeypatch.setattr(SyntheticDataset, "batch", marked_batch)
+    monkeypatch.setattr(Tape, "sweep", marked_sweep)
     tracemalloc.start()
     try:
-        _step_gradients(model, params, x, y, cfg, np.random.default_rng(3))
+        train_run(cfg, tmp_path)
     finally:
         tracemalloc.stop()
+    events = [e for e, _, _ in marks]
+    assert events[:7] == ["batch", "sweep", "swept"] * 2 + ["batch"], events
+    (_, start, _), (_, forward, forward_peak), (_, _, sweep_peak), \
+        (_, _, tail_peak) = marks[3:7]
     mib = 1 << 20
-    assert held["forward"] <= 12 * mib, held
-    assert held["sweep"] - held["forward"] <= 1.5 * mib, held
+    assert forward - start <= 12 * mib, marks
+    assert sweep_peak - forward <= 1.5 * mib, marks
+    assert max(forward_peak, sweep_peak, tail_peak) - start <= 10.135 * mib, \
+        marks
+
+
+def _every_backward_then_gradients(tape, loss, params):
+    """Reference for the sweep: run every node's backward, then read the
+    accumulated gradients, with no leaf handed over early."""
+    grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
+    for node in reversed(tape.nodes):
+        g = grads.get(id(node.out))
+        if g is not None:
+            for t, gt in zip(node.inputs, node.backward(g)):
+                if gt is not None and t.grad_enabled:
+                    grads[id(t)] = grads[id(t)] + gt if id(t) in grads else gt
+    return {p: grads[id(p)] for p in params}
+
+
+@pytest.mark.parametrize("overrides", [{"scan_mode": m} for m in SCAN_MODES]
+                         + [{"exact_input_discretization": True,
+                             "segment_reset": True, "drop_path": 0.1}],
+                         ids=list(SCAN_MODES) + ["exact_reset_droppath"])
+def test_sweep_hands_over_parameters_no_backward_still_reads(overrides):
+    """A parameter may be overwritten the moment the sweep yields it: with
+    each one filled with NaN as it arrives, every gradient of a desk f64
+    training step stays byte-equal to the collected sweep's on a fresh tape,
+    which equals running every backward first, and each parameter arrives
+    exactly once."""
+    cfg = RunConfig(dtype="f64", **overrides)
+    model = bb.build(cfg.model_config(), seed=0, dtype=cfg.dtype)
+    params = list(model.parameters().values())
+    x, y = SyntheticDataset(32, 4, 8, seed=0).batch(np.arange(2))
+
+    def taped():
+        with Tape() as tape:
+            logits = model.forward(Tensor(x, dtype=cfg.dtype), train=True,
+                                   rng=np.random.default_rng(7))
+            loss = softmax_cross_entropy(logits, y, cfg.label_smoothing)
+        return tape, loss
+
+    reference = _every_backward_then_gradients(*taped(), params)
+    tape, loss = taped()
+    want = tape.gradients(loss, params)
+    assert all(want[p].data.tobytes() == reference[p].tobytes()
+               for p in params)
+    tape, loss = taped()
+    seen = []
+    for p, g in tape.sweep(loss, params):
+        assert g.data.tobytes() == want[p].data.tobytes()
+        p.data.fill(np.nan)
+        seen.append(id(p))
+    assert sorted(seen) == sorted(map(id, params))
