@@ -77,7 +77,7 @@ def _erf_single(model, input_size: int, stage: int, seed: int) -> np.ndarray:
     return np.abs(grads[x].data[0]).sum(axis=0)
 
 
-def erf(model, input_size: int, stage: int = 3, samples: int = 16,
+def erf(model: Backbone, input_size: int, stage: int = 3, samples: int = 16,
         seed: int = 0) -> ErfMap:
     """Average |d(center activation at stage)/d(input)| over random inputs.
 
@@ -87,9 +87,7 @@ def erf(model, input_size: int, stage: int = 3, samples: int = 16,
     and normalized to a max of one. Sample accumulation is ordered, so the
     result is identical for any worker count.
     """
-    n_feats = len(model.forward_features(
-        Tensor(np.zeros((1, 3, input_size, input_size)),
-               dtype=model.dtype)))
+    n_feats = sum(seg.feature for seg in model.segments)
     if not (0 <= stage < n_feats):
         raise ValueError(f"stage {stage} out of range [0, {n_feats})")
     if samples < 1:
@@ -149,29 +147,9 @@ class GradcheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    @property
-    def groups(self):
-        return set(self.entries)
-
-    def lines(self):
-        out = [f"gradcheck.seed: {self.seed}",
-               f"gradcheck.groups: {len(self.entries)}",
-               f"gradcheck.passed: {self.passed}",
-               f"gradcheck.evaluations: {self.evaluations()}"]
-        worst = sorted(self.entries.items(), key=lambda kv: -kv[1])[:5]
-        for name, err in worst:
-            out.append(f"gradcheck.worst[{name}]: {err:.3e}")
-        for name in self.failures:
-            out.append(
-                f"gradcheck.FAILED[{name}]: {self.entries[name]:.3e}")
-        return out
-
     def evaluations(self) -> str:
         return (f"{self.full_evaluations} full, {self.cached_evaluations} "
                 "from cached segment inputs")
-
-    def __str__(self):
-        return "\n".join(self.lines())
 
 
 def _grad_error(analytic: float, numeric: float) -> float:

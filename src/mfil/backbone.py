@@ -9,7 +9,8 @@ to the head is channel-last, [B, H, W, C]. ``Backbone`` holds the
 network as one ordered list of ``Segment``s, each owning the parameters
 under its name prefix; a block is two segments of one name, its mixer half
 and its FFN half. Each block is built from its stage width and the
-``VariantConfig``, which holds every other block option.
+``VariantConfig``, which holds every other block option. ``ConvBaseline``,
+the receptive-field ablation, is a ``Backbone`` with conv segments.
 ``count_params`` and ``count_flops`` sum one cost table, ``_costs``: the
 stem, downsample and head rows are written there, and each stage's row
 comes from ``block.block_cost``.
@@ -20,12 +21,13 @@ Named variants: tiny/small at widths (94, 188, 376, 752) with depths
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .block import MfilBlock, block_cost
+from .block import MfilBlock, _widths, block_cost
 from .init import trunc_normal
 from .scan import SCAN_MODES
 from .tensor import (Tensor, conv2d, layer_norm, linear, silu, tmean,
@@ -69,6 +71,10 @@ class VariantConfig:
         if self.scan_mode not in SCAN_MODES:
             raise ValueError(f"unknown scan_mode {self.scan_mode!r}, "
                              f"expected one of {SCAN_MODES}")
+        for name in ("ssm_ratio", "ffn_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.d_state < 1 or self.ssm_ratio <= 0:
             raise ValueError(
                 f"d_state must be >= 1 and ssm_ratio positive, got "
@@ -79,6 +85,12 @@ class VariantConfig:
         if not 0.0 <= self.drop_path < 1.0:
             raise ValueError(
                 f"drop_path must be in [0, 1), got {self.drop_path}")
+        widths = _widths(min(self.dims), self)
+        if min(widths) < 1:
+            raise ValueError(
+                f"ssm_ratio {self.ssm_ratio} and ffn_ratio {self.ffn_ratio} "
+                f"give block widths {widths} at dim {min(self.dims)}; both "
+                "must be >= 1")
 
     def with_overrides(self, **kw) -> "VariantConfig":
         return replace(self, **kw)
@@ -223,11 +235,13 @@ class Backbone:
                 f"{_TOTAL_STRIDE}")
 
     def forward_features(self, images: Tensor):
-        """Eval-mode stage outputs plus the head-normed final map: five
-        channel-last maps, [B, H, W, C]."""
+        """Eval-mode outputs of the feature segments, each stage's and the
+        head's: five channel-last maps, [B, H, W, C]. The walk stops at the
+        last feature segment."""
         self._check_input(images)
         x, feats = images, []
-        for seg in self.segments[:-1]:  # all but the classifier
+        last = max(i for i, seg in enumerate(self.segments) if seg.feature)
+        for seg in self.segments[:last + 1]:
             x = seg.run(x, False, None)
             if seg.feature:
                 feats.append(x)
@@ -269,12 +283,13 @@ def build(config: VariantConfig, seed: int = 0, dtype: str = "f32") -> Backbone:
     return Backbone(config, seed=seed, dtype=dtype)
 
 
-class ConvBaseline:
+class ConvBaseline(Backbone):
     """Same skeleton with every block replaced by a plain 3x3 conv + SiLU.
 
     Receptive-field ablation: the theoretical footprint of the final center
-    unit is bounded, unlike the scanned model's. Like ``Backbone``, it
-    transposes the NCHW images once and runs channel-last from there.
+    unit is bounded, unlike the scanned model's. Its segments are the stem
+    convolution, each stage's convolutions, each downsample convolution and
+    an identity ``head``, so ``forward`` returns the last feature map.
     """
 
     def __init__(self, config: VariantConfig, seed: int = 0,
@@ -283,42 +298,30 @@ class ConvBaseline:
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         d = config.dims
-        self.stem_conv = Tensor(trunc_normal(rng, (d[0], 3, 4, 4)),
-                                dtype=dtype, grad_enabled=True)
-        self.stage_convs: list[list[Tensor]] = []
-        self.down_convs: list[Tensor] = []
-        for s in range(4):
-            self.stage_convs.append([
-                Tensor(trunc_normal(rng, (d[s], d[s], 3, 3), std=0.1),
-                       dtype=dtype, grad_enabled=True)
-                for _ in range(config.depths[s])
-            ])
-            if s < 3:
-                self.down_convs.append(Tensor(
-                    trunc_normal(rng, (d[s + 1], d[s], 2, 2), std=0.1),
-                    dtype=dtype, grad_enabled=True))
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"stem.conv.weight": self.stem_conv}
-        for s in range(4):
-            for i, k in enumerate(self.stage_convs[s]):
-                out[f"stages.{s}.convs.{i}.weight"] = k
-            if s < 3:
-                out[f"downsample.{s}.conv.weight"] = self.down_convs[s]
-        return out
+        def conv(name, key, shape, std, stride, padding=0, act=None,
+                 feature=False):
+            w = _param(trunc_normal(rng, shape, std=std), dtype)
 
-    def forward_features(self, images: Tensor):
-        x = conv2d(transpose(images, (0, 2, 3, 1)), self.stem_conv,
-                   stride=4, padding=0)
-        feats = []
+            def run(x, train, rng):
+                y = conv2d(x, w, stride=stride, padding=padding)
+                return y if act is None else act(y)
+            return Segment(name, {key: w}, run, feature)
+
+        self.segments = [_image_stem(
+            conv("stem", "conv.weight", (d[0], 3, 4, 4), 0.02, 4))]
         for s in range(4):
-            for k in self.stage_convs[s]:
-                x = silu(conv2d(x, k, stride=1, padding=1))
-            feats.append(x)
+            n = config.depths[s]
+            self.segments += [
+                conv(f"stages.{s}.convs.{i}", "weight", (d[s], d[s], 3, 3),
+                     0.1, 1, padding=1, act=silu, feature=i == n - 1)
+                for i in range(n)]
             if s < 3:
-                x = conv2d(x, self.down_convs[s], stride=2, padding=0)
-        feats.append(x)
-        return feats
+                self.segments.append(conv(
+                    f"downsample.{s}", "conv.weight",
+                    (d[s + 1], d[s], 2, 2), 0.1, 2))
+        self.segments.append(
+            Segment("head", {}, lambda x, train, rng: x, feature=True))
 
 
 def build_conv_baseline(config: VariantConfig, seed: int = 0,

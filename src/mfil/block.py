@@ -140,12 +140,11 @@ class MfilBlock:
             "in_proj.weight": self.in_proj,
             "branch_conv.weight": self.branch_conv,
         }
-        for k, v in self.bank.parameters().items():
-            out[f"bank.{k}"] = v
-        for k, v in self.core.parameters().items():
-            out[f"core.{k}"] = v
-        if self.weights is not None:
-            out["weights.w"] = self.weights.w
+        for prefix, part in (("bank", self.bank), ("core", self.core),
+                             ("weights", self.weights)):
+            if part is not None:
+                for k, v in part.parameters().items():
+                    out[f"{prefix}.{k}"] = v
         out["out_proj.weight"] = self.out_proj
         return out
 

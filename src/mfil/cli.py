@@ -105,25 +105,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _report_params() -> int:
-    print("variant  params      reference  deviation")
+def _report_table(column: str, count, refs: dict, unit: str,
+                  width: int) -> int:
+    """``count`` of each published variant against its reference size."""
+    scale = {"M": 1e6, "G": 1e9}[unit]
+    print(f"variant  {column:<10}  reference  deviation")
     for name in ("tiny", "small", "base"):
-        cfg = bb.VARIANTS[name]()
-        n = bb.count_params(cfg)
-        ref = bb.REFERENCE_PARAMS[name]
-        print(f"{name:<8} {n / 1e6:>8.2f}M  {ref / 1e6:>7.1f}M "
-              f"{100 * (n - ref) / ref:>+8.1f}%")
-    return 0
-
-
-def _report_flops() -> int:
-    print("variant  flops(224)  reference  deviation")
-    for name in ("tiny", "small", "base"):
-        cfg = bb.VARIANTS[name]()
-        f = bb.count_flops(cfg, 224, 224)
-        ref = bb.REFERENCE_FLOPS[name]
-        print(f"{name:<8} {f / 1e9:>9.2f}G  {ref / 1e9:>7.1f}G "
-              f"{100 * (f - ref) / ref:>+8.1f}%")
+        n, ref = count(bb.VARIANTS[name]()), refs[name]
+        print(f"{name:<8} {n / scale:>{width}.2f}{unit}  "
+              f"{ref / scale:>7.1f}{unit} {100 * (n - ref) / ref:>+8.1f}%")
     return 0
 
 
@@ -166,16 +156,19 @@ def _report_covariance() -> int:
 
 def cmd_report(args) -> int:
     if args.kind == "params":
-        return _report_params()
+        return _report_table("params", bb.count_params, bb.REFERENCE_PARAMS,
+                             "M", 8)
     if args.kind == "flops":
-        return _report_flops()
+        return _report_table("flops(224)",
+                             lambda cfg: bb.count_flops(cfg, 224, 224),
+                             bb.REFERENCE_FLOPS, "G", 9)
     if args.kind == "erf":
-        seed = args.seed or 0
-        if seed < 0:
-            print(f"config error: seed must be >= 0, got {seed}",
-                  file=sys.stderr)
+        try:
+            cfg = RunConfig(seed=args.seed or 0).validate()
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return 2
-        return _report_erf(args.out or Path("reports"), seed)
+        return _report_erf(args.out or Path("reports"), cfg.seed)
     return _report_covariance()
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .backbone import VARIANTS, VariantConfig
 from .data import CLASS_NAMES
+from .tensor import DTYPES
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "load_run_config"]
 
@@ -88,8 +89,9 @@ class RunConfig:
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(
                 f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(
+                f"dtype must be {' or '.join(DTYPES)}, got {self.dtype}")
         try:
             self.model_config()
         except ValueError as exc:

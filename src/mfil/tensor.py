@@ -4,6 +4,8 @@ Everything downstream (scan, blocks, backbone, training) is built from the
 primitives in this module. Tensors are value-semantic numpy wrappers; a Tape
 records primitive applications in execution order, which is already a
 topological order, so the backward pass is a single reverse sweep.
+``Tape.sweep`` and ``Tape.gradients`` take the leaves to differentiate
+as an explicit list.
 
 Broadcasting is deliberately restricted: elementwise ops accept equal shapes
 or a scalar (0-d) operand, bias addition happens inside ``linear`` /
@@ -27,7 +29,7 @@ __all__ = [
     "tsum", "tmean", "reshape", "transpose", "concat", "slice_axis",
     "take", "tile_leading", "scale_per_sample",
     "linear", "layer_norm", "conv2d", "depthwise_conv2d",
-    "softmax_cross_entropy", "backward", "record_op", "recording",
+    "softmax_cross_entropy", "record_op", "recording",
     "flop_counter",
 ]
 
@@ -91,10 +93,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(_as_np_dtype(dtype)),
-                      grad_enabled=self.grad_enabled, check_finite=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.grad_enabled})"
@@ -171,14 +169,14 @@ class Tape:
     def nodes(self) -> tuple:
         return tuple(self._nodes)
 
-    def sweep(self, loss: Tensor, params: Iterable[Tensor] | None = None):
+    def sweep(self, loss: Tensor, params: Iterable[Tensor]):
         """One-shot reverse sweep from a scalar ``loss``, as a generator.
 
-        Yields ``(leaf, gradient)`` for each requested leaf tensor once no
+        Yields ``(leaf, gradient)`` for each tensor of ``params`` once no
         node left on the tape consumes it, so the caller may overwrite the
-        leaf's data and drop the gradient while the sweep goes on. Requested
-        tensors that are not leaves of the graph yield zeros first. With
-        ``params=None`` each grad-enabled leaf that gets a gradient yields.
+        leaf's data and drop the gradient while the sweep goes on. A leaf
+        the loss does not depend on yields zeros; requested tensors that
+        are not leaves of the graph yield zeros first.
 
         The sweep pops each node off the tape and, once its backward has run
         or it got no gradient, drops its backward rule and inputs, so the
@@ -195,10 +193,6 @@ class Tape:
                              "gradients again")
         self._swept = True
         nodes = self._nodes
-        every = params is None
-        if every:
-            params = (t for node in nodes for t in node.inputs
-                      if t.node is None and t.grad_enabled)
         wanted = {id(p): p for p in params}
         # Leaves by the index of their earliest consumer: the sweep runs in
         # reverse, so once that node is swept no node left reads the leaf.
@@ -231,24 +225,14 @@ class Tape:
             node.inputs = ()
             for p in release.pop(len(nodes), ()):
                 g = grads.pop(id(p), (None, None))[1]
-                if g is not None or not every:
-                    g = np.zeros_like(p.data) if g is None else g
-                    yield p, Tensor(np.asarray(g, dtype=p.data.dtype),
-                                    check_finite=False)
+                g = np.zeros_like(p.data) if g is None else g
+                yield p, Tensor(np.asarray(g, dtype=p.data.dtype),
+                                check_finite=False)
 
-    def gradients(self, loss: Tensor, params: Iterable[Tensor] | None = None):
+    def gradients(self, loss: Tensor, params: Iterable[Tensor]):
         """``sweep`` collected into a dict mapping each leaf to its
         gradient."""
         return dict(self.sweep(loss, params))
-
-
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
-    """Gradient map of a scalar loss with respect to leaf parameters."""
-    tape = None if loss.node is None else loss.node.tape
-    if tape is None:
-        raise ValueError("loss is detached: no live tape recorded its "
-                         "computation")
-    return tape.gradients(loss, params)
 
 
 # ---------------------------------------------------------------------------

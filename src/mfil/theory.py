@@ -32,15 +32,10 @@ class LinearOperatorMatrix:
     """Explicit matrix form of a permutation or a vectorized convolution."""
 
     matrix: np.ndarray
-    kind: str  # "permutation" | "filter"
 
     def __post_init__(self):
         if self.matrix.ndim != 2:
             raise ValueError("operator matrix must be two-dimensional")
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -64,7 +59,7 @@ def permutation_matrix(perm) -> LinearOperatorMatrix:
         raise ValueError("perm must be a permutation of 0..n-1")
     m = np.zeros((n, n))
     m[np.arange(n), perm] = 1.0
-    return LinearOperatorMatrix(m, "permutation")
+    return LinearOperatorMatrix(m)
 
 
 def conv_as_matrix(kernel: np.ndarray, H: int, W: int,
@@ -95,7 +90,7 @@ def conv_as_matrix(kernel: np.ndarray, H: int, W: int,
                     ix = ox - padding + dx
                     if 0 <= iy < H and 0 <= ix < W:
                         m[row, iy * W + ix] += kernel[dy, dx]
-    return LinearOperatorMatrix(m, "filter")
+    return LinearOperatorMatrix(m)
 
 
 @dataclass
@@ -104,7 +99,6 @@ class EmpiricalMoments:
 
     mean: np.ndarray
     covariance: np.ndarray
-    sample_count: int
 
     def symmetry_error(self) -> float:
         return float(np.max(np.abs(self.covariance - self.covariance.T)))
@@ -124,7 +118,7 @@ def empirical_moments(samples) -> EmpiricalMoments:
     xc = x - mu
     cov = (xc.T @ xc) / n
     cov = 0.5 * (cov + cov.T)  # kill asymmetric roundoff
-    return EmpiricalMoments(mu, cov, n)
+    return EmpiricalMoments(mu, cov)
 
 
 def cross_covariance(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

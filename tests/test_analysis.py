@@ -74,6 +74,26 @@ def test_erf_runs_a_conv_baseline_in_its_own_dtype():
     assert np.max(np.abs(got - acc / acc.max())) <= 1e-12
 
 
+@pytest.mark.parametrize("build", [bb.build, bb.build_conv_baseline],
+                         ids=["desk", "conv_baseline"])
+def test_erf_walks_the_network_once_per_sample(monkeypatch, build):
+    """The feature count comes from the segment list, so ``erf`` runs no
+    forward beyond the ``samples`` taped ones."""
+    model = build(bb.desk(), seed=0)
+    calls = []
+    forward_features = bb.Backbone.forward_features
+
+    def counted(self, images):
+        calls.append(images.shape)
+        return forward_features(self, images)
+    monkeypatch.setattr(bb.Backbone, "forward_features", counted)
+    erf(model, 32, stage=4, samples=3, seed=0)
+    assert calls == [(1, 3, 32, 32)] * 3
+    with pytest.raises(ValueError, match="stage"):
+        erf(model, 32, stage=5, samples=1)
+    assert len(calls) == 3
+
+
 def test_desk_erf_is_global(rng):
     model = bb.build(bb.desk(), seed=0)
     m = erf(model, 192, stage=3, samples=4, seed=0)
@@ -191,7 +211,7 @@ def test_gradcheck_suite_passes_on_desk():
 def test_gradcheck_covers_registry_exactly_once():
     rep = gradcheck_suite(bb.desk(), seed=2)
     registry = set(bb.build(bb.desk(), seed=2).parameters())
-    assert rep.groups == registry
+    assert set(rep.entries) == registry
 
 
 def test_gradcheck_reports_adaptive_weights_alive():
@@ -215,9 +235,9 @@ def test_gradcheck_reruns_the_whole_network_only_for_stem_groups(
     # three stem groups (at most two elements each).
     assert len(calls) == 1 + rep.full_evaluations <= 1 + 4 * 3 * 2
     assert rep.cached_evaluations > 30 * rep.full_evaluations
-    assert (f"gradcheck.evaluations: {rep.full_evaluations} full, "
-            f"{rep.cached_evaluations} from cached segment inputs"
-            in rep.lines())
+    assert rep.evaluations() == (
+        f"{rep.full_evaluations} full, {rep.cached_evaluations} from "
+        "cached segment inputs")
 
 
 def _stencil_setup(scan_mode="multi_filter", seed=4):
@@ -347,7 +367,8 @@ def test_gradcheck_corrupted_backward_names_offenders(monkeypatch):
     rep = gradcheck_suite(bb.desk(), seed=1)
     assert not rep.passed
     assert rep.failures  # offending groups are named
-    assert any("FAILED" in line for line in rep.lines())
+    assert all(rep.entries[name] > analysis.GRADCHECK_TOLERANCE
+               for name in rep.failures)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,20 @@ def test_conv_baseline_shapes_and_determinism(rng):
         assert np.array_equal(p.data, m2.parameters()[k].data)
 
 
+def test_conv_baseline_parameter_names_and_order():
+    """The baseline is a segment list of the one ``Backbone``: its registry
+    is the stem, then each stage's convolutions and its downsample."""
+    model = bb.build_conv_baseline(bb.desk(), seed=0)
+    want = ["stem.conv.weight"]
+    for s, depth in enumerate(bb.desk().depths):
+        want += [f"stages.{s}.convs.{i}.weight" for i in range(depth)]
+        if s < 3:
+            want.append(f"downsample.{s}.conv.weight")
+    assert list(model.parameters()) == want
+    assert isinstance(model, bb.Backbone)
+    assert not {"parameters", "forward_features"} & set(vars(bb.ConvBaseline))
+
+
 def test_layout_flip_budget(rng):
     """A taped desk forward is channel-last from the stem to the head: it
     records no transpose in any scan mode (the stem's image transpose is

@@ -117,6 +117,27 @@ def test_train_rejects_bad_run_values_as_config_errors(
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("ssm_ratio = nan\n", "ssm_ratio must be finite, got nan"),
+    ("ssm_ratio = inf\n", "ssm_ratio must be finite, got inf"),
+    ("ffn_ratio = inf\n", "ffn_ratio must be finite, got inf"),
+    ("ssm_ratio = 0.01\n", "give block widths (0, 32) at dim 8"),
+    ("ffn_ratio = 0.01\n", "give block widths (8, 0) at dim 8"),
+], ids=["ssm_ratio_nan", "ssm_ratio_inf", "ffn_ratio_inf", "ssm_ratio_0.01",
+        "ffn_ratio_0.01"])
+def test_train_rejects_ratios_that_break_a_block(
+        monkeypatch, tmp_path, capsys, lines, message):
+    """A ratio that is not finite, or that rounds a block width to 0 at
+    the variant's smallest dim, is a config error, not a traceback or a
+    zero-width layer."""
+    monkeypatch.setattr(cli, "train_run", lambda cfg: pytest.fail("ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_eval_shape_mismatch_reports_diff(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["train", "--steps", "2", "--seed", "0", "--out", str(out)])

@@ -8,7 +8,7 @@ from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
                       rel_err)
 from mfil import reference
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
-                         backward, concat, conv2d, depthwise_conv2d, exp,
+                         concat, conv2d, depthwise_conv2d, exp,
                          gelu, layer_norm, linear, mul, neg, record_op,
                          reshape, scale_per_sample,
                          sigmoid, silu, slice_axis,
@@ -274,16 +274,14 @@ def test_backward_sum_gives_ones(rng):
     g = tape.gradients(loss, [x])
     assert np.array_equal(g[x].data, np.ones((3, 4)))
     # A sweep spends its tape: a second one raises instead of returning
-    # zeros, through the method and the module-level convenience alike.
+    # zeros, through either entry point.
     with pytest.raises(ValueError, match="already swept"):
         tape.gradients(loss, [x])
     with pytest.raises(ValueError, match="already swept"):
-        backward(loss, [x])
+        next(tape.sweep(loss, [x]))
     tape, loss = _taped_sum(x)
-    g2 = backward(loss, [x])  # module-level convenience, the loss's tape
+    g2 = dict(tape.sweep(loss, [x]))
     assert np.array_equal(g2[x].data, np.ones((3, 4)))
-    tape, loss = _taped_sum(x)
-    assert backward(loss)[x].data.shape == (3, 4)  # all leaves by default
 
 
 def test_backward_half_square_gives_x(rng):
@@ -319,8 +317,6 @@ def test_backward_detached_loss_errors():
     loss = Tensor(np.asarray(1.0))
     with pytest.raises(ValueError, match="detached"):
         tape.gradients(loss, [x])
-    with pytest.raises(ValueError, match="detached"):
-        backward(loss, [x])
 
 
 def test_backward_nonparticipating_leaf_zero(rng):
@@ -369,7 +365,7 @@ def test_sweep_yields_each_leaf_once_after_its_last_consumer(rng):
     assert np.allclose(got["x"], 2.0 * x.data * w.data, atol=1e-12)
     with Tape() as tape:
         loss = _two_use_graph(x, w, [])
-    assert [leaf for leaf, _ in tape.sweep(loss)] == [w, x]
+    assert [leaf for leaf, _ in tape.sweep(loss, [x, w])] == [w, x]
 
 
 def test_tape_records_in_topological_order(rng):
@@ -471,8 +467,10 @@ def test_backward_after_tape_dropped_is_detached(no_gc, rng):
     tape, loss, _ = _taped_chain(x)
     del tape
     assert loss.node is not None and loss.node.tape is None
+    with Tape() as other:
+        pass
     with pytest.raises(ValueError, match="detached"):
-        backward(loss, [x])
+        other.gradients(loss, [x])
 
 
 # ---------------------------------------------------------------------------
