@@ -133,8 +133,6 @@ def saliency(model: Backbone, image: Tensor, class_index: int) -> np.ndarray:
 class GradcheckReport:
     """Per-parameter-group comparison of analytic and numeric gradients."""
 
-    seed: int
-    tolerance: float
     entries: dict[str, float] = field(default_factory=dict)
     grad_norms: dict[str, float] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
@@ -220,10 +218,10 @@ def gradcheck_suite(config: VariantConfig, seed: int) -> GradcheckReport:
     with Tape() as tape:
         logits = model.forward(x)
         loss = tsum(mul(logits, Tensor(readout)))
-        grads = tape.gradients(loss, list(params.values()))
+        grads = dict(tape.sweep(loss, list(params.values())))
     inputs = model.segment_inputs(x)
 
-    report = GradcheckReport(seed=seed, tolerance=GRADCHECK_TOLERANCE)
+    report = GradcheckReport()
 
     def full_loss() -> float:
         report.full_evaluations += 1

@@ -81,11 +81,12 @@ class RunConfig:
             raise ConfigError(
                 f"dataset_size must be >= batch_size ({self.batch_size}), "
                 f"got {self.dataset_size}")
-        if not self.noise >= 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("noise", "weight_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if not value >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(
                 f"warmup_frac must be in [0, 1], got {self.warmup_frac}")

@@ -274,16 +274,19 @@ def merge_views(tokens: Tensor, alphas: Tensor | None, h: int,
             np.multiply(views[:, i], coefs[i], out=term)
             out += term
 
+    # Only the weights' gradient reads the views.
+    saved = None if alphas is None else views
+
     def bwd(g):
-        gv = np.empty_like(views)
+        gv = np.empty((b, n, h, w, c), dtype=g.dtype)
         for i in range(n):
             np.multiply(g, coefs[i], out=gv[:, i])
         gv += 0.0
         gtokens = gv.reshape(b, length, c)
-        if alphas is None:
+        if saved is None:
             return (gtokens,)
         # np.sum starts from +0.0, so it never returns -0.0.
-        return gtokens, np.array([np.sum(g * views[:, i]) for i in range(n)],
+        return gtokens, np.array([np.sum(g * saved[:, i]) for i in range(n)],
                                  dtype=g.dtype)
     inputs = (tokens,) if alphas is None else (tokens, alphas)
     return record_op("merge_views", inputs, out, bwd)

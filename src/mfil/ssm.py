@@ -223,13 +223,14 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
         prev = _scan_states(hs, a_bar, bx, prev, range(t0, t1), resets)
         y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, cd[:, t0:t1])
-    y += ud * d_skip.data[None, None, :]
+    dskip = d_skip.data
+    y += ud * dskip[None, None, :]
     _tally(2 * bsz * length * ch * n)
 
     def bwd(gy):
         g_ctok = np.einsum("blc,blcn->bln", gy, h_all)
         g_d = np.einsum("blc,blc->c", gy, ud)
-        g_u = gy * d_skip.data[None, None, :]
+        g_u = gy * dskip[None, None, :]
         # Reverse-time accumulation of dL/dh[t]: gh_all starts as the
         # readout term gy[t] * C[t] of every token; ca[t] is overwritten
         # with the gradient that h[t] passes back to h[t-1].

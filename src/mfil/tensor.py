@@ -99,10 +99,15 @@ class Tensor:
 
 
 class _Node:
-    """One recorded primitive application: inputs, output, backward rule.
+    """One recorded primitive application: its inputs' producers and its
+    backward rule.
 
-    The output tensor holds its node and the tape holds its nodes, so the
-    node refers back to both weakly: a graph has no reference cycle, and
+    ``inputs`` holds, per input, the ``_Node`` that produced it, the input
+    itself when it is a grad-enabled leaf, or None when it needs no
+    gradient. A node never holds an op output, so an output that no
+    backward rule reads is freed as soon as the forward drops it. The
+    output tensor holds its node and the tape holds its nodes, so the node
+    refers back to both weakly: a graph has no reference cycle, and
     reference counting frees it once its tape and last output are dropped.
     ``out`` and ``tape`` read as None after that. ``Tape.sweep`` sets
     ``backward`` to None and ``inputs`` to () once it has swept the node.
@@ -178,10 +183,13 @@ class Tape:
         the loss does not depend on yields zeros; requested tensors that
         are not leaves of the graph yield zeros first.
 
-        The sweep pops each node off the tape and, once its backward has run
-        or it got no gradient, drops its backward rule and inputs, so the
-        arrays a rule saved are freed while the sweep goes on. The tape is
-        spent afterwards: a second sweep raises ``ValueError``.
+        Pending gradients are keyed by producer: the ``_Node`` that made an
+        op output, or the leaf itself, as ``_Node.inputs`` holds them. The
+        sweep never reads an op output, so those may already be freed. It
+        pops each node off the tape and, once its backward has run or it
+        got no gradient, drops its backward rule and inputs, so the arrays
+        a rule saved are freed while the sweep goes on. The tape is spent
+        afterwards: a second sweep raises ``ValueError``.
         """
         if loss.data.ndim != 0:
             raise ValueError(
@@ -196,35 +204,29 @@ class Tape:
         wanted = {id(p): p for p in params}
         # Leaves by the index of their earliest consumer: the sweep runs in
         # reverse, so once that node is swept no node left reads the leaf.
+        # The only tensors among the inputs are grad-enabled leaves.
         release: dict[int, list[Tensor]] = {}
         for i, node in enumerate(nodes):
-            for t in node.inputs:
-                if t.node is None and id(t) in wanted:
-                    release.setdefault(i, []).append(wanted.pop(id(t)))
+            for src in node.inputs:
+                if id(src) in wanted:
+                    release.setdefault(i, []).append(wanted.pop(id(src)))
         for p in wanted.values():  # not a leaf of this graph
             yield p, Tensor(np.zeros_like(p.data), check_finite=False)
-        # Pending gradient per tensor id, with the tensor itself: releasing
-        # its consumers' inputs must not free a tensor before its own node
-        # is swept, or that node's output would read None.
-        grads: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones((), dtype=loss.data.dtype))}
+        grads: dict = {loss.node: np.ones((), dtype=loss.data.dtype)}
         while nodes:
             node = nodes.pop()
-            y = node.out
-            # A dropped output fed nothing, so it has no gradient.
-            pending = None if y is None else grads.pop(id(y), None)
+            pending = grads.pop(node, None)
             if pending is not None:
-                for t, g in zip(node.inputs, node.backward(pending[1])):
-                    if g is None or not t.grad_enabled:
+                for src, g in zip(node.inputs, node.backward(pending)):
+                    if g is None or src is None:
                         continue
-                    key = id(t)
-                    if key in grads:
-                        g = grads[key][1] + g
-                    grads[key] = (t, g)
+                    if src in grads:
+                        g = grads[src] + g
+                    grads[src] = g
             node.backward = None
             node.inputs = ()
             for p in release.pop(len(nodes), ()):
-                g = grads.pop(id(p), (None, None))[1]
+                g = grads.pop(p, None)
                 g = np.zeros_like(p.data) if g is None else g
                 yield p, Tensor(np.asarray(g, dtype=p.data.dtype),
                                 check_finite=False)
@@ -283,7 +285,10 @@ def record_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     """Build the output tensor of a primitive and record it on the active tape.
 
     ``backward_fn(grad_out) -> tuple`` must return one gradient array (or
-    None) per input, aligned positionally.
+    None) per input, aligned positionally. It should close over the arrays
+    and shapes it reads, never over a ``Tensor``: the node records each
+    input's producer (see ``_Node``), so an input that no rule reads is
+    freed when the forward drops it, unless a rule holds the tensor.
     """
     if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{name} produced non-finite values")
@@ -291,7 +296,9 @@ def record_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     if recording(inputs):
         tape = _active_tape()
         out.grad_enabled = True
-        node = _Node(name, tuple(inputs), out, backward_fn, tape)
+        sources = tuple(t.node or (t if t.grad_enabled else None)
+                        for t in inputs)
+        node = _Node(name, sources, out, backward_fn, tape)
         out.node = node
         tape._nodes.append(node)
     return out
@@ -327,9 +334,10 @@ def add(a: Tensor, b) -> Tensor:
     b = _coerce_operand(b, a)
     _binary_shapes("add", a, b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
     return record_op("add", (a, b), out, bwd)
 
 
@@ -337,9 +345,10 @@ def sub(a: Tensor, b) -> Tensor:
     b = _coerce_operand(b, a)
     _binary_shapes("sub", a, b)
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(-g, b_shape)
     return record_op("sub", (a, b), out, bwd)
 
 
@@ -350,7 +359,8 @@ def mul(a: Tensor, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g):
-        return _reduce_to(g * b_data, a.shape), _reduce_to(g * a_data, b.shape)
+        return (_reduce_to(g * b_data, a_data.shape),
+                _reduce_to(g * a_data, b_data.shape))
     return record_op("mul", (a, b), out, bwd)
 
 
@@ -397,14 +407,16 @@ def _silu_grad_np(x, s):
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = _sigmoid_np(a.data)
-    out = a.data * s
-    _tally(5 * out.size)
+    """x * sigmoid(x). A taped call keeps only the derivative factor
+    s * (1 + x * (1 - s)), which its backward multiplies by."""
     x = a.data
+    s = _sigmoid_np(x)
+    out = x * s
+    _tally(5 * out.size)
+    factor = _silu_grad_np(x, s) if recording((a,)) else None
 
     def bwd(g):
-        return (g * _silu_grad_np(x, s),)
+        return (g * factor,)
     return record_op("silu", (a,), out, bwd)
 
 
@@ -433,16 +445,20 @@ def _horner(z2, coeffs, out):
         np.add(out, c, out=out)
 
 
-def _gelu_f32(x):
-    """x * phi and phi = 0.5 * (1 + erf(x / sqrt 2)) with the fast erf,
-    block by block through three reused scratch buffers."""
-    out, phi = np.empty_like(x), np.empty_like(x)
-    xs, outs, phis = x.reshape(-1), out.reshape(-1), phi.reshape(-1)
-    z, z2, q = (np.empty(min(_GELU_BLOCK, x.size), x.dtype) for _ in range(3))
+def _gelu_f32(x, with_factor: bool):
+    """x * phi, phi = 0.5 * (1 + erf(x / sqrt 2)) with the fast erf, block
+    by block through reused scratch buffers; with the derivative factor
+    phi + x * pdf(x) when ``with_factor``, else None."""
+    out = np.empty_like(x)
+    factor = np.empty_like(x) if with_factor else None
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    z, z2, q, phi = (np.empty(min(_GELU_BLOCK, x.size), x.dtype)
+                     for _ in range(4))
     for s in range(0, x.size, _GELU_BLOCK):
         e = min(s + _GELU_BLOCK, x.size)
-        zb, z2b, qb, pb = z[:e - s], z2[:e - s], q[:e - s], phis[s:e]
-        np.multiply(xs[s:e], _INV_SQRT2, out=zb)
+        xb = xs[s:e]
+        zb, z2b, qb, pb = z[:e - s], z2[:e - s], q[:e - s], phi[:e - s]
+        np.multiply(xb, _INV_SQRT2, out=zb)
         np.clip(zb, -4.0, 4.0, out=zb)  # NaN stays NaN, +-inf become +-4
         np.multiply(zb, zb, out=z2b)
         _horner(z2b, _ERF_P, pb)
@@ -450,24 +466,34 @@ def _gelu_f32(x):
         np.divide(pb, qb, out=pb)
         np.multiply(pb, zb, out=pb)
         np.add(pb, 0.5, out=pb)
-        np.multiply(xs[s:e], pb, out=outs[s:e])
-    return out, phi
+        np.multiply(xb, pb, out=outs[s:e])
+        if with_factor:  # phi + x * (exp(-0.5 * x * x) * 1/sqrt(2 pi))
+            np.multiply(xb, -0.5, out=zb)
+            np.multiply(zb, xb, out=zb)
+            np.exp(zb, out=zb)
+            np.multiply(zb, _INV_SQRT_2PI, out=zb)
+            np.multiply(xb, zb, out=zb)
+            np.add(pb, zb, out=factor.reshape(-1)[s:e])
+    return out, factor
 
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, erf form: exact erf at f64, Eigen's
-    rational erf (<= 7.5 ulp) at f32."""
+    rational erf (<= 7.5 ulp) at f32. A taped call keeps only the
+    derivative factor phi + x * pdf(x), which its backward multiplies by."""
     x = a.data
+    taped = recording((a,))
     if x.dtype == np.float32:
-        out, phi = _gelu_f32(x)
+        out, factor = _gelu_f32(x, taped)
     else:
         phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
         out = x * phi
+        factor = (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
+                  if taped else None)
     _tally(5 * out.size)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi + x * pdf),)
+        return (g * factor,)
     return record_op("gelu", (a,), out, bwd)
 
 
@@ -665,13 +691,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out = out2.reshape(lead + (d_out,))
     _tally(m * d_out * d_in)
     w_data = weight.data
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    has_bias = bias is not None
+    inputs = (x, weight, bias) if has_bias else (x, weight)
 
     def bwd(g):
         g2 = g.reshape(m, d_out)
         gx = (g2 @ w_data).reshape(lead + (d_in,))
         gw = g2.T @ x2
-        if bias is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g2.sum(axis=0)
     return record_op("linear", inputs, out, bwd)
@@ -763,7 +790,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     [N, OH, OW, C_in, kH, kW], in the kernel's (c, i, j) order, and the
     forward is one GEMM of its rows with the flattened kernel; a k x k,
     stride-k convolution is a patchify (reshape + linear). The input
-    gradient scatters the per-tap column gradients back tap by tap.
+    gradient scatters the per-tap column gradients back tap by tap; for a
+    1x1, stride-1, unpadded kernel the column gradient is the gradient.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d: input and kernel must be 4-D")
@@ -785,21 +813,28 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
     out = (cols @ kmat.T).reshape(n, oh, ow, c_out)
     _tally(n * oh * ow * c_out * c_in * kh * kw)
+    k_shape, x_grad = kernel.shape, x.grad_enabled
+    pointwise = kh == kw == stride == 1 and padding == 0
 
     def bwd(g):
         g2 = g.reshape(n * oh * ow, c_out)
-        gk = (g2.T @ cols).reshape(kernel.shape)
-        gx = None
-        if x.grad_enabled:  # input images need no gradient in training
-            gcols = (g2 @ kmat).reshape(n, oh, ow, c_in, kh, kw)
-            gx = np.zeros((n, hp, wp, c_in), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, i:i + stride * oh:stride,
-                       j:j + stride * ow:stride] += gcols[..., i, j]
-            if padding:
-                gx = np.ascontiguousarray(
-                    gx[:, padding:padding + h, padding:padding + w])
+        gk = (g2.T @ cols).reshape(k_shape)
+        if not x_grad:  # input images need no gradient in training
+            return None, gk
+        gcols = g2 @ kmat
+        if pointwise:  # the column gradient is the gradient
+            gx = gcols.reshape(n, h, w, c_in)
+            gx += 0.0  # -0.0 -> +0.0, as adding into a zero grid does
+            return gx, gk
+        gcols = gcols.reshape(n, oh, ow, c_in, kh, kw)
+        gx = np.zeros((n, hp, wp, c_in), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gx[:, i:i + stride * oh:stride,
+                   j:j + stride * ow:stride] += gcols[..., i, j]
+        if padding:
+            gx = np.ascontiguousarray(
+                gx[:, padding:padding + h, padding:padding + w])
         return gx, gk
     return record_op("conv2d", (x, kernel), out, bwd)
 

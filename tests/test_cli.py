@@ -101,10 +101,12 @@ def test_train_rejects_bad_model_values_as_config_errors(
     ("checkpoint_interval = -5\n", "checkpoint_interval must be >= 0"),
     ("lr = nan\n", "lr must be finite and positive, got nan"),
     ("lr = inf\n", "lr must be finite and positive, got inf"),
+    ("weight_decay = inf\n", "weight_decay must be finite, got inf"),
+    ("noise = inf\n", "noise must be finite, got inf"),
 ], ids=["image_size_0", "noise_-1", "num_classes_1", "num_classes_7",
         "dataset_size_0", "dataset_size_16", "ffn_ratio_0", "warmup_frac_2",
         "weight_decay_-1", "seed_-1", "checkpoint_interval_-5", "lr_nan",
-        "lr_inf"])
+        "lr_inf", "weight_decay_inf", "noise_inf"])
 def test_train_rejects_bad_run_values_as_config_errors(
         monkeypatch, tmp_path, capsys, lines, message):
     """Run values that would crash, abort as a non-finite loss or train a

@@ -2,11 +2,13 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
                       depthwise_tap_kernel_grad, grad_close, numeric_gradient,
                       rel_err)
 from mfil import reference
+from mfil import tensor as T
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          concat, conv2d, depthwise_conv2d, exp,
                          gelu, layer_norm, linear, mul, neg, record_op,
@@ -164,6 +166,32 @@ def test_conv2d_skips_the_gradient_of_a_constant_input(rng):
     assert gk.shape == k.shape
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_conv2d_pointwise_input_grad_matches_the_general_path(rng, dtype):
+    """A 1x1, stride-1, unpadded kernel takes the column gradient as the
+    input gradient; padding 1 sends the same kernel and the same upstream
+    gradient, on the inner pixels, through the tap scatter. The bytes
+    agree, and zero gradients times negative weights (-0.0 products) come
+    out as +0.0."""
+    x = Tensor(rng.standard_normal((2, 4, 5, 6)), dtype=dtype,
+               grad_enabled=True)
+    k = Tensor(rng.standard_normal((3, 6, 1, 1)), dtype=dtype,
+               grad_enabled=True)
+    k.data[...] = -np.abs(k.data)
+    g = rng.standard_normal((2, 4, 5, 3)).astype(x.data.dtype)
+    g[0, 0, 0] = 0.0
+    g[1, 2, 3] = -0.0
+    with Tape():
+        pointwise = conv2d(x, k, stride=1, padding=0)
+        padded = conv2d(x, k, stride=1, padding=1)
+    g_pad = np.zeros(padded.shape, dtype=g.dtype)
+    g_pad[:, 1:-1, 1:-1] = g
+    gx, _ = pointwise.node.backward(g)
+    want, _ = padded.node.backward(g_pad)
+    assert gx.shape == x.shape and gx.tobytes() == want.tobytes()
+    assert not np.signbit(gx[gx == 0.0]).any()
+
+
 # ---------------------------------------------------------------------------
 # linear / layer_norm
 
@@ -221,6 +249,44 @@ def test_layer_norm_eps_positive():
 
 def test_silu_at_zero():
     assert silu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
+
+
+def _gelu_factor_whole_array(x):
+    """phi + x * pdf(x) as whole-array ops; at f32, phi is the rational erf
+    that ``gelu`` evaluates block by block."""
+    if x.dtype == np.float64:
+        phi = 0.5 * (1.0 + scipy_erf(x * T._INV_SQRT2))
+    else:
+        z = np.clip(x * T._INV_SQRT2, -4.0, 4.0)
+        z2 = z * z
+        p, q = np.empty_like(z), np.empty_like(z)
+        T._horner(z2, T._ERF_P, p)
+        T._horner(z2, T._ERF_Q, q)
+        phi = p / q * z + 0.5
+    return phi + x * (np.exp(-0.5 * x * x) * T._INV_SQRT_2PI)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("op", ["silu", "gelu"])
+def test_activation_keeps_one_factor_with_the_same_bytes(rng, op, dtype):
+    """A taped silu or gelu keeps one x-sized array, its derivative factor,
+    and the gradient is g times the factor as whole-array ops. The size
+    spans three f32 GELU blocks, the last one partial."""
+    x = Tensor(3.0 * rng.standard_normal(2 * T._GELU_BLOCK + 1000),
+               dtype=dtype, grad_enabled=True)
+    g = rng.standard_normal(x.shape).astype(x.data.dtype)
+    with Tape():
+        out = getattr(T, op)(x)
+    saved = [c.cell_contents for c in out.node.backward.__closure__
+             if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.shape for a in saved] == [x.shape]
+    xd = x.data
+    if op == "silu":
+        s = T._sigmoid_np(xd)
+        factor = s * (1.0 + xd * (1.0 - s))
+    else:
+        factor = _gelu_factor_whole_array(xd)
+    assert out.node.backward(g)[0].tobytes() == (g * factor).tobytes()
 
 
 def test_softmax_uniform():
@@ -374,12 +440,15 @@ def test_tape_records_in_topological_order(rng):
         a = mul(x, 2.0)
         b = add(a, x)
         tsum(b)
+    # Each input is held as its producer: the leaf x itself, the node that
+    # made an op output, or None for the constant 2.0.
+    assert [n.inputs for n in tape.nodes][:2] == [(x, None), (a.node, x)]
     seen = set()
     for node in tape.nodes:
-        for inp in node.inputs:
-            if inp.node is not None:
-                assert id(inp.node.out) in seen
-        seen.add(id(node.out))
+        for src in node.inputs:
+            if src is not None and src is not x:
+                assert id(src) in seen
+        seen.add(id(node))
 
 
 def test_no_tape_means_no_recording(rng):
@@ -393,19 +462,22 @@ def test_no_tape_means_no_recording(rng):
 # frees a graph once its tape and outputs are dropped
 
 def _taped_chain(x):
-    """sum(exp(2x)) on a new tape; the intermediate 2x only as a weakref."""
+    """sum(exp(2x)) on a new tape; the array exp's backward saves, its
+    output's data, only as a weakref."""
     with Tape() as tape:
-        h = mul(x, 2.0)
-        loss = tsum(exp(h))
-    return tape, loss, weakref.ref(h)
+        e = exp(mul(x, 2.0))
+        loss = tsum(e)
+    return tape, loss, weakref.ref(e.data)
 
 
 def test_graph_freed_after_gradients(no_gc, rng):
     x = Tensor(rng.standard_normal(4), grad_enabled=True)
-    tape, loss, h = _taped_chain(x)
-    assert h() is not None and h().node.out is h()
+    tape, loss, saved = _taped_chain(x)
+    # Only exp's backward rule holds the array, through the tape's nodes.
+    assert saved() is not None and loss.node.out is loss
+    assert loss.node.inputs[0] is tape.nodes[1]
     g = tape.gradients(loss, [x])
-    assert h() is None  # freed by the sweep itself, the tape still alive
+    assert saved() is None  # freed by the sweep itself, the tape still alive
     assert tape.nodes == ()
     assert np.array_equal(g[x].data, 2.0 * np.exp(2.0 * x.data))
 
@@ -440,6 +512,40 @@ def test_sweep_frees_each_node_before_the_next(no_gc, rng):
     g = tape.gradients(loss, [x])
     assert ran == [True]
     assert np.array_equal(g[x].data, 2.0 * np.exp(2.0 * x.data))
+
+
+@pytest.mark.parametrize("consume", [
+    lambda u: concat([u, u], axis=1),
+    lambda u: slice_axis(u, 1, 1, 3),
+    lambda u: add(u, u),
+    lambda u: reshape(u, (-1,)),
+], ids=["concat", "slice", "add", "reshape"])
+def test_intermediate_read_by_no_rule_is_freed_with_the_forward(
+        no_gc, rng, consume):
+    """An op output that only shape-reading rules consume is freed once the
+    forward drops it, before the sweep; the gradients are byte-equal to
+    those of a forward that keeps it alive."""
+    x = Tensor(rng.standard_normal((3, 4)), grad_enabled=True)
+    w = Tensor(rng.standard_normal((4, 4)), grad_enabled=True)
+
+    def forward(keep):
+        with Tape() as tape:
+            u = linear(x, w)
+            y = consume(u)
+            loss = tsum(mul(y, Tensor(np.cos(np.arange(y.size))
+                                      .reshape(y.shape))))
+            keep.append(u)
+        return tape, loss
+
+    kept, dropped = [], []
+    want_tape, want_loss = forward(kept)
+    tape, loss = forward(dropped)
+    u = weakref.ref(dropped.pop())
+    assert u() is None
+    want = want_tape.gradients(want_loss, [x, w])
+    got = tape.gradients(loss, [x, w])
+    for p in (x, w):
+        assert got[p].data.tobytes() == want[p].data.tobytes()
 
 
 def test_graph_freed_when_forward_raises(no_gc):
