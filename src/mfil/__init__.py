@@ -1,7 +1,7 @@
 """Multi-filter visual state-space backbone with a verification harness.
 
 Dense-tensor core with taped reverse-mode differentiation, a selective SSM
-scan (zero-order-hold discretization, recurrence and kernel forms), the
+scan (checked against zero-order-hold and kernel-form oracles), the
 multi-filter scanning pipeline with adaptive fusion, a hierarchical image
 backbone, covariance-identity and receptive-field analysis, and a
 deterministic training CLI.
@@ -15,8 +15,7 @@ from .config import ConfigError, RunConfig
 from .scan import (AdaptiveWeights, FilterBank, adaptive_merge, dynamic_map,
                    merge_views, mfil_ssm, orthogonal_maps, stack_scans,
                    unstack_scans)
-from .ssm import (SsmCore, causal_conv, discretize_zoh, lti_kernel,
-                  scan_recurrent, selective_scan)
+from .ssm import SsmCore, selective_scan
 from .tensor import NonFiniteError, ShapeError, Tape, Tensor
 
 __version__ = "0.1.0"

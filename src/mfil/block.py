@@ -99,9 +99,7 @@ class MfilBlock:
     """A residual block of width ``dim``, options from a VariantConfig."""
 
     def __init__(self, dim: int, config: VariantConfig,
-                 rng: np.random.Generator | None = None, dtype: str = "f32"):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 rng: np.random.Generator, dtype: str = "f32"):
         ci, hidden = _widths(dim, config)
         self.dim = dim
         self.d_inner = ci

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import theory
-from .analysis import erf, saliency
+from .analysis import erf, max_worker_threads, saliency
 from .checkpoint import CheckpointError, load_checkpoint, load_into
 from .config import ConfigError, RunConfig, load_run_config
 from .data import SyntheticDataset
@@ -165,7 +165,8 @@ def cmd_report(args) -> int:
     if args.kind == "erf":
         try:
             cfg = RunConfig(seed=args.seed or 0).validate()
-        except ConfigError as exc:
+            max_worker_threads()  # a bad MFIL_THREADS fails before a build
+        except ValueError as exc:  # a ConfigError or a bad MFIL_THREADS
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         return _report_erf(args.out or Path("reports"), cfg.seed)

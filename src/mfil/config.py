@@ -138,8 +138,13 @@ def _parse_value(key: str, raw: str, line_no: int):
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines into a typed override dict."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from None
     overrides: dict = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

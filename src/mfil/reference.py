@@ -1,15 +1,24 @@
-"""Independent loop-level oracles for the vectorized primitives.
+"""Independent oracles for the vectorized primitives and the scan.
 
-These are deliberately written as plain nested loops over numpy scalars (or
-one-token-at-a-time recurrences) so they share no code path with the
-implementations they check. Slow on purpose; use small shapes.
+The loop-level oracles are deliberately written as plain nested loops over
+numpy scalars (or one-token-at-a-time recurrences) so they share no code
+path with the implementations they check. Slow on purpose; use small
+shapes.
+
+The kernel-form oracles check the scan's time-invariant case:
+``discretize_zoh`` (zero-order hold of a diagonal or a general A),
+``lti_kernel`` (the convolution kernel of a discretized system) and
+``causal_conv``. With constant delta, B and C the model's ``ssm_scan``
+must equal ``causal_conv(x, lti_kernel(...))``. The diagonal path of
+``discretize_zoh`` calls the scan's own ``_zoh_weight``, so its checks
+cover the arithmetic the scan runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ssm import _ZOH_LIMIT
+from .ssm import _ZOH_LIMIT, _zoh_weight
 
 
 def conv2d_reference(x: np.ndarray, k: np.ndarray, stride: int = 1,
@@ -89,6 +98,66 @@ def layer_norm_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         for i in range(c):
             out[r, i] = (x2[r, i] - mu) / np.sqrt(var + eps) * gamma[i] + beta[i]
     return out.reshape(x.shape)
+
+
+def discretize_zoh(A, B, delta, diagonal: bool = True):
+    """Zero-order-hold discretization of (A, B) with step ``delta``.
+
+    Two paths:
+      - diagonal (the default): A holds per-state diagonal entries (any
+        shape); both outputs are elementwise, with |delta*a| < 1e-8
+        falling back to the first-order limit B_bar = delta * B.
+      - general (``diagonal=False``): A is an [N, N] matrix;
+        A_bar = expm(delta A),
+        B_bar = (delta A)^{-1} (expm(delta A) - I) delta B. Requires a
+        scalar delta and delta A nonsingular.
+
+    Returns (A_bar, B_bar) as numpy arrays.
+    """
+    a = np.asarray(A, dtype=np.float64)
+    b = np.asarray(B, dtype=np.float64)
+    d = np.asarray(delta, dtype=np.float64)
+    if np.any(d <= 0):
+        raise ValueError("discretize_zoh: delta must be positive")
+    if not diagonal:
+        if d.ndim != 0:
+            raise ValueError("general matrix path takes a scalar delta")
+        # Only the verification suites take this path, so a training or
+        # analysis run never loads scipy.linalg.
+        from scipy.linalg import expm
+        da = float(d) * a
+        n = a.shape[0]
+        a_bar = expm(da)
+        db = float(d) * b.reshape(n, -1)
+        try:
+            cond = np.linalg.cond(da)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not np.isfinite(cond) or cond > 1e12:
+            raise ValueError("discretize_zoh: delta * A is singular")
+        b_bar = np.linalg.solve(da, (a_bar - np.eye(n)) @ db)
+        return a_bar, b_bar.reshape(b.shape)
+    da = d * a
+    a_bar = np.exp(da)
+    return a_bar, _zoh_weight(d, da, a, a_bar)[0] * b
+
+
+def lti_kernel(A_bar, B_bar, C, L: int) -> np.ndarray:
+    """Convolution kernel (C B_bar, C A_bar B_bar, ..., C A_bar^{L-1} B_bar)
+    of a diagonal system; per-state vectors [N] (scalars are promoted)."""
+    if L < 1:
+        raise ValueError("lti_kernel: L must be >= 1")
+    a_bar, b_bar, c = (np.atleast_1d(np.asarray(v, dtype=np.float64))
+                       for v in (A_bar, B_bar, C))
+    powers = a_bar[None, :] ** np.arange(L, dtype=np.float64)[:, None]
+    return powers @ (c * b_bar)
+
+
+def causal_conv(x, kern) -> np.ndarray:
+    """y[t] = sum_{s<=t} kern[t-s] x[s]; the convolution form of the scan."""
+    x = np.asarray(x, dtype=np.float64)
+    kern = np.asarray(kern, dtype=np.float64)
+    return np.convolve(x, kern)[:x.shape[0]]
 
 
 def selective_scan_reference(x: np.ndarray, core,

@@ -104,10 +104,8 @@ class FilterBank:
     kernels so the refined maps begin as pure Sobel responses.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator | None = None,
+    def __init__(self, channels: int, rng: np.random.Generator,
                  dtype: str = "f32", scan_mode: str = "multi_filter"):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.channels = channels
         orthogonal, dynamic = _filters(scan_mode)
         ident = identity_depthwise_kernel(channels)

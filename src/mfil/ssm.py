@@ -1,9 +1,6 @@
-"""Discretized selective state-space scan.
+"""The selective state-space scan that every block runs.
 
-Covers the continuous-to-discrete bridge (zero-order hold), the
-time-invariant recurrence and its convolution-kernel form as plain numpy
-functions, and the one selective scan used inside every block, in which
-delta, B and C are functions of each token. The recurrence per channel c
+Delta, B and C are functions of each token. The recurrence per channel c
 and state index n is
 
     h[t] = A_bar[t] * h[t-1] + B_bar[t] * x[t],    y[t] = C[t] . h[t] + D * x[t]
@@ -13,7 +10,9 @@ B_bar = delta * B by default; the full zero-order-hold expression
 B_bar = (delta A)^{-1} (exp(delta A) - I) delta B is available behind
 ``exact_input_discretization`` and agrees with the simplified form as
 delta -> 0. Its sequential oracle is
-``mfil.reference.selective_scan_reference``.
+``mfil.reference.selective_scan_reference``; the zero-order-hold and
+kernel-form oracles of the time-invariant case live in ``mfil.reference``
+too, and ``reference.discretize_zoh`` shares ``_zoh_weight`` with the scan.
 """
 
 from __future__ import annotations
@@ -26,10 +25,7 @@ from .init import inv_softplus
 from .tensor import (Tensor, linear, neg, record_op, recording, slice_axis,
                      softplus, exp as texp, _tally)
 
-__all__ = [
-    "SsmCore", "discretize_zoh", "scan_recurrent", "lti_kernel",
-    "causal_conv", "ssm_scan", "selective_scan", "dt_rank",
-]
+__all__ = ["SsmCore", "ssm_scan", "selective_scan", "dt_rank"]
 
 # Below this threshold the input-term discretization switches to its
 # first-order limit B_bar = delta * B (removable singularity at a = 0).
@@ -42,12 +38,6 @@ _CHUNK = 64
 _DT_MIN, _DT_MAX = 1e-3, 1e-1
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 def _zoh_weight(delta, da, a, a_bar):
     """ZOH input weight (a_bar - 1) / a of a diagonal system, with its
     limit delta where |da| < ``_ZOH_LIMIT``; also the limit mask and ``a``
@@ -57,86 +47,6 @@ def _zoh_weight(delta, da, a, a_bar):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(limit, delta, (a_bar - 1.0) / safe_a)
     return w, limit, safe_a
-
-
-def discretize_zoh(A, B, delta, diagonal: bool | None = None):
-    """Zero-order-hold discretization of (A, B) with step ``delta``.
-
-    Two paths:
-      - general: A is an [N, N] matrix; A_bar = expm(delta A),
-        B_bar = (delta A)^{-1} (expm(delta A) - I) delta B. Requires
-        delta A nonsingular.
-      - diagonal: A holds per-state diagonal entries (any shape); both
-        outputs are elementwise, with |delta*a| < 1e-8 falling back to the
-        first-order limit B_bar = delta * B.
-
-    ``diagonal=None`` infers: 2-D square A takes the general path.
-    Returns (A_bar, B_bar) as numpy arrays.
-    """
-    a = _as_array(A)
-    b = _as_array(B)
-    d = _as_array(delta)
-    if np.any(d <= 0):
-        raise ValueError("discretize_zoh: delta must be positive")
-    if diagonal is None:
-        diagonal = not (a.ndim == 2 and a.shape[0] == a.shape[1])
-    if not diagonal:
-        if d.ndim != 0:
-            raise ValueError("general matrix path takes a scalar delta")
-        # Only the verification suites take this path, so a training or
-        # analysis run never loads scipy.linalg.
-        from scipy.linalg import expm
-        da = float(d) * a
-        n = a.shape[0]
-        a_bar = expm(da)
-        db = float(d) * b.reshape(n, -1)
-        try:
-            cond = np.linalg.cond(da)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if not np.isfinite(cond) or cond > 1e12:
-            raise ValueError("discretize_zoh: delta * A is singular")
-        b_bar = np.linalg.solve(da, (a_bar - np.eye(n)) @ db)
-        return a_bar, b_bar.reshape(b.shape)
-    da = d * a
-    a_bar = np.exp(da)
-    return a_bar, _zoh_weight(d, da, a, a_bar)[0] * b
-
-
-def scan_recurrent(A_bar, B_bar, C, x) -> np.ndarray:
-    """Run the discrete recurrence over a 1-D input sequence.
-
-    A_bar, B_bar, C: per-state vectors [N] (scalars are promoted);
-    x: [L]. Returns y: [L] with y[t] = C . h[t].
-    """
-    a_bar = np.atleast_1d(_as_array(A_bar)).astype(np.float64)
-    b_bar = np.atleast_1d(_as_array(B_bar)).astype(np.float64)
-    c = np.atleast_1d(_as_array(C)).astype(np.float64)
-    x = np.atleast_1d(_as_array(x)).astype(np.float64)
-    h = np.zeros_like(a_bar)
-    y = np.zeros(x.shape[0], dtype=np.float64)
-    for t in range(x.shape[0]):
-        h = a_bar * h + b_bar * x[t]
-        y[t] = c @ h
-    return y
-
-
-def lti_kernel(A_bar, B_bar, C, L: int) -> np.ndarray:
-    """Convolution kernel (C B_bar, C A_bar B_bar, ..., C A_bar^{L-1} B_bar)."""
-    if L < 1:
-        raise ValueError("lti_kernel: L must be >= 1")
-    a_bar = np.atleast_1d(_as_array(A_bar)).astype(np.float64)
-    b_bar = np.atleast_1d(_as_array(B_bar)).astype(np.float64)
-    c = np.atleast_1d(_as_array(C)).astype(np.float64)
-    powers = a_bar[None, :] ** np.arange(L, dtype=np.float64)[:, None]
-    return powers @ (c * b_bar)
-
-
-def causal_conv(x, kern) -> np.ndarray:
-    """y[t] = sum_{s<=t} kern[t-s] x[s]; the convolution form of the scan."""
-    x = _as_array(x)
-    kern = _as_array(kern)
-    return np.convolve(x, kern)[:x.shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +206,7 @@ class SsmCore:
     def __init__(self, d_model: int, d_state: int = 1, *,
                  exact_input_discretization: bool = False,
                  segment_reset: bool = False,
-                 rng: np.random.Generator | None = None, dtype: str = "f32"):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 rng: np.random.Generator, dtype: str = "f32"):
         self.d_model = d_model
         self.d_state = d_state
         self.dt_rank = dt_rank(d_model)

@@ -18,52 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LinearOperatorMatrix", "EmpiricalMoments", "empirical_moments",
-    "permutation_matrix", "conv_as_matrix", "cross_covariance",
-    "verify_permutation_identity", "verify_filter_identity",
-    "spectrum_report", "IdentityReport", "SpectrumReport",
+    "EmpiricalMoments", "empirical_moments", "permutation_matrix",
+    "conv_as_matrix", "cross_covariance", "verify_permutation_identity",
+    "verify_filter_identity", "spectrum_report", "IdentityReport",
+    "SpectrumReport",
 ]
 
 _MAX_GRID = 16
 
 
-@dataclass(frozen=True)
-class LinearOperatorMatrix:
-    """Explicit matrix form of a permutation or a vectorized convolution."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2:
-            raise ValueError("operator matrix must be two-dimensional")
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def is_permutation(self, tol: float = 0.0) -> bool:
-        m = self.matrix
-        if m.shape[0] != m.shape[1]:
-            return False
-        ones = np.abs(m - 1.0) <= tol
-        zeros = np.abs(m) <= tol
-        return bool(np.all(ones | zeros)
-                    and np.all(ones.sum(axis=0) == 1)
-                    and np.all(ones.sum(axis=1) == 1))
-
-
-def permutation_matrix(perm) -> LinearOperatorMatrix:
-    """Operator that maps x to x[perm]."""
+def permutation_matrix(perm) -> np.ndarray:
+    """The [n, n] matrix that maps x to x[perm]."""
     perm = np.asarray(perm, dtype=np.int64)
     n = perm.size
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     m = np.zeros((n, n))
     m[np.arange(n), perm] = 1.0
-    return LinearOperatorMatrix(m)
+    return m
 
 
 def conv_as_matrix(kernel: np.ndarray, H: int, W: int,
-                   padding: int = 0) -> LinearOperatorMatrix:
+                   padding: int = 0) -> np.ndarray:
     """Stride-1 single-channel convolution as an explicit [H'W', HW] matrix.
 
     Row r holds the kernel taps contributing to output position r (doubly
@@ -90,7 +66,7 @@ def conv_as_matrix(kernel: np.ndarray, H: int, W: int,
                     ix = ox - padding + dx
                     if 0 <= iy < H and 0 <= ix < W:
                         m[row, iy * W + ix] += kernel[dy, dx]
-    return LinearOperatorMatrix(m)
+    return m
 
 
 @dataclass
@@ -147,37 +123,41 @@ class IdentityReport:
         return "\n".join(self.lines())
 
 
-def _verify_identity(name, op_i: LinearOperatorMatrix,
-                     op_j: LinearOperatorMatrix, moments: EmpiricalMoments,
-                     samples, tol: float) -> IdentityReport:
+def _verify_identity(name, op_i: np.ndarray, op_j: np.ndarray,
+                     moments: EmpiricalMoments, samples,
+                     tol: float) -> IdentityReport:
     x = np.asarray(samples, dtype=np.float64).reshape(len(samples), -1)
-    xi = x @ op_i.matrix.T
-    xj = x @ op_j.matrix.T
+    xi = x @ op_i.T
+    xj = x @ op_j.T
     lhs = cross_covariance(xi, xj)
-    rhs = op_i.matrix @ moments.covariance @ op_j.matrix.T
+    rhs = op_i @ moments.covariance @ op_j.T
     err = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport(name, err, tol, err <= tol)
 
 
-def verify_permutation_identity(p_i: LinearOperatorMatrix,
-                                p_j: LinearOperatorMatrix,
+def verify_permutation_identity(p_i: np.ndarray, p_j: np.ndarray,
                                 moments: EmpiricalMoments, samples,
                                 tol: float = 1e-10) -> IdentityReport:
     """Cross-covariance of reordered copies equals P_i Sigma P_j^T.
 
     An exact linear-algebra identity on the empirical moments; errors above
     float roundoff indicate an implementation bug, hence the tight default
-    tolerance.
+    tolerance. Raises ``ValueError`` unless both operators are square 0/1
+    matrices with one 1 in every row and column (to within 1e-12).
     """
     for name, op in (("P_i", p_i), ("P_j", p_j)):
-        if not op.is_permutation(tol=1e-12):
+        ones = np.abs(op - 1.0) <= 1e-12
+        zeros = np.abs(op) <= 1e-12
+        if not (op.ndim == 2 and op.shape[0] == op.shape[1]
+                and np.all(ones | zeros)
+                and np.all(ones.sum(axis=0) == 1)
+                and np.all(ones.sum(axis=1) == 1)):
             raise ValueError(f"{name} is not a permutation matrix")
     return _verify_identity("permutation_identity", p_i, p_j, moments,
                             samples, tol)
 
 
-def verify_filter_identity(f_i: LinearOperatorMatrix,
-                           f_j: LinearOperatorMatrix,
+def verify_filter_identity(f_i: np.ndarray, f_j: np.ndarray,
                            moments: EmpiricalMoments, samples,
                            tol: float = 1e-10) -> IdentityReport:
     """Cross-covariance of filtered copies equals F_i Sigma F_j^T."""
@@ -209,8 +189,7 @@ class SpectrumReport:
         return "\n".join(self.lines())
 
 
-def spectrum_report(sigma: np.ndarray, perm: LinearOperatorMatrix,
-                    filt: LinearOperatorMatrix,
+def spectrum_report(sigma: np.ndarray, perm: np.ndarray, filt: np.ndarray,
                     tolerance: float = 1e-8) -> SpectrumReport:
     """Compare eigenvalues of Sigma, P Sigma P^T and F Sigma F^T.
 
@@ -222,8 +201,8 @@ def spectrum_report(sigma: np.ndarray, perm: LinearOperatorMatrix,
     if np.max(np.abs(sigma - sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(sigma))):
         raise ValueError("sigma must be symmetric")
     eig_base = np.linalg.eigvalsh(sigma)
-    eig_perm = np.linalg.eigvalsh(perm.matrix @ sigma @ perm.matrix.T)
-    eig_filt = np.linalg.eigvalsh(filt.matrix @ sigma @ filt.matrix.T)
+    eig_perm = np.linalg.eigvalsh(perm @ sigma @ perm.T)
+    eig_filt = np.linalg.eigvalsh(filt @ sigma @ filt.T)
     perm_dist = float(np.max(np.abs(eig_perm - eig_base)))
     if eig_filt.shape == eig_base.shape:
         filt_dist = float(np.max(np.abs(eig_filt - eig_base)))

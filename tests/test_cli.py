@@ -64,6 +64,35 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _unreadable_config(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.cfg", "No such file or directory"
+    if kind == "directory":
+        return tmp_path, "Is a directory"
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"steps = 4\n\xff\n")
+    return path, "can't decode byte 0xff"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_is_a_config_error(monkeypatch, tmp_path, capsys,
+                                             command, kind):
+    """A --config that cannot be read or decoded exits 2 naming the path,
+    before any training or checkpoint loading."""
+    monkeypatch.setattr(cli, "train_run", lambda cfg: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path: pytest.fail("loaded"))
+    path, reason = _unreadable_config(tmp_path, kind)
+    argv = [command, "--config", str(path)]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "model.mfil")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ")
+    assert reason in err
+
+
 @pytest.mark.parametrize("flags,lines,message", [
     (["--d-state", "0"], "", "d_state must be >= 1"),
     (["--ssm-ratio", "0"], "", "ssm_ratio positive"),
@@ -241,4 +270,14 @@ def test_report_erf_rejects_negative_seed(tmp_path, capsys):
                  "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: seed must be >= 0, got -1")
+    assert not any(tmp_path.iterdir())
+
+
+def test_report_erf_rejects_malformed_thread_count(monkeypatch, tmp_path,
+                                                  capsys):
+    monkeypatch.setenv("MFIL_THREADS", "abc")
+    monkeypatch.setattr(cli.bb, "build", lambda *a, **kw: pytest.fail("built"))
+    assert main(["report", "--kind", "erf", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: MFIL_THREADS must be an integer, got 'abc'\n")
     assert not any(tmp_path.iterdir())

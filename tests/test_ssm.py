@@ -3,8 +3,8 @@ import pytest
 
 from conftest import grad_close, numeric_gradient, rel_err
 from mfil import reference, ssm
-from mfil.ssm import (SsmCore, discretize_zoh, lti_kernel, scan_recurrent,
-                      selective_scan)
+from mfil.reference import discretize_zoh, lti_kernel
+from mfil.ssm import SsmCore, selective_scan
 from mfil.tensor import Tape, Tensor, mul, tsum
 
 
@@ -42,6 +42,15 @@ def test_zoh_rejects_singular_and_nonpositive():
         discretize_zoh(-1.0, 1.0, 0.0)
 
 
+def test_zoh_square_diagonal_entries_are_elementwise_by_default():
+    # A [2, 2] array of per-state entries (an SsmCore A with C = N) is
+    # not a matrix: the default path exponentiates each entry.
+    a = -np.array([[1.0, 2.0], [3.0, 4.0]])
+    a_bar, b_bar = discretize_zoh(a, np.ones((2, 2)), 0.5)
+    assert np.array_equal(a_bar, np.exp(0.5 * a))
+    assert np.array_equal(b_bar, (np.exp(0.5 * a) - 1.0) / a)
+
+
 def test_zoh_zero_diagonal_uses_limit():
     a_bar, b_bar = discretize_zoh(np.array([0.0]), np.array([2.0]), 1e-9)
     assert float(a_bar[0]) == 1.0
@@ -51,18 +60,30 @@ def test_zoh_zero_diagonal_uses_limit():
 # ---------------------------------------------------------------------------
 # recurrence and kernel forms
 
+def _lti_scan(x):
+    """The model's scan with a = -1, delta = ln 2, b = c = 1 and exact
+    discretization, so a_bar = b_bar = 0.5."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1, 1)
+    length = x.shape[1]
+    ones = np.ones((1, length, 1))
+    return ssm.ssm_scan(Tensor(x), Tensor(np.log(2.0) * ones),
+                        Tensor(-np.ones((1, 1))), Tensor(ones),
+                        Tensor(ones), Tensor(np.zeros(1)),
+                        exact_input_discretization=True).data[0, :, 0]
+
+
 def test_scan_recurrent_single_step():
-    y = scan_recurrent(0.5, 0.5, 1.0, [1.0])
+    y = _lti_scan([1.0])
     assert np.allclose(y, [0.5])
 
 
 def test_scan_recurrent_zero_input():
-    y = scan_recurrent(0.5, 0.5, 1.0, np.zeros(6))
+    y = _lti_scan(np.zeros(6))
     assert np.array_equal(y, np.zeros(6))
 
 
 def test_scan_recurrent_hand_unrolled():
-    y = scan_recurrent(0.5, 0.5, 1.0, [1.0, 0.0, 0.0])
+    y = _lti_scan([1.0, 0.0, 0.0])
     assert np.allclose(y, [0.5, 0.25, 0.125], atol=1e-15)
 
 

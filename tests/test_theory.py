@@ -59,12 +59,12 @@ def test_moment_invariants(rng):
 
 def test_identity_kernel_gives_identity_matrix():
     op = theory.conv_as_matrix(np.array([[1.0]]), 4, 4)
-    assert np.array_equal(op.matrix, np.eye(16))
+    assert np.array_equal(op, np.eye(16))
 
 
 def test_scalar_kernel_scales_identity():
     op = theory.conv_as_matrix(np.array([[2.5]]), 3, 5)
-    assert np.array_equal(op.matrix, 2.5 * np.eye(15))
+    assert np.array_equal(op, 2.5 * np.eye(15))
 
 
 def test_sobel_matrix_columns_are_impulse_responses():
@@ -74,7 +74,7 @@ def test_sobel_matrix_columns_are_impulse_responses():
         impulse[j // 4, j % 4] = 1.0
         response = conv2d(Tensor(impulse[None, :, :, None]),
                           Tensor(SOBEL_X[None, None]), 1, 1).data.ravel()
-        assert np.array_equal(op.matrix[:, j], response)
+        assert np.array_equal(op[:, j], response)
 
 
 def test_conv_as_matrix_agrees_with_conv2d_random(rng):
@@ -83,7 +83,7 @@ def test_conv_as_matrix_agrees_with_conv2d_random(rng):
         op = theory.conv_as_matrix(kern, 6, 6, padding=pad)
         for _ in range(50):
             z = rng.standard_normal((6, 6))
-            via_op = op.apply(z.ravel())
+            via_op = op @ z.ravel()
             via_conv = conv2d(Tensor(z[None, :, :, None]),
                               Tensor(np.asarray(kern)[None, None]),
                               1, pad).data.ravel()
@@ -98,10 +98,10 @@ def test_grid_cap():
 def test_permutation_matrix_structure(rng):
     perm = rng.permutation(12)
     op = theory.permutation_matrix(perm)
-    assert op.is_permutation()
-    assert np.max(np.abs(op.matrix.T @ op.matrix - np.eye(12))) <= 1e-12
+    assert np.array_equal(op, np.eye(12)[perm])
+    assert np.max(np.abs(op.T @ op - np.eye(12))) <= 1e-12
     v = rng.standard_normal(12)
-    assert np.array_equal(op.apply(v), v[perm])
+    assert np.array_equal(op @ v, v[perm])
     with pytest.raises(ValueError):
         theory.permutation_matrix([0, 0, 1])
 
@@ -122,7 +122,7 @@ def test_two_element_swap_relabels_covariance(rng):
     m = theory.empirical_moments(samples)
     swap = theory.permutation_matrix([1, 0])
     a, b_, c = m.covariance[0, 0], m.covariance[0, 1], m.covariance[1, 1]
-    swapped = swap.matrix @ m.covariance @ swap.matrix.T
+    swapped = swap @ m.covariance @ swap.T
     assert np.allclose(swapped, [[c, b_], [b_, a]], atol=1e-14)
     rep = theory.verify_permutation_identity(swap, swap, m, samples)
     assert rep.passed
@@ -155,7 +155,7 @@ def test_scalar_filter_scales_covariance(rng):
     op = theory.conv_as_matrix(np.array([[3.0]]), 4, 4)
     rep = theory.verify_filter_identity(op, op, m, samples)
     assert rep.passed
-    lhs = op.matrix @ m.covariance @ op.matrix.T
+    lhs = op @ m.covariance @ op.T
     assert np.allclose(lhs, 9.0 * m.covariance, atol=1e-10)
 
 
@@ -166,9 +166,9 @@ def test_filter_identity_with_identity_second_operator(rng):
     eye = theory.conv_as_matrix(np.array([[1.0]]), 6, 6)
     rep = theory.verify_filter_identity(sob, eye, m, samples)
     assert rep.passed
-    transformed = [sob.apply(s) for s in samples]
+    transformed = [sob @ s for s in samples]
     direct = theory.cross_covariance(np.stack(transformed), samples)
-    assert np.max(np.abs(direct - sob.matrix @ m.covariance)) <= 1e-10
+    assert np.max(np.abs(direct - sob @ m.covariance)) <= 1e-10
 
 
 def test_sobel_pair_identity(rng):
@@ -195,7 +195,7 @@ def test_sobel_on_identity_equals_squared_singular_values(rng):
     sob = theory.conv_as_matrix(SOBEL_X, 6, 6, padding=1)
     perm = theory.permutation_matrix(rng.permutation(36))
     rep = theory.spectrum_report(np.eye(36), perm, sob)
-    svals = np.linalg.svd(sob.matrix, compute_uv=False)
+    svals = np.linalg.svd(sob, compute_uv=False)
     assert np.max(np.abs(rep.eig_filtered - np.sort(svals ** 2))) <= 1e-8
     assert rep.filter_distance > 1e-3  # spectrum genuinely moved
 
