@@ -5,12 +5,13 @@ image becomes a 56x56 grid. Each stage runs its blocks at constant width,
 then a 2x2 stride-2 convolution doubles the channels and halves the grid;
 the head is layer norm, global average pooling, and a linear classifier.
 Images are NCHW; the stem transposes them once, and every map from there
-to the head is channel-last, [B, H, W, C]. ``Backbone`` holds the
-network as one ordered list of ``Segment``s, each owning the parameters
-under its name prefix; a block is two segments of one name, its mixer half
-and its FFN half. Each block is built from its stage width and the
-``VariantConfig``, which holds every other block option. ``ConvBaseline``,
-the receptive-field ablation, is a ``Backbone`` with conv segments.
+to the head is channel-last, [B, H, W, C]. ``Backbone`` holds a network
+as one ordered list of ``Segment``s, each owning the parameters under its
+name prefix. Two builders fill it: ``build`` draws the MFil network, where
+a block is two segments of one name, its mixer half and its FFN half, built
+from its stage width and the ``VariantConfig``, which holds every other
+block option; ``build_conv_baseline`` draws the receptive-field ablation,
+the same skeleton with conv segments.
 ``count_params`` and ``count_flops`` sum one cost table, ``_costs``: the
 stem, downsample and head rows are written there, and each stage's row
 comes from ``block.block_cost``.
@@ -35,8 +36,7 @@ from .tensor import (Tensor, conv2d, layer_norm, linear, silu, tmean,
 
 __all__ = [
     "VariantConfig", "tiny", "small", "base", "desk", "Segment", "Backbone",
-    "build",
-    "ConvBaseline", "build_conv_baseline", "count_params", "count_flops",
+    "build", "build_conv_baseline", "count_params", "count_flops",
     "REFERENCE_PARAMS", "REFERENCE_FLOPS",
 ]
 
@@ -168,55 +168,27 @@ def _image_stem(merge: Segment) -> Segment:
     return replace(merge, run=run)
 
 
-class Backbone:
-    """Instantiated network; parameters are deterministic in the seed.
+def _check_divisible(h: int, w: int):
+    if h % _TOTAL_STRIDE or w % _TOTAL_STRIDE:
+        raise ValueError(
+            f"input spatial size {h}x{w} must be divisible by "
+            f"{_TOTAL_STRIDE}")
 
-    The network is one ordered list of segments: the stem, each block's
-    mixer half and FFN half and each downsample in stage order, the head
-    norm and the classifier. The forward passes and the parameter registry
-    all walk that list, so a parameter feeds only its own segment and the
-    ones after it.
+
+class Backbone:
+    """Instantiated network: one ordered list of segments.
+
+    ``build`` and ``build_conv_baseline`` draw the parameters and hand the
+    list over; the container draws nothing. The forward passes and the
+    parameter registry all walk that list, so a parameter feeds only its
+    own segment and the ones after it.
     """
 
-    def __init__(self, config: VariantConfig, seed: int = 0,
-                 dtype: str = "f32"):
+    def __init__(self, config: VariantConfig, segments: list[Segment],
+                 dtype: str):
         self.config = config
+        self.segments = segments
         self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        d = config.dims
-        self.segments: list[Segment] = [
-            _image_stem(_patch_merge("stem", 3, d[0], 4, rng, dtype))]
-        self.stages: list[list[MfilBlock]] = []
-        for s in range(4):
-            blocks = []
-            for i in range(config.depths[s]):
-                blk = MfilBlock(d[s], config, rng=rng, dtype=dtype)
-                blocks.append(blk)
-                # Two segments per block under one name; the halves are
-                # bound here, so a wrapper set on MfilBlock after build
-                # does not apply to them.
-                name = f"stages.{s}.blocks.{i}"
-                self.segments.append(Segment(
-                    name, blk.mixer_parameters(), blk.mixer_forward))
-                self.segments.append(Segment(
-                    name, blk.ffn_parameters(), blk.ffn_forward,
-                    feature=i == config.depths[s] - 1))
-            self.stages.append(blocks)
-            if s < 3:
-                self.segments.append(_patch_merge(
-                    f"downsample.{s}", d[s], d[s + 1], 2, rng, dtype))
-        gamma = _param(np.ones(d[3]), dtype)
-        beta = _param(np.zeros(d[3]), dtype)
-        self.segments.append(Segment(
-            "head.norm", {"gamma": gamma, "beta": beta},
-            lambda x, train, rng: layer_norm(x, gamma, beta), feature=True))
-        weight = _param(trunc_normal(rng, (config.num_classes, d[3])), dtype)
-        bias = _param(np.zeros(config.num_classes), dtype)
-
-        def classify(x, train, rng):
-            return linear(tmean(x, axis=(1, 2)), weight, bias)
-        self.segments.append(Segment(
-            "head.fc", {"weight": weight, "bias": bias}, classify))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -228,11 +200,7 @@ class Backbone:
         if images.data.ndim != 4 or images.shape[1] != 3:
             raise ValueError(
                 f"expected images [B, 3, H, W], got {images.shape}")
-        _, _, h, w = images.shape
-        if h % _TOTAL_STRIDE or w % _TOTAL_STRIDE:
-            raise ValueError(
-                f"input spatial size {h}x{w} must be divisible by "
-                f"{_TOTAL_STRIDE}")
+        _check_divisible(*images.shape[2:])
 
     def forward_features(self, images: Tensor):
         """Eval-mode outputs of the feature segments, each stage's and the
@@ -274,16 +242,47 @@ class Backbone:
             inputs.append(seg.run(inputs[-1], False, None))
         return inputs
 
-    def spatial_trace(self, images: Tensor) -> list[int]:
-        """Spatial extents of the five feature maps for a given input."""
-        return [f.shape[1] for f in self.forward_features(images)]
-
 
 def build(config: VariantConfig, seed: int = 0, dtype: str = "f32") -> Backbone:
-    return Backbone(config, seed=seed, dtype=dtype)
+    """The MFil network; parameters are deterministic in the seed.
+
+    Segments: the stem, each block's mixer half and FFN half and each
+    downsample in stage order, the head norm and the classifier.
+    """
+    rng = np.random.default_rng(seed)
+    d = config.dims
+    segments = [_image_stem(_patch_merge("stem", 3, d[0], 4, rng, dtype))]
+    for s in range(4):
+        for i in range(config.depths[s]):
+            blk = MfilBlock(d[s], config, rng=rng, dtype=dtype)
+            # Two segments per block under one name; the halves are bound
+            # here, so a wrapper set on MfilBlock after build does not
+            # apply to them.
+            name = f"stages.{s}.blocks.{i}"
+            segments += [
+                Segment(name, blk.mixer_parameters(), blk.mixer_forward),
+                Segment(name, blk.ffn_parameters(), blk.ffn_forward,
+                        feature=i == config.depths[s] - 1)]
+        if s < 3:
+            segments.append(_patch_merge(
+                f"downsample.{s}", d[s], d[s + 1], 2, rng, dtype))
+    gamma = _param(np.ones(d[3]), dtype)
+    beta = _param(np.zeros(d[3]), dtype)
+    segments.append(Segment(
+        "head.norm", {"gamma": gamma, "beta": beta},
+        lambda x, train, rng: layer_norm(x, gamma, beta), feature=True))
+    weight = _param(trunc_normal(rng, (config.num_classes, d[3])), dtype)
+    bias = _param(np.zeros(config.num_classes), dtype)
+
+    def classify(x, train, rng):
+        return linear(tmean(x, axis=(1, 2)), weight, bias)
+    segments.append(Segment(
+        "head.fc", {"weight": weight, "bias": bias}, classify))
+    return Backbone(config, segments, dtype)
 
 
-class ConvBaseline(Backbone):
+def build_conv_baseline(config: VariantConfig, seed: int = 0,
+                        dtype: str = "f32") -> Backbone:
     """Same skeleton with every block replaced by a plain 3x3 conv + SiLU.
 
     Receptive-field ablation: the theoretical footprint of the final center
@@ -291,42 +290,33 @@ class ConvBaseline(Backbone):
     convolution, each stage's convolutions, each downsample convolution and
     an identity ``head``, so ``forward`` returns the last feature map.
     """
+    rng = np.random.default_rng(seed)
+    d = config.dims
 
-    def __init__(self, config: VariantConfig, seed: int = 0,
-                 dtype: str = "f32"):
-        self.config = config
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        d = config.dims
+    def conv(name, key, shape, std, stride, padding=0, act=None,
+             feature=False):
+        w = _param(trunc_normal(rng, shape, std=std), dtype)
 
-        def conv(name, key, shape, std, stride, padding=0, act=None,
-                 feature=False):
-            w = _param(trunc_normal(rng, shape, std=std), dtype)
+        def run(x, train, rng):
+            y = conv2d(x, w, stride=stride, padding=padding)
+            return y if act is None else act(y)
+        return Segment(name, {key: w}, run, feature)
 
-            def run(x, train, rng):
-                y = conv2d(x, w, stride=stride, padding=padding)
-                return y if act is None else act(y)
-            return Segment(name, {key: w}, run, feature)
-
-        self.segments = [_image_stem(
-            conv("stem", "conv.weight", (d[0], 3, 4, 4), 0.02, 4))]
-        for s in range(4):
-            n = config.depths[s]
-            self.segments += [
-                conv(f"stages.{s}.convs.{i}", "weight", (d[s], d[s], 3, 3),
-                     0.1, 1, padding=1, act=silu, feature=i == n - 1)
-                for i in range(n)]
-            if s < 3:
-                self.segments.append(conv(
-                    f"downsample.{s}", "conv.weight",
-                    (d[s + 1], d[s], 2, 2), 0.1, 2))
-        self.segments.append(
-            Segment("head", {}, lambda x, train, rng: x, feature=True))
-
-
-def build_conv_baseline(config: VariantConfig, seed: int = 0,
-                        dtype: str = "f32") -> ConvBaseline:
-    return ConvBaseline(config, seed=seed, dtype=dtype)
+    segments = [_image_stem(
+        conv("stem", "conv.weight", (d[0], 3, 4, 4), 0.02, 4))]
+    for s in range(4):
+        n = config.depths[s]
+        segments += [
+            conv(f"stages.{s}.convs.{i}", "weight", (d[s], d[s], 3, 3),
+                 0.1, 1, padding=1, act=silu, feature=i == n - 1)
+            for i in range(n)]
+        if s < 3:
+            segments.append(conv(
+                f"downsample.{s}", "conv.weight",
+                (d[s + 1], d[s], 2, 2), 0.1, 2))
+    segments.append(
+        Segment("head", {}, lambda x, train, rng: x, feature=True))
+    return Backbone(config, segments, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +326,7 @@ def _costs(config: VariantConfig, H: int,
            W: int) -> list[tuple[int, float, float]]:
     """(parameters, flops per image, flops per forward) of each part of the
     network on HxW images, under ``block.block_cost``'s counting rules."""
-    if H % _TOTAL_STRIDE or W % _TOTAL_STRIDE:
-        raise ValueError(
-            f"input spatial size {H}x{W} must be divisible by "
-            f"{_TOTAL_STRIDE}")
+    _check_divisible(H, W)
     d, k = config.dims, config.num_classes
     hw = (H // 4) * (W // 4)
     rows = [(3 * 16 * d[0] + 2 * d[0], hw * d[0] * (3 * 16 + 5), 0)]  # stem

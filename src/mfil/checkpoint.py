@@ -67,7 +67,8 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Validate and read a checkpoint into {name: f32 array}."""
+    """Validate and read a checkpoint into {name: f32 array}; names must
+    be unique."""
     path = Path(path)
     out: dict[str, np.ndarray] = {}
     size = path.stat().st_size
@@ -89,6 +90,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 name = raw_name.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"entry {i} name: {exc}") from None
+            if name in out:  # out holds entries 0..i-1 in file order
+                raise CheckpointError(
+                    f"entry '{name}' appears twice: entries "
+                    f"{list(out).index(name)} and {i}")
             (rank,) = struct.unpack(
                 "<B", _read_exact(f, 1, f"entry '{name}' rank"))
             shape = tuple(

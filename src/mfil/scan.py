@@ -302,12 +302,6 @@ def cross_scan_permutations(h: int, w: int) -> list[np.ndarray]:
     return [rm, cm, rm[::-1].copy(), cm[::-1].copy()]
 
 
-def _invert_permutation(p: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size, dtype=p.dtype)
-    return inv
-
-
 def _view_order(rows, h: int, w: int) -> np.ndarray | None:
     """Index putting each stacked view into its row's token order.
 
@@ -350,7 +344,7 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
         seq = take(seq, order, axis=1)
     out = selective_scan(seq, core, n_segments=len(rows))
     if order is not None:
-        out = take(out, _invert_permutation(order), axis=1)
+        out = take(out, np.argsort(order), axis=1)
     if len(rows) == 1:
         return reshape(out, (out.shape[0], h, w, out.shape[2]))
     return merge_views(out, None if weights is None else weights.alphas(),

@@ -181,15 +181,14 @@ def evaluate(model: Backbone, dataset: SyntheticDataset,
 def adaptive_weight_drift(model: Backbone) -> dict[str, float]:
     """Per-block L1 distance of the fusion weights from uniform."""
     out = {}
-    for s, blocks in enumerate(model.stages):
-        for i, blk in enumerate(blocks):
-            if blk.weights is None:
-                continue
-            w = blk.weights.w.data.astype(np.float64)
-            alpha = np.exp(w - w.max())
-            alpha /= alpha.sum()
-            out[f"stages.{s}.blocks.{i}"] = float(
-                np.abs(alpha - 1.0 / alpha.size).sum())
+    for name, p in model.parameters().items():
+        if not name.endswith(".weights.w"):
+            continue
+        w = p.data.astype(np.float64)
+        alpha = np.exp(w - w.max())
+        alpha /= alpha.sum()
+        out[name.removesuffix(".weights.w")] = float(
+            np.abs(alpha - 1.0 / alpha.size).sum())
     return out
 
 

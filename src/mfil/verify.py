@@ -302,7 +302,7 @@ def suite_structure(quick: bool = False) -> SuiteResult:
         tiny_model = bb.build(t.with_overrides(num_classes=10), seed=0)
         x224 = Tensor(rng.standard_normal((1, 3, 224, 224)).astype(
             np.float32), dtype="f32")
-        trace224 = tiny_model.spatial_trace(x224)
+        trace224 = [f.shape[1] for f in tiny_model.forward_features(x224)]
         lines.append(f"tiny 224 trace: {trace224}")
         ok &= trace224 == [56, 28, 14, 7, 7]
     desk_cfg = bb.desk()
@@ -313,7 +313,7 @@ def suite_structure(quick: bool = False) -> SuiteResult:
     ok &= exact
     x64 = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
                  dtype="f32")
-    trace = model.spatial_trace(x64)
+    trace = [f.shape[1] for f in model.forward_features(x64)]
     lines.append(f"desk 64 trace: {trace}")
     ok &= trace == [16, 8, 4, 2, 2]
     model2 = bb.build(desk_cfg, seed=0)

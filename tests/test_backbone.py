@@ -43,16 +43,27 @@ def test_config_validation():
         bb.desk(ffn_ratio=0.0)
 
 
+def _trace(model, images):
+    """Spatial extents of the five feature maps."""
+    return [f.shape[1] for f in model.forward_features(images)]
+
+
+def _block(model, s, i):
+    """The ``MfilBlock`` of stages.s.blocks.i, owner of its mixer segment
+    (the first segment of that name)."""
+    name = f"stages.{s}.blocks.{i}"
+    return next(seg for seg in model.segments if seg.name == name).run.__self__
+
+
 def test_desk_spatial_traces(rng):
     model = bb.build(bb.desk(), seed=0)
-    assert model.spatial_trace(_input(rng, 64)) == [16, 8, 4, 2, 2]
-    assert model.spatial_trace(_input(rng, 96)) == [24, 12, 6, 3, 3]
+    assert _trace(model, _input(rng, 64)) == [16, 8, 4, 2, 2]
+    assert _trace(model, _input(rng, 96)) == [24, 12, 6, 3, 3]
 
 
 def test_halving_law_and_divisibility(rng):
     model = bb.build(bb.desk(), seed=0)
-    trace = model.spatial_trace(_input(rng, 128))
-    assert trace == [32, 16, 8, 4, 4]
+    assert _trace(model, _input(rng, 128)) == [32, 16, 8, 4, 4]
     with pytest.raises(ValueError, match="divisible"):
         model.forward(_input(rng, 48))
     with pytest.raises(ValueError, match="images"):
@@ -154,9 +165,9 @@ def test_train_forward_equals_chained_block_forwards(rng):
     want_rng = np.random.default_rng(11)
     by_name = {seg.name: seg for seg in model.segments}
     y = by_name["stem"].run(x, True, want_rng)
-    for s, blocks in enumerate(model.stages):
-        for blk in blocks:
-            y = blk.forward(y, train=True, rng=want_rng)
+    for s, depth in enumerate(model.config.depths):
+        for i in range(depth):
+            y = _block(model, s, i).forward(y, train=True, rng=want_rng)
         if s < 3:
             y = by_name[f"downsample.{s}"].run(y, True, want_rng)
     for name in ("head.norm", "head.fc"):
@@ -164,6 +175,21 @@ def test_train_forward_equals_chained_block_forwards(rng):
     assert got.tobytes() == y.data.tobytes()
     assert got_rng.random() == want_rng.random()
     assert got.tobytes() != model.forward(x).data.tobytes()  # masks drawn
+
+
+@pytest.mark.parametrize("segment_reset", [False, True])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("mode", SCAN_MODES)
+def test_batch_order_equivariance(rng, mode, dtype, segment_reset):
+    """Permuting a batch permutes the logits byte for byte: no op mixes or
+    orders samples."""
+    model = bb.build(bb.desk(scan_mode=mode, segment_reset=segment_reset),
+                     seed=7, dtype=dtype)
+    x = _input(rng, 32, batch=4,
+               dtype=np.float32 if dtype == "f32" else np.float64)
+    perm = np.array([2, 0, 3, 1])
+    permuted = model.forward(Tensor(x.data[perm], dtype=dtype)).data
+    assert permuted.tobytes() == model.forward(x).data[perm].tobytes()
 
 
 def test_logits_finite_on_bounded_inputs(rng):
@@ -255,7 +281,7 @@ def test_config_flags_propagate_to_scan(rng):
     cfg = bb.desk().with_overrides(exact_input_discretization=True,
                                    segment_reset=True, d_state=2)
     model = bb.build(cfg, seed=3)
-    blk = model.stages[0][0]
+    blk = _block(model, 0, 0)
     assert blk.core.exact_input_discretization
     assert blk.core.segment_reset
     assert blk.core.d_state == 2
@@ -292,7 +318,6 @@ def test_conv_baseline_parameter_names_and_order():
             want.append(f"downsample.{s}.conv.weight")
     assert list(model.parameters()) == want
     assert isinstance(model, bb.Backbone)
-    assert not {"parameters", "forward_features"} & set(vars(bb.ConvBaseline))
 
 
 def test_layout_flip_budget(rng):

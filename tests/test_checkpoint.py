@@ -139,6 +139,22 @@ def test_undecodable_name_names_the_entry(rng, tmp_path):
         load_checkpoint(path)
 
 
+def test_duplicate_entry_name_names_both_indices(tmp_path):
+    """A name given to two entries is refused, not won by the last one."""
+    path = tmp_path / "p.mfil"
+    save_checkpoint(path, {"w": Tensor(np.zeros(2, dtype=np.float32)),
+                           "x": Tensor(np.ones(2, dtype=np.float32))})
+    # Second entry: 12-byte header, then entry 0 (2 + 1 + 1 + 8 + 8 bytes)
+    # and the second entry's u16 name length.
+    blob = bytearray(path.read_bytes())
+    assert blob[34:35] == b"x"
+    blob[34:35] = b"w"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError,
+                       match="entry 'w' appears twice: entries 0 and 1"):
+        load_checkpoint(path)
+
+
 def test_trailing_bytes_rejected(rng, tmp_path):
     path = tmp_path / "p.mfil"
     save_checkpoint(path, _params(rng))

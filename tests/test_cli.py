@@ -3,11 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfil
 from mfil import cli, verify
 from mfil import tensor as T
+from mfil.checkpoint import save_checkpoint
 from mfil.cli import main
 
 
@@ -186,6 +188,19 @@ def test_eval_missing_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(missing)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and str(missing) in err
+
+
+def test_eval_duplicate_entry_name_is_a_checkpoint_error(tmp_path, capsys):
+    path = tmp_path / "dup.mfil"
+    save_checkpoint(path, {"w": T.Tensor(np.zeros(2)),
+                           "x": T.Tensor(np.ones(2))})
+    blob = path.read_bytes()
+    assert blob.count(b"x") == 1  # the second entry's one-byte name
+    path.write_bytes(blob.replace(b"x", b"w"))
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:")
+    assert "entry 'w' appears twice: entries 0 and 1" in err
 
 
 def test_verify_single_suite(capsys):

@@ -1,10 +1,13 @@
-"""``ssm.py`` and ``scan.py`` define only what the model runs.
+"""``ssm.py``, ``scan.py`` and ``backbone.py`` define only what the model
+runs.
 
-A profile hook records every function called from the two modules while
-desk models are built, counted, run forward on a tape and swept backward,
-in every scan mode and once more with the optional scan features on. Each
-top-level function and class method the modules define must be among them,
-so verification-only code cannot settle in a model module unnoticed.
+A profile hook records every function called from the three modules while
+the named variants are configured and desk models are built, counted, run
+forward on a tape and swept backward, in every scan mode and once more with
+the optional scan features on; the segment-input walk and the conv
+baseline's feature maps run too. Each top-level function and class method
+the modules define must be among them, so verification-only code cannot
+settle in a model module unnoticed.
 """
 
 import ast
@@ -54,11 +57,26 @@ def _taped_step(config):
         loss = tsum(mul(model.forward(images), readout))
         grads = dict(tape.sweep(loss, params.values()))
     assert len(grads) == len(params)
+    return model, images
+
+
+def _model_runs():
+    """Count each named variant, tape a desk step per config, and walk the
+    last model's segment inputs and the conv baseline's feature maps."""
+    for variant in bb.VARIANTS.values():
+        bb.count_flops(variant(), 224, 224)
+    configs = [bb.desk(scan_mode=mode) for mode in SCAN_MODES]
+    configs.append(bb.desk().with_overrides(
+        exact_input_discretization=True, segment_reset=True, d_state=2))
+    for config in configs:
+        model, images = _taped_step(config)
+    model.segment_inputs(images)
+    bb.build_conv_baseline(bb.desk(), seed=0).forward_features(images)
 
 
 def test_model_modules_define_only_what_the_model_runs():
     modules = {m.__file__: m.__name__.rsplit(".", 1)[-1]
-               for m in (ssm, scan)}
+               for m in (ssm, scan, bb)}
     called = set()
 
     def hook(frame, event, arg):
@@ -68,18 +86,14 @@ def test_model_modules_define_only_what_the_model_runs():
             if prefix is not None:
                 called.add(f"{prefix}.{code.co_qualname}")
 
-    configs = [bb.desk(scan_mode=mode) for mode in SCAN_MODES]
-    configs.append(bb.desk(exact_input_discretization=True,
-                           segment_reset=True, d_state=2))
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        for config in configs:
-            _taped_step(config)
+        _model_runs()
     finally:
         sys.setprofile(previous)
 
-    uncalled = (_defined(ssm) | _defined(scan)) - called
+    uncalled = (_defined(ssm) | _defined(scan) | _defined(bb)) - called
     assert uncalled == set(ALLOWED_UNCALLED), (
         f"defined in a model module but never run by the model: "
         f"{sorted(uncalled - set(ALLOWED_UNCALLED))}; allowlisted but "
