@@ -79,6 +79,9 @@ class VariantConfig:
             raise ValueError(
                 f"d_state must be >= 1 and ssm_ratio positive, got "
                 f"d_state {self.d_state} and ssm_ratio {self.ssm_ratio}")
+        if not self.num_classes >= 1:
+            raise ValueError(
+                f"num_classes must be >= 1, got {self.num_classes}")
         if not self.ffn_ratio > 0:
             raise ValueError(
                 f"ffn_ratio must be positive, got {self.ffn_ratio}")

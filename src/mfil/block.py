@@ -153,9 +153,6 @@ class MfilBlock:
             out[f"ffn.{k}"] = v
         return out
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {**self.mixer_parameters(), **self.ffn_parameters()}
-
     def mixer_forward(self, x: Tensor, train: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Mixer half, x -> y' = x + drop_path(out_proj(...)); [B, H, W, C]."""

@@ -54,6 +54,17 @@ def _run_config_from_args(args) -> RunConfig:
     return load_run_config(args.config, **overrides)
 
 
+def _create_out_dir(path: Path) -> bool:
+    """Create the output directory, or print why it cannot be created."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     results = run_suites(args.suite or None, quick=args.quick)
     failed = [r.name for r in results if not r.passed]
@@ -69,6 +80,8 @@ def cmd_train(args) -> int:
         cfg = _run_config_from_args(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if not _create_out_dir(Path(cfg.out_dir)):
         return 2
     try:
         result = train_run(cfg)
@@ -118,7 +131,8 @@ def _report_table(column: str, count, refs: dict, unit: str,
 
 
 def _report_erf(out_dir: Path, seed: int) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _create_out_dir(out_dir):
+        return 2
     cfg = bb.desk()
     model = bb.build(cfg, seed=seed)
     for label, net in (("desk", model),

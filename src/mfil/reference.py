@@ -167,7 +167,7 @@ def selective_scan_reference(x: np.ndarray, core,
     x: [B, L, C]. ``core`` is an SsmCore; its projection weights are read as
     plain arrays here, and its ``exact_input_discretization`` and
     ``segment_reset`` flags select the input term and the state resets;
-    ``n_segments`` must divide L, as in ``selective_scan``.
+    ``n_segments`` must divide L.
     Per token: delta = softplus(dt_proj(x_proj_dt(x)) + dt_bias), B/C read
     from the projection, state updated with the discretized recurrence,
     output C.h + D*x.

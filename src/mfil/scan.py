@@ -322,10 +322,12 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
     Takes and returns a [B, H, W, C] map. ``SCAN_VIEWS[scan_mode]`` names
     the views, one (map, token order) row per stream. The path is the same
     for every mode: build the maps the rows name, stack them, reorder the
-    tokens of rows that are not row-major, scan with one segment per row,
-    restore the order, and fuse with ``merge_views`` (a single view is
-    only reshaped). ``bank`` may be None when the rows read only the
-    input.
+    tokens of rows that are not row-major, scan, restore the order, and
+    fuse with ``merge_views`` (a single view is only reshaped). The scan
+    carries its state from one view into the next; with
+    ``core.segment_reset`` each view is scanned as a batch row of its own,
+    [n*B, H*W, C], so every view starts from a zero state. ``bank`` may be
+    None when the rows read only the input.
     """
     if scan_mode not in SCAN_VIEWS:
         raise ValueError(f"unknown scan_mode {scan_mode!r}")
@@ -342,7 +344,13 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
     order = _view_order(rows, h, w)
     if order is not None:
         seq = take(seq, order, axis=1)
-    out = selective_scan(seq, core, n_segments=len(rows))
+    if core.segment_reset:
+        # Each view is a sequence of its own: a batch row of H*W tokens.
+        b, length, c = seq.shape
+        out = reshape(selective_scan(reshape(seq, (b * len(rows), h * w, c)),
+                                     core), (b, length, c))
+    else:
+        out = selective_scan(seq, core)
     if order is not None:
         out = take(out, np.argsort(order), axis=1)
     if len(rows) == 1:

@@ -52,21 +52,17 @@ def _zoh_weight(delta, da, a, a_bar):
 # ---------------------------------------------------------------------------
 # Fused scan primitive (taped, with hand-derived backward)
 
-def _scan_states(hs, a_bar, bx, prev, tokens, resets):
+def _scan_states(hs, a_bar, bx, prev):
     """h[t] = a_bar[t] * h[t-1] + bx[t] over one chunk, in place.
 
-    hs, a_bar, bx: [B, T, C, N] for the chunk's tokens (their indices in
-    ``tokens``); ``prev`` is h before the chunk. A token in ``resets``
-    starts from a zero state. Each h[t] is written straight into its slot
-    of ``hs``; returns the last one.
+    hs, a_bar, bx: [B, T, C, N] for the chunk's tokens; ``prev`` is h
+    before the chunk. Each h[t] is written straight into its slot of
+    ``hs``; returns the last one.
     """
-    for t, h, a_t, bx_t in zip(tokens, hs.swapaxes(0, 1),
-                               a_bar.swapaxes(0, 1), bx.swapaxes(0, 1)):
-        if t in resets:
-            h[...] = bx_t
-        else:
-            np.multiply(a_t, prev, out=h)
-            np.add(h, bx_t, out=h)
+    for h, a_t, bx_t in zip(hs.swapaxes(0, 1), a_bar.swapaxes(0, 1),
+                            bx.swapaxes(0, 1)):
+        np.multiply(a_t, prev, out=h)
+        np.add(h, bx_t, out=h)
         prev = h
     return prev
 
@@ -87,18 +83,17 @@ def _sweep_states_back(gh_all, ca):
 
 def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
              c_tok: Tensor, d_skip: Tensor, *,
-             exact_input_discretization: bool = False,
-             reset_interval: int | None = None) -> Tensor:
+             exact_input_discretization: bool = False) -> Tensor:
     """Time-varying scan over a token sequence.
 
     u, delta: [B, L, C]; a: [C, N] (negative entries); b_tok, c_tok:
-    [B, L, N]; d_skip: [C]. The recurrence runs sequentially over L but is
+    [B, L, N]; d_skip: [C]. Each batch row is one sequence whose state
+    starts at zero. The recurrence runs sequentially over L but is
     vectorized over (B, C, N); discretized parameters are produced in
     chunks of ``_CHUNK`` tokens to bound the working set, with the hidden
     state carried across chunk boundaries, and the readout is formed chunk
     by chunk. Only a taped call keeps every state h[t], which its backward
-    reads; exp(delta * A) is recomputed there. ``reset_interval`` zeroes the
-    state every that-many tokens (segment-independent processing).
+    reads; exp(delta * A) is recomputed there.
     """
     bsz, length, ch = u.shape
     n = a.shape[1]
@@ -107,11 +102,6 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
     if b_tok.shape != (bsz, length, n) or c_tok.shape != (bsz, length, n):
         raise ValueError("ssm_scan: token projections must be [B, L, N]")
     dtype = u.data.dtype
-    carry = np.ones(length, dtype=dtype)
-    resets = set()
-    if reset_interval is not None and reset_interval < length:
-        carry[::reset_interval] = 0.0
-        resets = set(range(0, length, reset_interval))
 
     ud, dd, ad, bd, cd = u.data, delta.data, a.data, b_tok.data, c_tok.data
     inputs = (u, delta, a, b_tok, c_tok, d_skip)
@@ -131,7 +121,7 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         else:
             w = dd[:, t0:t1, :, None]
         bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
-        prev = _scan_states(hs, a_bar, bx, prev, range(t0, t1), resets)
+        prev = _scan_states(hs, a_bar, bx, prev)
         y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, cd[:, t0:t1])
     dskip = d_skip.data
     y += ud * dskip[None, None, :]
@@ -146,16 +136,14 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
         # with the gradient that h[t] passes back to h[t-1].
         gh_all = gy[:, :, :, None] * cd[:, :, None, :]
         # Recomputed rather than saved: the same products and exp as the
-        # forward's chunks, so the same bytes.
+        # forward's chunks, so the same bytes. The sweep overwrites ``ca``.
         a_bar_all = np.exp(dd[:, :, :, None] * ad[None, None])
-        ca = carry[None, :, None, None] * a_bar_all
+        ca = a_bar_all.copy()
         _sweep_states_back(gh_all, ca)
         h_prev = np.empty_like(h_all)
         h_prev[:, 0] = 0.0
         h_prev[:, 1:] = h_all[:, :-1]
-        # d h[t] / d A_bar[t] = carry[t] * h[t-1]; the input term is never
-        # gated, so its chain uses gh_all directly.
-        g_abar = gh_all * h_prev * carry[None, :, None, None]
+        g_abar = gh_all * h_prev
         g_delta = np.einsum("blcn,blcn,cn->blc", g_abar, a_bar_all, ad)
         g_a = np.einsum("blcn,blcn,blc->cn", g_abar, a_bar_all, dd)
         if exact_input_discretization:
@@ -167,19 +155,16 @@ def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
                     limit, 0.5 * dd[:, :, :, None] ** 2,
                     (dd[:, :, :, None] * a_bar_all * safe_a
                      - a_bar_all + 1.0) / (safe_a * safe_a))
-            dw_ddelta = a_bar_all
             g_a = g_a + np.einsum("blcn,blcn,bln,blc->cn",
                                   gh_all, dw_da, bd, ud)
+            # d w / d delta = a_bar
+            g_delta = g_delta + np.einsum("blcn,blcn,bln->blc",
+                                          gh_all, a_bar_all, bd) * ud
         else:
             w = dd[:, :, :, None]
-            dw_ddelta = None
+            g_delta = g_delta + np.einsum("blcn,bln->blc", gh_all, bd) * ud
         g_btok = np.einsum("blcn,blcn,blc->bln", gh_all, w, ud)
         g_u = g_u + np.einsum("blcn,blcn,bln->blc", gh_all, w, bd)
-        if dw_ddelta is None:
-            g_delta = g_delta + np.einsum("blcn,bln->blc", gh_all, bd) * ud
-        else:
-            g_delta = g_delta + np.einsum("blcn,blcn,bln->blc",
-                                          gh_all, dw_ddelta, bd) * ud
         return g_u, g_delta, g_a, g_btok, g_ctok, g_d
     return record_op("ssm_scan", inputs, y, bwd)
 
@@ -241,15 +226,12 @@ class SsmCore:
                 "D_skip": self.D_skip}
 
 
-def selective_scan(x: Tensor, core: SsmCore, *,
-                   n_segments: int = 1) -> Tensor:
+def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
     """Scan a [B, L, C] token sequence with input-dependent parameters.
 
     Runs ``ssm_scan`` (taped): a per-token loop vectorized over (B, C, N),
-    with the discretization computed in chunks of tokens. ``n_segments``
-    marks the sequence as that many equal segments and must divide L; with
-    ``core.segment_reset`` the hidden state is zeroed at each segment
-    start, otherwise it carries across the whole sequence.
+    with the discretization computed in chunks of tokens. Each batch row is
+    one sequence that starts from a zero state.
     """
     if x.data.ndim != 3:
         raise ValueError(f"selective_scan expects [B, L, C], got {x.shape}")
@@ -260,10 +242,6 @@ def selective_scan(x: Tensor, core: SsmCore, *,
             f"{core.d_model}")
     if length < 1:
         raise ValueError("selective_scan: sequence must be non-empty")
-    if n_segments < 1 or length % n_segments:
-        raise ValueError(
-            f"selective_scan: n_segments {n_segments} does not divide "
-            f"sequence length {length} into equal segments")
 
     n = core.d_state
     proj = linear(x, core.x_proj_weight)
@@ -272,7 +250,5 @@ def selective_scan(x: Tensor, core: SsmCore, *,
     c_tok = slice_axis(proj, 2, core.dt_rank + n, core.dt_rank + 2 * n)
     delta = softplus(linear(dt_raw, core.dt_proj_weight, core.dt_bias))
     a = neg(texp(core.A_log))
-    reset = length // n_segments if core.segment_reset else None
     return ssm_scan(x, delta, a, b_tok, c_tok, core.D_skip,
-                    exact_input_discretization=core.exact_input_discretization,
-                    reset_interval=reset)
+                    exact_input_discretization=core.exact_input_discretization)

@@ -43,6 +43,14 @@ def test_config_validation():
         bb.desk(ffn_ratio=0.0)
 
 
+@pytest.mark.parametrize("num_classes", [0, -1])
+def test_config_rejects_num_classes_below_one(num_classes):
+    # 0 would build [B, 0] logits, -1 fail later inside numpy.
+    with pytest.raises(ValueError,
+                       match=rf"num_classes must be >= 1, got {num_classes}"):
+        bb.desk(num_classes=num_classes)
+
+
 def _trace(model, images):
     """Spatial extents of the five feature maps."""
     return [f.shape[1] for f in model.forward_features(images)]

@@ -134,7 +134,8 @@ def test_conv_ffn_matches_composed_oracle(rng):
 ])
 def test_param_count_formula_matches_tally(dim, kw):
     blk = _block(dim, seed=1, **kw)
-    tally = sum(p.size for p in blk.parameters().values())
+    params = {**blk.mixer_parameters(), **blk.ffn_parameters()}
+    tally = sum(p.size for p in params.values())
     assert tally == block_cost(dim, desk(**kw))[0]
 
 
@@ -151,7 +152,7 @@ def test_adaptive_weighting_removes_exactly_four_scalars():
 def test_every_block_parameter_receives_gradient(seed):
     rng = np.random.default_rng(seed)
     blk = _block(6, seed=seed)
-    params = blk.parameters()
+    params = {**blk.mixer_parameters(), **blk.ffn_parameters()}
     x = Tensor(_nhwc(rng.standard_normal((2, 6, 4, 4))), grad_enabled=True)
     readout = Tensor(_nhwc(rng.standard_normal((2, 6, 4, 4))))
     with Tape() as tape:
@@ -165,7 +166,7 @@ def test_every_block_parameter_receives_gradient(seed):
 def test_full_block_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     blk = _block(8, seed=11)
-    params = blk.parameters()
+    params = {**blk.mixer_parameters(), **blk.ffn_parameters()}
     x = Tensor(_nhwc(rng.standard_normal((1, 8, 4, 4))), grad_enabled=True)
     readout = Tensor(_nhwc(rng.standard_normal((1, 8, 4, 4))))
 

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfil import backbone as bb
 from mfil.checkpoint import (MAGIC, VERSION, CheckpointError,
@@ -188,3 +190,45 @@ def test_f64_params_stored_as_f32(rng, tmp_path):
     loaded = load_checkpoint(path)
     assert loaded["w"].dtype == np.float32
     assert np.allclose(loaded["w"], p["w"].data, atol=1e-7)
+
+
+@pytest.fixture(scope="module")
+def small_desk_checkpoint(tmp_path_factory):
+    """The desk parameters of at most 64 elements: 66 entries, a quarter
+    of the bytes structure rather than values."""
+    model = bb.build(bb.desk(), seed=0)
+    path = tmp_path_factory.mktemp("fuzz") / "small.mfil"
+    save_checkpoint(path, {k: v for k, v in model.parameters().items()
+                           if v.size <= 64})
+    return path, path.read_bytes()
+
+
+@st.composite
+def damaged(draw, data: bytes):
+    """One byte overwritten, an 8-byte run overwritten, or a truncation."""
+    kind = draw(st.sampled_from(["byte", "run", "truncate"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    width = 1 if kind == "byte" else 8
+    at = draw(st.integers(0, len(data) - width))
+    patch = draw(st.binary(min_size=width, max_size=width))
+    return data[:at] + patch + data[at + width:]
+
+
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(
+        small_desk_checkpoint):
+    path, data = small_desk_checkpoint
+    target = path.with_name("damaged.mfil")
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              database=None)
+    @given(damaged(data))
+    def check(raw):
+        target.write_bytes(raw)
+        try:
+            loaded = load_checkpoint(target)
+        except CheckpointError:
+            return
+        assert all(v.dtype == np.float32 for v in loaded.values())
+
+    check()

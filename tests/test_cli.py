@@ -46,7 +46,9 @@ def test_cli_flag_overrides_and_param_drop(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["orig_plus_one",
                                   "original_plus_one_filter"])
-def test_scan_mode_alias_reaches_run_config(monkeypatch, capsys, flag):
+def test_scan_mode_alias_reaches_run_config(monkeypatch, tmp_path, capsys,
+                                            flag):
+    monkeypatch.chdir(tmp_path)  # the default --out is created first
     seen = []
 
     def stop(cfg):
@@ -169,6 +171,26 @@ def test_train_rejects_ratios_that_break_a_block(
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [["train", "--steps", "1"],
+                                  ["report", "--kind", "erf"]],
+                         ids=["train", "report_erf"])
+@pytest.mark.parametrize("sub", [False, True], ids=["file", "under_file"])
+def test_out_path_that_cannot_be_a_directory_is_an_output_error(
+        monkeypatch, tmp_path, capsys, argv, sub):
+    """An --out that is an existing file, or lies under one, exits 2
+    naming the path, before any model is built."""
+    monkeypatch.setattr(cli, "train_run", lambda cfg: pytest.fail("ran"))
+    monkeypatch.setattr(cli.bb, "build", lambda *a, **kw: pytest.fail("built"))
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if sub else blocker
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot create {out}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_eval_shape_mismatch_reports_diff(tmp_path, capsys):

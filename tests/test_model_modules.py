@@ -1,7 +1,7 @@
-"""``ssm.py``, ``scan.py`` and ``backbone.py`` define only what the model
-runs.
+"""``ssm.py``, ``scan.py``, ``block.py`` and ``backbone.py`` define only
+what the model runs.
 
-A profile hook records every function called from the three modules while
+A profile hook records every function called from the four modules while
 the named variants are configured and desk models are built, counted, run
 forward on a tape and swept backward, in every scan mode and once more with
 the optional scan features on; the segment-input walk and the conv
@@ -17,16 +17,19 @@ from pathlib import Path
 import numpy as np
 
 from mfil import backbone as bb
-from mfil import scan, ssm
+from mfil import block, scan, ssm
 from mfil.scan import SCAN_MODES
 from mfil.tensor import Tape, Tensor, mul, tsum
 
 # Defined but not run by the model, each with the reason it stays.
 ALLOWED_UNCALLED = {
-    f"scan.{name}": "merge_views' reference, pinned by perfbench "
-                    "SCAN_STAGES until ROADMAP item 1"
-    for name in ("unstack_scans", "adaptive_merge")
+    **{f"scan.{name}": "merge_views' reference, pinned by perfbench "
+                       "SCAN_STAGES until ROADMAP item 1"
+       for name in ("unstack_scans", "adaptive_merge")},
+    "block.MfilBlock.forward": "the segments call its two halves; "
+                               "perfbench/spans.py wraps it by name",
 }
+MODULES = (ssm, scan, block, bb)
 
 
 def _defined(module) -> set[str]:
@@ -75,8 +78,7 @@ def _model_runs():
 
 
 def test_model_modules_define_only_what_the_model_runs():
-    modules = {m.__file__: m.__name__.rsplit(".", 1)[-1]
-               for m in (ssm, scan, bb)}
+    modules = {m.__file__: m.__name__.rsplit(".", 1)[-1] for m in MODULES}
     called = set()
 
     def hook(frame, event, arg):
@@ -93,7 +95,7 @@ def test_model_modules_define_only_what_the_model_runs():
     finally:
         sys.setprofile(previous)
 
-    uncalled = (_defined(ssm) | _defined(scan) | _defined(bb)) - called
+    uncalled = set().union(*map(_defined, MODULES)) - called
     assert uncalled == set(ALLOWED_UNCALLED), (
         f"defined in a model module but never run by the model: "
         f"{sorted(uncalled - set(ALLOWED_UNCALLED))}; allowlisted but "

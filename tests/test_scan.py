@@ -8,7 +8,8 @@ from mfil.scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, FilterBank,
                        merge_views, mfil_ssm, num_scans, orthogonal_maps,
                        stack_scans, unstack_scans)
 from mfil.ssm import SsmCore, selective_scan
-from mfil.tensor import Tape, Tensor, depthwise_conv2d, mul, tsum
+from mfil.tensor import (Tape, Tensor, depthwise_conv2d, mul, reshape,
+                         tsum)
 
 
 def _bank(c, seed=0, **kw):
@@ -324,10 +325,10 @@ def test_scan_modes_run_and_preserve_shape(rng, mode, n):
 
 def test_merge_symmetry_under_scan_order_swap(rng):
     """Swapping the h/v stacking slots plus their fusion weights is a no-op
-    when segments are scanned independently: with resets, each segment's
-    output depends only on its own tokens."""
+    when the views are scanned as batch rows: each view's output then
+    depends only on its own tokens."""
     c = 3
-    core = _core(c, seed=4, segment_reset=True)
+    core = _core(c, seed=4)
     bank = _bank(c, seed=6)
     bank.refine_h.data = 0.5 * rng.standard_normal(bank.refine_h.shape)
     bank.refine_v.data = 0.5 * rng.standard_normal(bank.refine_v.shape)
@@ -337,8 +338,8 @@ def test_merge_symmetry_under_scan_order_swap(rng):
     f_dyn = dynamic_map(x, bank)
 
     def fuse(order, weight_values):
-        seq = stack_scans(*order)
-        out = selective_scan(seq, core, n_segments=4)
+        rows = reshape(stack_scans(*order), (4, 16, c))
+        out = reshape(selective_scan(rows, core), (1, 64, c))
         maps = unstack_scans(out, 4, 4, n=4)
         return adaptive_merge(maps, _weights(values=weight_values)).data
 
@@ -388,11 +389,16 @@ def _tokens(fmap):
     return fmap.reshape(b, h * w, c)
 
 
-def _cross_4dir_by_hand(x, bank, core, weights):
+def _scan_views(seq, core):
+    """The carried scan of a stacked [B, n*H*W, C] token array."""
+    return selective_scan(Tensor(seq), core).data
+
+
+def _cross_4dir_by_hand(x, bank, core, weights, scan=_scan_views):
     b, h, w, c = x.shape
     perms = cross_scan_permutations(h, w)
     seq = np.concatenate([_tokens(x)[:, p] for p in perms], axis=1)
-    out = selective_scan(Tensor(seq), core, n_segments=4).data
+    out = scan(seq, core)
     maps = []
     for i, p in enumerate(perms):
         view = out[:, i * h * w:(i + 1) * h * w][:, np.argsort(p)]
@@ -400,17 +406,29 @@ def _cross_4dir_by_hand(x, bank, core, weights):
     return adaptive_merge(maps, weights).data
 
 
-def _original_plus_one_by_hand(x, bank, core, weights):
+def _row_major_by_hand(views, x, core, weights, scan):
+    """Stack the row-major ``views``, scan, split and fuse."""
     b, h, w, c = x.shape
-    f_dyn = dynamic_map(Tensor(x), bank).data
-    seq = np.concatenate([_tokens(x), _tokens(f_dyn)], axis=1)
-    out = selective_scan(Tensor(seq), core, n_segments=2).data
+    seq = np.concatenate([_tokens(v) for v in views], axis=1)
+    out = scan(seq, core)
     maps = [Tensor(out[:, i * h * w:(i + 1) * h * w].reshape(b, h, w, c))
-            for i in range(2)]
+            for i in range(len(views))]
     return adaptive_merge(maps, weights).data
 
 
+def _original_plus_one_by_hand(x, bank, core, weights, scan=_scan_views):
+    f_dyn = dynamic_map(Tensor(x), bank).data
+    return _row_major_by_hand((x, f_dyn), x, core, weights, scan)
+
+
+def _multi_filter_by_hand(x, bank, core, weights, scan=_scan_views):
+    f_h, f_v = (f.data for f in orthogonal_maps(Tensor(x), bank))
+    f_dyn = dynamic_map(Tensor(x), bank).data
+    return _row_major_by_hand((x, f_h, f_v, f_dyn), x, core, weights, scan)
+
+
 _BY_HAND = {"cross_4dir": _cross_4dir_by_hand,
+            "multi_filter": _multi_filter_by_hand,
             "original_plus_one_filter": _original_plus_one_by_hand}
 
 
@@ -426,3 +444,47 @@ def test_scan_mode_equals_its_pipeline_written_out(rng, mode):
     x = _nhwc(rng.standard_normal((2, c, 3, 5)))
     got = mfil_ssm(Tensor(x), bank, core, weights, scan_mode=mode).data
     assert np.array_equal(got, _BY_HAND[mode](x, bank, core, weights))
+
+
+def _reset_oracle(n):
+    """The oracle scan of n stacked views, each from a zero state."""
+    def scan(seq, core):
+        return reference.selective_scan_reference(seq, core, n_segments=n)
+    return scan
+
+
+@pytest.mark.parametrize("mode", sorted(_BY_HAND))
+def test_segment_reset_equals_oracle_pipeline_with_resets(rng, mode):
+    """Views scanned as batch rows are the oracle's reset segments, in
+    value and in every gradient."""
+    c = 3
+    n = num_scans(mode)
+    by_hand = _BY_HAND[mode]
+    bank = _bank(c, seed=3, scan_mode=mode)
+    for p in bank.parameters().values():
+        p.data = p.data + 0.3 * rng.standard_normal(p.shape)
+    weights = _weights(n, values=rng.standard_normal(n))
+    core = _core(c, seed=7, segment_reset=True)
+    x = Tensor(_nhwc(rng.standard_normal((2, c, 3, 2))), grad_enabled=True)
+    readout = rng.standard_normal((2, 3, 2, c))
+
+    def oracle():
+        out = by_hand(x.data, bank, core, weights, scan=_reset_oracle(n))
+        return float(np.sum(out * readout))
+
+    got = mfil_ssm(x, bank, core, weights, scan_mode=mode).data
+    want = by_hand(x.data, bank, core, weights, scan=_reset_oracle(n))
+    assert rel_err(got, want) <= 1e-12
+    carried = by_hand(x.data, bank, core, weights)
+    assert not np.allclose(got, carried)
+
+    params = {"x": x, "weights.w": weights.w,
+              **{f"bank.{k}": v for k, v in bank.parameters().items()},
+              **{f"core.{k}": v for k, v in core.parameters().items()}}
+    with Tape() as tape:
+        loss = tsum(mul(mfil_ssm(x, bank, core, weights, scan_mode=mode),
+                        Tensor(readout)))
+    grads = tape.gradients(loss, list(params.values()))
+    for name, p in params.items():
+        numeric = numeric_gradient(oracle, p.data)
+        assert grad_close(grads[p].data, numeric), f"{mode}: {name}"

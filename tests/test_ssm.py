@@ -5,7 +5,7 @@ from conftest import grad_close, numeric_gradient, rel_err
 from mfil import reference, ssm
 from mfil.reference import discretize_zoh, lti_kernel
 from mfil.ssm import SsmCore, selective_scan
-from mfil.tensor import Tape, Tensor, mul, tsum
+from mfil.tensor import Tape, Tensor, mul, reshape, tsum
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +144,32 @@ def test_fast_path_matches_sequential_reference(rng, exact):
     assert worst <= 1e-5
 
 
+def _views_as_rows(x, n):
+    """[B, n*L, C] -> [B*n, L, C]: each of n equal segments a batch row."""
+    b, length, c = x.shape
+    return x.reshape(b * n, length // n, c)
+
+
 def test_segment_reset_matches_reference(rng):
+    # Segments scanned as batch rows are the oracle's reset segments.
     core = _core(ch=3, nst=1, seed=7, segment_reset=True)
-    x = Tensor(rng.standard_normal((2, 12, 3)))
-    fast = selective_scan(x, core, n_segments=4).data
-    ref = reference.selective_scan_reference(x.data, core, n_segments=4)
-    assert rel_err(fast, ref) <= 1e-12
+    x = rng.standard_normal((2, 12, 3))
+    fast = selective_scan(Tensor(_views_as_rows(x, 4)), core).data
+    ref = reference.selective_scan_reference(x, core, n_segments=4)
+    assert rel_err(fast.reshape(x.shape), ref) <= 1e-12
     # Resetting actually changes the result vs carrying state across.
-    carried = selective_scan(
-        x, _core(ch=3, nst=1, seed=7, segment_reset=False),
-        n_segments=4).data
-    assert not np.allclose(fast, carried)
+    carried = selective_scan(Tensor(x), core).data
+    assert not np.allclose(fast.reshape(x.shape), carried)
 
 
 def test_segment_reset_equals_independent_segments(rng):
-    core = _core(ch=3, nst=2, seed=8, segment_reset=True)
+    # Each batch row is a sequence of its own, whatever its neighbours.
+    core = _core(ch=3, nst=2, seed=8)
     x = rng.standard_normal((1, 12, 3))
-    full = selective_scan(Tensor(x), core, n_segments=3).data
+    full = selective_scan(Tensor(_views_as_rows(x, 3)), core).data
     for s in range(3):
         piece = selective_scan(Tensor(x[:, 4 * s:4 * (s + 1)]), core).data
-        assert rel_err(full[:, 4 * s:4 * (s + 1)], piece) <= 1e-12
+        assert rel_err(full[s:s + 1], piece) <= 1e-12
 
 
 def test_causality(rng):
@@ -251,18 +257,19 @@ def test_selective_scan_parameter_gradients(mode):
 
 
 def test_segment_reset_gradients_across_chunk_edges():
-    """Resets at tokens 50 and 100 fall inside the 64-token chunks."""
+    """Two segments of 75 tokens: each row crosses the chunk edge at 64."""
     rng = np.random.default_rng(23)
     core = _core(ch=3, nst=2, seed=29, segment_reset=True)
     x = Tensor(rng.standard_normal((1, 150, 3)), grad_enabled=True)
     readout = Tensor(rng.standard_normal((1, 150, 3)))
-    fast = selective_scan(x, core, n_segments=3).data
-    ref = reference.selective_scan_reference(x.data, core, n_segments=3)
-    assert rel_err(fast, ref) <= 1e-12
+    fast = selective_scan(Tensor(_views_as_rows(x.data, 2)), core).data
+    ref = reference.selective_scan_reference(x.data, core, n_segments=2)
+    assert rel_err(fast.reshape(x.shape), ref) <= 1e-12
     params = list(core.parameters().values()) + [x]
 
     def build():
-        return tsum(mul(selective_scan(x, core, n_segments=3), readout))
+        rows = selective_scan(reshape(x, (2, 75, 3)), core)
+        return tsum(mul(reshape(rows, (1, 150, 3)), readout))
 
     with Tape() as tape:
         loss = build()
@@ -273,15 +280,12 @@ def test_segment_reset_gradients_across_chunk_edges():
             f"mismatch for param shape {p.shape}"
 
 
-def _states_per_token(hs, a_bar, bx, prev, tokens, resets):
+def _states_per_token(hs, a_bar, bx, prev):
     """Oracle for ``ssm._scan_states``: one indexed token at a time."""
-    for i, t in enumerate(tokens):
+    for i in range(hs.shape[1]):
         h = hs[:, i]
-        if t in resets:
-            h[...] = bx[:, i]
-        else:
-            np.multiply(a_bar[:, i], prev, out=h)
-            np.add(h, bx[:, i], out=h)
+        np.multiply(a_bar[:, i], prev, out=h)
+        np.add(h, bx[:, i], out=h)
         prev = h
     return prev
 
@@ -296,7 +300,7 @@ def _sweep_per_token(gh_all, ca):
         np.multiply(back, gh, out=back)
 
 
-def _scan_bytes(bsz, nst, dtype, exact, reset):
+def _scan_bytes(bsz, nst, dtype, exact):
     """Untaped output, taped output and every input gradient, as bytes."""
     rng = np.random.default_rng(31)
     length, ch = 150, 3
@@ -309,7 +313,7 @@ def _scan_bytes(bsz, nst, dtype, exact, reset):
             t(rng.standard_normal((bsz, length, nst))),
             t(rng.standard_normal((bsz, length, nst))),
             t(rng.standard_normal(ch)))
-    kw = dict(exact_input_discretization=exact, reset_interval=reset)
+    kw = dict(exact_input_discretization=exact)
     readout = t(rng.standard_normal((bsz, length, ch)), grad=False)
     out = [ssm.ssm_scan(*(t(a.data, grad=False) for a in args), **kw).data]
     with Tape() as tape:
@@ -322,15 +326,16 @@ def _scan_bytes(bsz, nst, dtype, exact, reset):
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("nst", [1, 4])
-@pytest.mark.parametrize("exact,reset", [(False, None), (False, 50),
-                                         (True, None), (True, 50)])
+# The ids keep their former names, whose second field was a reset interval.
+@pytest.mark.parametrize("exact", [pytest.param(False, id="False-None"),
+                                   pytest.param(True, id="True-None")])
 def test_scan_token_loops_are_byte_identical_to_per_token_loops(
-        monkeypatch, dtype, bsz, nst, exact, reset):
-    """Resets at tokens 50 and 100 fall inside the 64-token chunks."""
-    fast = _scan_bytes(bsz, nst, dtype, exact, reset)
+        monkeypatch, dtype, bsz, nst, exact):
+    """150 tokens: the state crosses the 64-token chunk edges."""
+    fast = _scan_bytes(bsz, nst, dtype, exact)
     monkeypatch.setattr(ssm, "_scan_states", _states_per_token)
     monkeypatch.setattr(ssm, "_sweep_states_back", _sweep_per_token)
-    assert fast == _scan_bytes(bsz, nst, dtype, exact, reset)
+    assert fast == _scan_bytes(bsz, nst, dtype, exact)
 
 
 def test_selective_scan_shape_validation(rng):
@@ -342,20 +347,10 @@ def test_selective_scan_shape_validation(rng):
 
 
 @pytest.mark.parametrize("length,n_segments", [(10, 3), (4, 0), (2, 3)])
-def test_selective_scan_rejects_unequal_segments(length, n_segments):
-    core = _core(ch=4, segment_reset=True)
-    with pytest.raises(ValueError, match=rf"n_segments {n_segments}\b.*"
-                                         rf"length {length}\b"):
-        selective_scan(Tensor(np.zeros((1, length, 4))), core,
-                       n_segments=n_segments)
-
-
-@pytest.mark.parametrize("length,n_segments", [(10, 3), (4, 0), (2, 3)])
 def test_selective_scan_reference_rejects_unequal_segments(length,
                                                            n_segments):
-    # The oracle refuses what the fused scan refuses, with the same
-    # message: L=10 in 3 segments would reset at token 9, and 0 segments
-    # would divide by zero.
+    # L=10 in 3 segments would reset at token 9, and 0 segments would
+    # divide by zero.
     core = _core(ch=4, segment_reset=True)
     with pytest.raises(ValueError, match=rf"n_segments {n_segments}\b.*"
                                          rf"length {length}\b"):
