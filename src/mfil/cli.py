@@ -28,14 +28,12 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, default=None,
                    help="key = value config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--variant", choices=sorted(bb.VARIANTS), default=None)
     p.add_argument("--scan-mode", choices=sorted(_SCAN_MODE_ALIASES),
                    default=None)
     p.add_argument("--no-adaptive-weighting", action="store_true")
     p.add_argument("--d-state", type=int, default=None)
     p.add_argument("--ssm-ratio", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
 
 
 def _run_config_from_args(args) -> RunConfig:
@@ -47,7 +45,7 @@ def _run_config_from_args(args) -> RunConfig:
         d_state=args.d_state,
         ssm_ratio=args.ssm_ratio,
         steps=getattr(args, "steps", None),
-        out_dir=str(args.out) if args.out else None,
+        out_dir=str(args.out) if getattr(args, "out", None) else None,
     )
     if args.no_adaptive_weighting:
         overrides["adaptive_weighting"] = False
@@ -203,6 +201,9 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="train on the synthetic dataset")
     _add_model_flags(p_train)
+    p_train.add_argument("--out", type=Path, default=None,
+                         help="output directory")
+    p_train.add_argument("--steps", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")

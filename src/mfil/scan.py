@@ -8,12 +8,16 @@ sequence, scanned by a single selective SSM, and fused as a
 softmax-weighted convex combination of the per-view outputs.
 
 Maps are channel-last, [B, H, W, C], so a map is its own row-major token
-sequence: flattening and stacking views are a reshape and one concat along
-H, with no layout copy. The fusion is one node, ``merge_views``, which
-reads the stacked scan output in place. ``unstack_scans`` followed by
-``adaptive_merge`` is the same arithmetic as separate slices, products and
-sums; it is the reference the tests and suite merge check, not the path
-``mfil_ssm`` runs.
+sequence. Building and stacking the views is one node, ``filter_views``:
+it pads the map once, runs the Sobel pair and the dynamic depthwise stage
+as one einsum over a filter axis and the two refiners as one more, and
+writes the [B, n*H*W, C] sequence. ``orthogonal_maps`` and
+``dynamic_map`` followed by ``stack_scans`` are the same arithmetic as
+separate depthwise, 1x1 conv2d and concat nodes; they are its reference
+in the tests, not the path ``mfil_ssm`` runs. The fusion is one node too,
+``merge_views``, which reads the stacked scan output in place;
+``unstack_scans`` followed by ``adaptive_merge`` is its reference, which
+the tests and suite merge check.
 
 Each scan mode is one entry of ``SCAN_VIEWS``: the (map, token order) rows
 it stacks, in stream order. Maps are ``input``, ``sobel_h``, ``sobel_v`` and
@@ -30,13 +34,15 @@ import numpy as np
 from .init import identity_depthwise_kernel, trunc_normal
 from .ssm import SsmCore, selective_scan
 from .tensor import (Tensor, add, concat, conv2d, depthwise_conv2d, mul,
-                     record_op, reshape, slice_axis, softmax, take)
+                     record_op, reshape, slice_axis, softmax, take, _tally,
+                     _window, _window_tap_sum)
 
 __all__ = [
     "SOBEL_X", "SOBEL_Y", "FilterBank", "AdaptiveWeights",
-    "orthogonal_maps", "dynamic_map", "stack_scans", "unstack_scans",
-    "adaptive_merge", "merge_views", "mfil_ssm", "SCAN_VIEWS", "SCAN_MODES",
-    "num_scans", "filter_bank_cost", "cross_scan_permutations",
+    "orthogonal_maps", "dynamic_map", "stack_scans", "filter_views",
+    "unstack_scans", "adaptive_merge", "merge_views", "mfil_ssm",
+    "SCAN_VIEWS", "SCAN_MODES", "num_scans", "filter_bank_cost",
+    "cross_scan_permutations",
 ]
 
 # Canonical Sobel pair in the cross-correlation convention. SOBEL_X responds
@@ -195,6 +201,129 @@ def stack_scans(*maps: Tensor) -> Tensor:
     return reshape(grouped, (b, n * h * w, c))
 
 
+def _taps(kernels, cc: int) -> np.ndarray:
+    """[K, 3, 3, cc] taps of K depthwise kernels [C, 1, 3, 3], zero in the
+    channels past C, as ``depthwise_conv2d`` lays them out."""
+    c = kernels[0].shape[0]
+    taps = np.zeros((len(kernels), 3, 3, cc), dtype=kernels[0].data.dtype)
+    for t, k in zip(taps, kernels):
+        t[:, :, :c] = k.data[:, 0].transpose(1, 2, 0)
+    return taps
+
+
+def _pad_stack(maps, cc: int) -> np.ndarray:
+    """[K, B, H + 2, W + 2, cc]: the K maps [B, H, W, <= cc] zero-padded by
+    one pixel and to ``cc`` channels."""
+    b, h, w, _ = maps[0].shape
+    out = np.zeros((len(maps), b, h + 2, w + 2, cc), dtype=maps[0].dtype)
+    for o, m in zip(out, maps):
+        o[:, 1:h + 1, 1:w + 1, :m.shape[3]] = m
+    return out
+
+
+def _kernel_grads(maps, grads, cc: int) -> np.ndarray:
+    """[K, C, 1, 3, 3] gradients of K depthwise kernels, kernel k having
+    read ``maps[k]`` and received ``grads[k]`` ([B, H, W, C]): one einsum
+    over the windows of the re-padded maps, each kernel's bytes those of
+    ``depthwise_conv2d``'s rule."""
+    k, (b, h, w, c) = len(grads), grads[0].shape
+    src = _pad_stack(maps, cc)
+    s = src.strides
+    win = _window(src, (k, b, h, w, 3, 3, cc),
+                  (s[0], s[1], s[2], s[3], s[2], s[3], s[4]))
+    g = np.zeros((k, b, h, w, cc), dtype=grads[0].dtype)
+    for gk, gi in zip(g, grads):
+        gk[..., :c] = gi
+    return np.einsum("knhwijc,knhwc->kcij", win, g)[:, :c, None]
+
+
+def filter_views(x: Tensor, bank: FilterBank | None,
+                 scan_mode: str = "multi_filter") -> Tensor:
+    """The [B, n*H*W, C] sequence of ``scan_mode``'s views, as one node.
+
+    The views follow ``SCAN_VIEWS`` row order, each flattened row-major:
+    the values ``stack_scans`` gives for the maps ``orthogonal_maps`` and
+    ``dynamic_map`` build. x is padded once; the filters that read it
+    (Sobel-y, Sobel-x, the dynamic depthwise stage) run as one tap-sum
+    einsum over a filter axis, the two refiners as one more, and the
+    dynamic pointwise stage is ``conv2d``'s 1x1 GEMM. Each filter's output
+    and gradients have the bytes of its own ``depthwise_conv2d`` or
+    ``conv2d`` node, and x's gradient is summed in the order the sweep
+    summed those nodes': the input rows' in row order, then the dynamic,
+    Sobel-x and Sobel-y terms. The Sobel kernels are constants and take no
+    gradient. ``bank`` may be None when the rows read only the input.
+    """
+    if scan_mode not in SCAN_VIEWS:
+        raise ValueError(f"unknown scan_mode {scan_mode!r}")
+    _check_spatial(x)
+    rows = SCAN_VIEWS[scan_mode]
+    orthogonal, dynamic = _filters(scan_mode)
+    b, h, w, c = x.shape
+    n = len(rows)
+    cc = max(c, 2)  # depthwise_conv2d's second, zero channel when C = 1
+    maps = {"input": x.data}
+    # The filters that read x, in the order they ran as nodes, and the
+    # learnable kernels, in the order the node takes them.
+    first = ([bank.sobel_y, bank.sobel_x] if orthogonal else []) + (
+        [bank.dyn_depthwise] if dynamic else [])
+    kernels = (([bank.refine_h, bank.refine_v] if orthogonal else [])
+               + ([bank.dyn_depthwise, bank.dyn_pointwise] if dynamic else []))
+    filtered = taps1 = taps2 = cols = kmat = None
+    if first:
+        taps1 = _taps(first, cc)
+        filtered = _window_tap_sum(_pad_stack([x.data], cc)[0], taps1, h, w)
+        _tally(len(first) * b * c * h * w * 9)
+    if orthogonal:
+        taps2 = _taps([bank.refine_h, bank.refine_v], cc)
+        refined = _window_tap_sum(_pad_stack(filtered[:2], cc), taps2, h, w)
+        _tally(2 * b * c * h * w * 9)
+        maps["sobel_h"] = refined[0, ..., :c]
+        maps["sobel_v"] = refined[1, ..., :c]
+    if dynamic:
+        cols = np.ascontiguousarray(filtered[-1, ..., :c]).reshape(-1, c)
+        kmat = bank.dyn_pointwise.data.reshape(c, c)
+        maps["dynamic"] = (cols @ kmat.T).reshape(b, h, w, c)
+        _tally(b * h * w * c * c)
+    out = np.stack([maps[m] for m, _ in rows], axis=1)
+    # Only the dynamic depthwise kernel's gradient reads x.
+    x_saved = x.data if dynamic else None
+
+    def bwd(g):
+        views = g.reshape(b, n, h, w, c)
+        if n == 1:
+            return (views[:, 0],)
+        gx, piece = None, {}
+        for i, (m, _) in enumerate(rows):
+            piece[m] = np.ascontiguousarray(views[:, i])
+            if m == "input":
+                gx = piece[m] if gx is None else gx + piece[m]
+        if taps1 is None:
+            return (gx,)
+        # Per kernel: the map it read and its output's gradient; per
+        # filter that reads x, its output's gradient, in ``first`` order.
+        read, g_out, g_first, g_pw = [], [], [], ()
+        if orthogonal:
+            g_out += [piece["sobel_h"], piece["sobel_v"]]
+            read += [filtered[0], filtered[1]]
+            g_first += list(_window_tap_sum(_pad_stack(g_out, cc), taps2, h,
+                                            w, flip=True))
+        if dynamic:
+            g2 = piece["dynamic"].reshape(b * h * w, c)
+            g_pw = ((g2.T @ cols).reshape(c, c, 1, 1),)
+            g_dyn = (g2 @ kmat).reshape(b, h, w, c)
+            g_dyn += 0.0  # -0.0 -> +0.0, as conv2d's 1x1 rule does
+            g_out.append(g_dyn)
+            read.append(x_saved)
+            g_first.append(g_dyn)
+        g_in = _window_tap_sum(_pad_stack(g_first, cc), taps1, h, w,
+                               flip=True)
+        for term in g_in[::-1]:
+            gx = gx + term[..., :c]
+        return (gx, *_kernel_grads(read, g_out, cc), *g_pw)
+    return record_op("filter_views", (x, *kernels),
+                     out.reshape(b, n * h * w, c), bwd)
+
+
 def unstack_scans(tokens: Tensor, h: int, w: int, n: int = 4):
     """Split a [B, n*H*W, C] sequence back into n [B, H, W, C] maps."""
     hw = h * w
@@ -321,26 +450,17 @@ def mfil_ssm(x: Tensor, bank: FilterBank | None, core: SsmCore,
 
     Takes and returns a [B, H, W, C] map. ``SCAN_VIEWS[scan_mode]`` names
     the views, one (map, token order) row per stream. The path is the same
-    for every mode: build the maps the rows name, stack them, reorder the
-    tokens of rows that are not row-major, scan, restore the order, and
+    for every mode: build and stack the views (``filter_views``), reorder
+    the tokens of rows that are not row-major, scan, restore the order, and
     fuse with ``merge_views`` (a single view is only reshaped). The scan
     carries its state from one view into the next; with
     ``core.segment_reset`` each view is scanned as a batch row of its own,
     [n*B, H*W, C], so every view starts from a zero state. ``bank`` may be
     None when the rows read only the input.
     """
-    if scan_mode not in SCAN_VIEWS:
-        raise ValueError(f"unknown scan_mode {scan_mode!r}")
-    _check_spatial(x)
+    seq = filter_views(x, bank, scan_mode)
     rows = SCAN_VIEWS[scan_mode]
     _, h, w, _ = x.shape
-    orthogonal, dynamic = _filters(scan_mode)
-    maps = {"input": x}
-    if orthogonal:
-        maps["sobel_h"], maps["sobel_v"] = orthogonal_maps(x, bank)
-    if dynamic:
-        maps["dynamic"] = dynamic_map(x, bank)
-    seq = stack_scans(*(maps[m] for m, _ in rows))
     order = _view_order(rows, h, w)
     if order is not None:
         seq = take(seq, order, axis=1)

@@ -9,7 +9,12 @@ with A_bar = exp(delta * A). The input term uses the simplified
 B_bar = delta * B by default; the full zero-order-hold expression
 B_bar = (delta A)^{-1} (exp(delta A) - I) delta B is available behind
 ``exact_input_discretization`` and agrees with the simplified form as
-delta -> 0. Its sequential oracle is
+delta -> 0.
+
+A scan records four nodes: the x_proj ``linear``, the slice of its step
+columns, the dt_proj ``linear`` without its bias, and ``ssm_scan``, which
+forms delta = softplus(dt + dt_bias) and A = -exp(A_log), reads B and C
+from the x_proj output, and runs ``recurrence``. Its sequential oracle is
 ``mfil.reference.selective_scan_reference``; the zero-order-hold and
 kernel-form oracles of the time-invariant case live in ``mfil.reference``
 too, and ``reference.discretize_zoh`` shares ``_zoh_weight`` with the scan.
@@ -22,16 +27,17 @@ import math
 import numpy as np
 
 from .init import inv_softplus
-from .tensor import (Tensor, linear, neg, record_op, recording, slice_axis,
-                     softplus, exp as texp, _tally)
+from .tensor import (NonFiniteError, Tensor, linear, record_op, recording,
+                     slice_axis, _sigmoid_np, _softplus_np, _tally)
 
-__all__ = ["SsmCore", "ssm_scan", "selective_scan", "dt_rank"]
+__all__ = ["SsmCore", "recurrence", "ssm_scan", "selective_scan",
+           "dt_rank"]
 
 # Below this threshold the input-term discretization switches to its
 # first-order limit B_bar = delta * B (removable singularity at a = 0).
 _ZOH_LIMIT = 1e-8
 
-# Tokens per chunk of discretized parameters in ``ssm_scan``.
+# Tokens per chunk of discretized parameters in ``recurrence``.
 _CHUNK = 64
 
 # Initial step sizes are drawn log-uniform in [_DT_MIN, _DT_MAX].
@@ -50,122 +56,179 @@ def _zoh_weight(delta, da, a, a_bar):
 
 
 # ---------------------------------------------------------------------------
-# Fused scan primitive (taped, with hand-derived backward)
+# The recurrence and the fused scan node (hand-derived backward)
+
+def _time_major(a):
+    """[B, T, ...] as a C-contiguous [T, B, ...] array, so each token is
+    one contiguous row; at B = 1 that is ``a`` itself, viewed."""
+    return np.ascontiguousarray(a.swapaxes(0, 1))
+
 
 def _scan_states(hs, a_bar, bx, prev):
-    """h[t] = a_bar[t] * h[t-1] + bx[t] over one chunk, in place.
+    """h[t] = a_bar[t] * h[t-1] + bx[t] over one chunk.
 
     hs, a_bar, bx: [B, T, C, N] for the chunk's tokens; ``prev`` is h
-    before the chunk. Each h[t] is written straight into its slot of
+    before the chunk. The loop runs over time-major rows: a token's
+    strided [B, C, N] slice of the batch-major arrays costs a ufunc call
+    several times as much once B > 1. The states are then copied into
     ``hs``; returns the last one.
     """
-    for h, a_t, bx_t in zip(hs.swapaxes(0, 1), a_bar.swapaxes(0, 1),
-                            bx.swapaxes(0, 1)):
+    rows = np.empty((hs.shape[1],) + prev.shape, dtype=hs.dtype)
+    for h, a_t, bx_t in zip(rows, _time_major(a_bar), _time_major(bx)):
         np.multiply(a_t, prev, out=h)
         np.add(h, bx_t, out=h)
         prev = h
+    hs[...] = rows.swapaxes(0, 1)
     return prev
 
 
-def _sweep_states_back(gh_all, ca):
+def _sweep_states_back(gh_all, a_bar_all):
     """Reverse-time accumulation of dL/dh[t] into ``gh_all``, in place.
 
-    gh_all, ca: [B, L, C, N]. gh_all[t] starts as the readout term and
-    gains ca[t + 1] * dL/dh[t + 1]; ca[t] is overwritten with
-    ca[t] * dL/dh[t].
+    gh_all, a_bar_all: [B, L, C, N]. gh_all[t] starts as the readout term
+    and gains a_bar[t + 1] * dL/dh[t + 1]. The sweep runs over time-major
+    rows, as in ``_scan_states``, with a scratch copy of ``a_bar_all``
+    whose row t it overwrites with a_bar[t] * dL/dh[t].
     """
-    back = np.zeros_like(gh_all[:, 0])
-    for gh, ca_t in zip(gh_all.swapaxes(0, 1)[::-1], ca.swapaxes(0, 1)[::-1]):
+    gh_rows = _time_major(gh_all)
+    ca = np.array(a_bar_all.swapaxes(0, 1), order="C")
+    back = np.zeros_like(gh_rows[0])
+    for gh, ca_t in zip(gh_rows[::-1], ca[::-1]):
         np.add(gh, back, out=gh)
         back = ca_t
         np.multiply(back, gh, out=back)
+    gh_all[...] = gh_rows.swapaxes(0, 1)
 
 
-def ssm_scan(u: Tensor, delta: Tensor, a: Tensor, b_tok: Tensor,
-             c_tok: Tensor, d_skip: Tensor, *,
-             exact_input_discretization: bool = False) -> Tensor:
-    """Time-varying scan over a token sequence.
+def recurrence(u, delta, a, b, c, d_skip, *,
+               exact_input_discretization: bool = False,
+               taped: bool = False):
+    """The scan on arrays: y for u, delta [B, L, C], a [C, N], b, c
+    [B, L, N] and d_skip [C], and with ``taped`` its backward rule,
+    gy -> (g_u, g_delta, g_a, g_b, g_c, g_d_skip); else None.
 
-    u, delta: [B, L, C]; a: [C, N] (negative entries); b_tok, c_tok:
-    [B, L, N]; d_skip: [C]. Each batch row is one sequence whose state
-    starts at zero. The recurrence runs sequentially over L but is
-    vectorized over (B, C, N); discretized parameters are produced in
-    chunks of ``_CHUNK`` tokens to bound the working set, with the hidden
-    state carried across chunk boundaries, and the readout is formed chunk
-    by chunk. Only a taped call keeps every state h[t], which its backward
-    reads; exp(delta * A) is recomputed there.
+    Each batch row is one sequence whose state starts at zero. The
+    recurrence runs sequentially over L but is vectorized over (B, C, N);
+    discretized parameters are produced in chunks of ``_CHUNK`` tokens to
+    bound the working set, with the hidden state carried across chunk
+    boundaries, and the readout is formed chunk by chunk. Only a taped call
+    keeps every state h[t], which its backward reads; exp(delta * A) is
+    recomputed there.
     """
     bsz, length, ch = u.shape
     n = a.shape[1]
-    if delta.shape != (bsz, length, ch):
-        raise ValueError(f"ssm_scan: delta shape {delta.shape} != {u.shape}")
-    if b_tok.shape != (bsz, length, n) or c_tok.shape != (bsz, length, n):
-        raise ValueError("ssm_scan: token projections must be [B, L, N]")
-    dtype = u.data.dtype
-
-    ud, dd, ad, bd, cd = u.data, delta.data, a.data, b_tok.data, c_tok.data
-    inputs = (u, delta, a, b_tok, c_tok, d_skip)
-    # The backward reads every h[t]; an untaped call keeps one chunk of them.
-    taped = recording(inputs)
     h_all = np.empty((bsz, length if taped else min(_CHUNK, length), ch, n),
-                     dtype=dtype)
-    y = np.empty((bsz, length, ch), dtype=dtype)
-    prev = np.zeros((bsz, ch, n), dtype=dtype)
+                     dtype=u.dtype)
+    y = np.empty((bsz, length, ch), dtype=u.dtype)
+    prev = np.zeros((bsz, ch, n), dtype=u.dtype)
     for t0 in range(0, length, _CHUNK):
         t1 = min(t0 + _CHUNK, length)
         hs = h_all[:, t0:t1] if taped else h_all[:, :t1 - t0]
-        da = dd[:, t0:t1, :, None] * ad[None, None]
+        da = delta[:, t0:t1, :, None] * a[None, None]
         a_bar = np.exp(da)
         if exact_input_discretization:
-            w = _zoh_weight(dd[:, t0:t1, :, None], da, ad, a_bar)[0]
+            w = _zoh_weight(delta[:, t0:t1, :, None], da, a, a_bar)[0]
         else:
-            w = dd[:, t0:t1, :, None]
-        bx = w * bd[:, t0:t1, None, :] * ud[:, t0:t1, :, None]
+            w = delta[:, t0:t1, :, None]
+        bx = w * b[:, t0:t1, None, :] * u[:, t0:t1, :, None]
         prev = _scan_states(hs, a_bar, bx, prev)
-        y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, cd[:, t0:t1])
-    dskip = d_skip.data
-    y += ud * dskip[None, None, :]
+        y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, c[:, t0:t1])
+    y += u * d_skip[None, None, :]
     _tally(2 * bsz * length * ch * n)
+    if not taped:
+        return y, None
 
     def bwd(gy):
-        g_ctok = np.einsum("blc,blcn->bln", gy, h_all)
-        g_d = np.einsum("blc,blc->c", gy, ud)
-        g_u = gy * dskip[None, None, :]
+        g_c = np.einsum("blc,blcn->bln", gy, h_all)
+        g_d = np.einsum("blc,blc->c", gy, u)
+        g_u = gy * d_skip[None, None, :]
         # Reverse-time accumulation of dL/dh[t]: gh_all starts as the
-        # readout term gy[t] * C[t] of every token; ca[t] is overwritten
-        # with the gradient that h[t] passes back to h[t-1].
-        gh_all = gy[:, :, :, None] * cd[:, :, None, :]
+        # readout term gy[t] * C[t] of every token.
+        gh_all = gy[:, :, :, None] * c[:, :, None, :]
         # Recomputed rather than saved: the same products and exp as the
-        # forward's chunks, so the same bytes. The sweep overwrites ``ca``.
-        a_bar_all = np.exp(dd[:, :, :, None] * ad[None, None])
-        ca = a_bar_all.copy()
-        _sweep_states_back(gh_all, ca)
+        # forward's chunks, so the same bytes.
+        a_bar_all = np.exp(delta[:, :, :, None] * a[None, None])
+        _sweep_states_back(gh_all, a_bar_all)
         h_prev = np.empty_like(h_all)
         h_prev[:, 0] = 0.0
         h_prev[:, 1:] = h_all[:, :-1]
         g_abar = gh_all * h_prev
-        g_delta = np.einsum("blcn,blcn,cn->blc", g_abar, a_bar_all, ad)
-        g_a = np.einsum("blcn,blcn,blc->cn", g_abar, a_bar_all, dd)
+        g_delta = np.einsum("blcn,blcn,cn->blc", g_abar, a_bar_all, a)
+        g_a = np.einsum("blcn,blcn,blc->cn", g_abar, a_bar_all, delta)
         if exact_input_discretization:
-            da = dd[:, :, :, None] * ad[None, None]
-            w, limit, safe_a = _zoh_weight(dd[:, :, :, None], da, ad,
+            da = delta[:, :, :, None] * a[None, None]
+            w, limit, safe_a = _zoh_weight(delta[:, :, :, None], da, a,
                                            a_bar_all)
             with np.errstate(divide="ignore", invalid="ignore"):
                 dw_da = np.where(
-                    limit, 0.5 * dd[:, :, :, None] ** 2,
-                    (dd[:, :, :, None] * a_bar_all * safe_a
+                    limit, 0.5 * delta[:, :, :, None] ** 2,
+                    (delta[:, :, :, None] * a_bar_all * safe_a
                      - a_bar_all + 1.0) / (safe_a * safe_a))
             g_a = g_a + np.einsum("blcn,blcn,bln,blc->cn",
-                                  gh_all, dw_da, bd, ud)
+                                  gh_all, dw_da, b, u)
             # d w / d delta = a_bar
             g_delta = g_delta + np.einsum("blcn,blcn,bln->blc",
-                                          gh_all, a_bar_all, bd) * ud
+                                          gh_all, a_bar_all, b) * u
         else:
-            w = dd[:, :, :, None]
-            g_delta = g_delta + np.einsum("blcn,bln->blc", gh_all, bd) * ud
-        g_btok = np.einsum("blcn,blcn,blc->bln", gh_all, w, ud)
-        g_u = g_u + np.einsum("blcn,blcn,bln->blc", gh_all, w, bd)
-        return g_u, g_delta, g_a, g_btok, g_ctok, g_d
+            w = delta[:, :, :, None]
+            g_delta = g_delta + np.einsum("blcn,bln->blc", gh_all, b) * u
+        g_b = np.einsum("blcn,blcn,blc->bln", gh_all, w, u)
+        g_u = g_u + np.einsum("blcn,blcn,bln->blc", gh_all, w, b)
+        return g_u, g_delta, g_a, g_b, g_c, g_d
+    return y, bwd
+
+
+def _check_finite(name: str, values: np.ndarray):
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"ssm_scan: {name} is non-finite")
+
+
+def ssm_scan(u: Tensor, dt: Tensor, a_log: Tensor, proj: Tensor,
+             dt_bias: Tensor, d_skip: Tensor, *,
+             exact_input_discretization: bool = False) -> Tensor:
+    """The selective scan as one node, from its parameters' raw forms.
+
+    u, dt: [B, L, C], the scan input and the dt_proj output before its
+    bias; a_log: [C, N]; proj: [B, L, R + 2N], the x_proj output, whose
+    last 2N columns are B and C; dt_bias, d_skip: [C]. Inside, delta =
+    softplus(dt + dt_bias) and A = -exp(A_log), as the ``delta_bias`` and
+    ``delta_softplus`` arguments of Mamba's ``selective_scan_fn`` do; then
+    ``recurrence``. The activations are ``tensor``'s own forms, and their
+    gradients the products and sums those nodes' rules take, so the bytes
+    are those of the graph that runs them as nodes. The step-size
+    pre-activation, delta and exp(A_log) are each checked to be finite.
+    """
+    bsz, length, ch = u.shape
+    n = a_log.shape[1]
+    if dt.shape != (bsz, length, ch):
+        raise ValueError(f"ssm_scan: dt shape {dt.shape} != {u.shape}")
+    if proj.shape[:2] != (bsz, length) or proj.shape[2] < 2 * n:
+        raise ValueError("ssm_scan: proj must be [B, L, R + 2N]")
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        pre = dt.data + dt_bias.data
+        _check_finite("the step-size pre-activation", pre)
+        delta = _softplus_np(pre)
+        _check_finite("delta", delta)
+        e = np.exp(a_log.data)
+        _check_finite("exp(A_log)", e)
+    _tally(5 * delta.size + 5 * e.size)
+    width = proj.shape[2]
+    b_tok = np.ascontiguousarray(proj.data[..., width - 2 * n:width - n])
+    c_tok = np.ascontiguousarray(proj.data[..., width - n:])
+    inputs = (u, dt, a_log, proj, dt_bias, d_skip)
+    y, scan_bwd = recurrence(
+        u.data, delta, -e, b_tok, c_tok, d_skip.data,
+        exact_input_discretization=exact_input_discretization,
+        taped=recording(inputs))
+
+    def bwd(gy):
+        g_u, g_delta, g_a, g_b, g_c, g_d = scan_bwd(gy)
+        g_pre = g_delta * _sigmoid_np(pre)
+        g_proj = np.zeros((bsz, length, width), dtype=gy.dtype)
+        g_proj[..., width - 2 * n:width - n] = g_b
+        g_proj[..., width - n:] = g_c
+        return (g_u, g_pre, -g_a * e, g_proj,
+                g_pre.reshape(bsz * length, ch).sum(axis=0), g_d)
     return record_op("ssm_scan", inputs, y, bwd)
 
 
@@ -229,7 +292,8 @@ class SsmCore:
 def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
     """Scan a [B, L, C] token sequence with input-dependent parameters.
 
-    Runs ``ssm_scan`` (taped): a per-token loop vectorized over (B, C, N),
+    Four nodes: the x_proj and dt_proj linears, the slice between them,
+    and the fused ``ssm_scan``, a per-token loop vectorized over (B, C, N)
     with the discretization computed in chunks of tokens. Each batch row is
     one sequence that starts from a zero state.
     """
@@ -243,12 +307,7 @@ def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
     if length < 1:
         raise ValueError("selective_scan: sequence must be non-empty")
 
-    n = core.d_state
     proj = linear(x, core.x_proj_weight)
-    dt_raw = slice_axis(proj, 2, 0, core.dt_rank)
-    b_tok = slice_axis(proj, 2, core.dt_rank, core.dt_rank + n)
-    c_tok = slice_axis(proj, 2, core.dt_rank + n, core.dt_rank + 2 * n)
-    delta = softplus(linear(dt_raw, core.dt_proj_weight, core.dt_bias))
-    a = neg(texp(core.A_log))
-    return ssm_scan(x, delta, a, b_tok, c_tok, core.D_skip,
+    dt = linear(slice_axis(proj, 2, 0, core.dt_rank), core.dt_proj_weight)
+    return ssm_scan(x, dt, core.A_log, proj, core.dt_bias, core.D_skip,
                     exact_input_discretization=core.exact_input_discretization)

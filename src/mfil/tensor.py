@@ -15,6 +15,7 @@ checkable against an explicit loop oracle.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from typing import Iterable, Sequence
@@ -497,8 +498,12 @@ def gelu(a: Tensor) -> Tensor:
     return record_op("gelu", (a,), out, bwd)
 
 
-def _softplus_f32(x):
-    """max(x, 0) + log1p(exp(-|x|)); exp(-|x|) never overflows."""
+def _softplus_np(x):
+    """log(1 + exp(x)) without overflow: at f32, max(x, 0) +
+    log1p(exp(-|x|)), where exp(-|x|) never overflows; at f64,
+    ``np.logaddexp``."""
+    if x.dtype != np.float32:
+        return np.logaddexp(0.0, x).astype(x.dtype, copy=False)
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     np.exp(out, out=out)
@@ -509,10 +514,7 @@ def _softplus_f32(x):
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed overflow-safe; softplus(0) = ln 2."""
     x = a.data
-    if x.dtype == np.float32:
-        out = _softplus_f32(x)
-    else:
-        out = np.logaddexp(0.0, x).astype(x.dtype, copy=False)
+    out = _softplus_np(x)
     _tally(5 * out.size)
 
     def bwd(g):
@@ -683,7 +685,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(
             f"linear: bias shape {bias.shape} != ({d_out},)")
     lead = x.shape[:-1]
-    m = int(np.prod(lead)) if lead else 1
+    m = math.prod(lead)  # np.prod of a tuple costs microseconds a call
     x2 = x.data.reshape(m, d_in)
     out2 = x2 @ weight.data.T
     if bias is not None:
@@ -853,24 +855,30 @@ def _window_tap_sum(src, taps, oh, ow, stride=1, flip=False):
     dividing OW; at stride 1 a block reads P*C contiguous values, so the
     view is [N, OH, OW/P, kH, kW, P*C] against ``taps`` [kH, kW, C] tiled P
     times. P is 1 at stride > 1.
+
+    ``taps`` [K, kH, kW, C] runs K filters in the one einsum, over the one
+    map ``src`` or, with ``src`` [K, N, H, W, C], filter k over map k; the
+    result is [K, N, OH, OW, C], each filter's bytes those of its own call.
     """
-    n, _, _, c = src.shape
-    kh, kw, _ = taps.shape
+    n, _, _, c = src.shape[-4:]
+    kh, kw, _ = taps.shape[-3:]
+    lead, k = taps.shape[:-3], "k" * (taps.ndim - 3)
     p = max(1, min(ow, _PIXEL_BLOCK_BYTES // (c * src.itemsize)))
     p = 1 if stride > 1 else p
     while ow % p:
         p -= 1
-    s0, s1, s2, s3 = src.strides
+    *sk, s0, s1, s2, s3 = src.strides
     if flip:
         offset, si, sj = (kh - 1) * s1 + (kw - 1) * s2, -s1, -s2
     else:
         offset, si, sj = 0, s1, s2
-    win = _window(src, (n, oh, ow // p, kh, kw, p * c),
-                  (s0, s1 * stride, s2 * stride * p, si, sj, s3), offset)
-    tiled = np.empty((kh, kw, p, c), dtype=taps.dtype)
-    tiled[...] = taps[:, :, None]
-    return np.einsum("nhbijq,ijq->nhbq", win,
-                     tiled.reshape(kh, kw, p * c)).reshape(n, oh, ow, c)
+    win = _window(src, src.shape[:-4] + (n, oh, ow // p, kh, kw, p * c),
+                  (*sk, s0, s1 * stride, s2 * stride * p, si, sj, s3), offset)
+    tiled = np.empty(lead + (kh, kw, p, c), dtype=taps.dtype)
+    tiled[...] = taps[..., None, :]
+    subscripts = f"{k * (src.ndim - 4)}nhbijq,{k}ijq->{k}nhbq"
+    return np.einsum(subscripts, win, tiled.reshape(lead + (kh, kw, p * c))
+                     ).reshape(lead + (n, oh, ow, c))
 
 
 def _dilate_pad(g, h, w, kh, kw, stride, padding):

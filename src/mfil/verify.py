@@ -26,7 +26,7 @@ from .config import RunConfig
 from .reference import causal_conv, discretize_zoh, lti_kernel, rel_err
 from .scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, adaptive_merge,
                    merge_views, stack_scans, unstack_scans)
-from .ssm import SsmCore, selective_scan, ssm_scan
+from .ssm import SsmCore, recurrence, selective_scan
 from .tensor import (Tensor, conv2d, depthwise_conv2d, layer_norm, linear,
                      silu, softmax, softplus)
 from .train import train_run
@@ -125,8 +125,8 @@ def suite_zoh(quick: bool = False) -> SuiteResult:
 
 
 def suite_lti(quick: bool = False) -> SuiteResult:
-    """The model's scan with constant delta, B and C equals the kernel
-    form on random diagonal systems."""
+    """The model's scan recurrence (``ssm.recurrence``) with constant
+    delta, B and C equals the kernel form on random diagonal systems."""
     rng = np.random.default_rng(101)
     cases = 20 if quick else 100
     worst = 0.0
@@ -141,12 +141,10 @@ def suite_lti(quick: bool = False) -> SuiteResult:
         x = rng.standard_normal(length)
         # One channel, one batch row; the ZOH input weight on the scan
         # side is the one discretize_zoh gives the kernel side.
-        y_scan = ssm_scan(
-            Tensor(x.reshape(1, length, 1)),
-            Tensor(np.full((1, length, 1), delta)), Tensor(a[None]),
-            Tensor(np.tile(b, (1, length, 1))),
-            Tensor(np.tile(c, (1, length, 1))), Tensor(np.zeros(1)),
-            exact_input_discretization=True).data[0, :, 0]
+        y_scan = recurrence(
+            x.reshape(1, length, 1), np.full((1, length, 1), delta), a[None],
+            np.tile(b, (1, length, 1)), np.tile(c, (1, length, 1)),
+            np.zeros(1), exact_input_discretization=True)[0][0, :, 0]
         y_conv = causal_conv(x, lti_kernel(a_bar, b_bar, c, length))
         worst = max(worst, rel_err(y_conv, y_scan))
     lines = [f"{cases} systems, worst rel: {worst:.3e} (tol 1e-6)"]

@@ -225,6 +225,19 @@ def test_eval_duplicate_entry_name_is_a_checkpoint_error(tmp_path, capsys):
     assert "entry 'w' appears twice: entries 0 and 1" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--out", "evaluated"),
+                                        ("--steps", "5")])
+def test_eval_rejects_train_only_flags(tmp_path, capsys, flag, value):
+    """``eval`` reads no output directory or step count, so it refuses
+    both flags instead of ignoring them, and creates nothing."""
+    arg = str(tmp_path / value) if flag == "--out" else value
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "c.mfil"), flag, arg])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {arg}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "zoh", "--suite", "merge"]) == 0
     out = capsys.readouterr().out

@@ -26,6 +26,9 @@ ALLOWED_UNCALLED = {
     **{f"scan.{name}": "merge_views' reference, pinned by perfbench "
                        "SCAN_STAGES until ROADMAP item 1"
        for name in ("unstack_scans", "adaptive_merge")},
+    **{f"scan.{name}": "the filter-views node's reference, pinned by "
+                       "perfbench SCAN_STAGES"
+       for name in ("orthogonal_maps", "dynamic_map", "stack_scans")},
     "block.MfilBlock.forward": "the segments call its two halves; "
                                "perfbench/spans.py wraps it by name",
 }

@@ -13,6 +13,12 @@ The activations are checked the same way: the f32 fast forms of
 range, the f64 forms byte for byte against the formulas they stand for,
 the branch-free sigmoid byte for byte against its ``np.where`` form, and
 the ``silu``, ``softplus`` and ``gelu`` gradients at both dtypes.
+
+The multi-filter scan's two fused nodes, ``filter_views`` and the
+``ssm_scan`` of ``selective_scan``, are checked byte for byte against the
+node chains they replace, inside ``mfil_ssm``, over scan mode, dtype,
+batch, grid (1x1 included), channels (1 included), ``segment_reset``,
+exact discretization, ``d_state`` and adaptive weighting.
 """
 
 import numpy as np
@@ -23,9 +29,14 @@ from scipy.special import erf
 
 from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
                       depthwise_tap_kernel_grad)
-from mfil import reference
+from mfil import reference, scan, ssm
+from mfil.scan import (SCAN_MODES, SCAN_VIEWS, AdaptiveWeights, FilterBank,
+                       dynamic_map, mfil_ssm, orthogonal_maps, stack_scans)
+from mfil.ssm import SsmCore
 from mfil.tensor import (NonFiniteError, Tape, Tensor, _sigmoid_np, conv2d,
-                         depthwise_conv2d, gelu, mul, silu, softplus, tsum)
+                         depthwise_conv2d, exp, gelu, linear, mul, neg,
+                         record_op, recording, silu, slice_axis, softplus,
+                         tsum)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -268,3 +279,93 @@ def test_activation_gradients(op, dtype, shape, scale, seed):
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal(shape) * scale).astype(NP[dtype])
     _check_gradients(op, [x], rng.standard_normal(shape), dtype, rng)
+
+
+# ---------------------------------------------------------------------------
+# The fused scan nodes against the chains they replace
+
+def _chain_views(x, bank, scan_mode):
+    """``filter_views`` as its chain: five depthwise nodes and a conv2d
+    (``orthogonal_maps``, ``dynamic_map``), then ``stack_scans``."""
+    names = {m for m, _ in SCAN_VIEWS[scan_mode]}
+    maps = {"input": x}
+    if "sobel_h" in names:
+        maps["sobel_h"], maps["sobel_v"] = orthogonal_maps(x, bank)
+    if "dynamic" in names:
+        maps["dynamic"] = dynamic_map(x, bank)
+    return stack_scans(*(maps[m] for m, _ in SCAN_VIEWS[scan_mode]))
+
+
+def _chain_scan(x, core):
+    """``selective_scan`` as its nine nodes: x_proj, three slices, dt_proj
+    with its bias, softplus, exp, neg and a scan node on delta and A."""
+    r, n = core.dt_rank, core.d_state
+    proj = linear(x, core.x_proj_weight)
+    dt_raw = slice_axis(proj, 2, 0, r)
+    b_tok = slice_axis(proj, 2, r, r + n)
+    c_tok = slice_axis(proj, 2, r + n, r + 2 * n)
+    delta = softplus(linear(dt_raw, core.dt_proj_weight, core.dt_bias))
+    inputs = (x, delta, neg(exp(core.A_log)), b_tok, c_tok, core.D_skip)
+    y, bwd = ssm.recurrence(
+        *(t.data for t in inputs),
+        exact_input_discretization=core.exact_input_discretization,
+        taped=recording(inputs))
+    return record_op("ssm_scan", inputs, y, bwd)
+
+
+_CHAINS = {"filter_views": _chain_views, "selective_scan": _chain_scan}
+
+
+@st.composite
+def scan_cases(draw):
+    return {
+        "mode": draw(st.sampled_from(SCAN_MODES)),
+        "dtype": draw(st.sampled_from(["f32", "f64"])),
+        "b": draw(st.integers(1, 3)),
+        "h": draw(st.integers(1, 3)),
+        "w": draw(st.integers(1, 5)),
+        "c": draw(st.integers(1, 4)),
+        "segment_reset": draw(st.booleans()),
+        "exact": draw(st.booleans()),
+        "d_state": draw(st.integers(1, 2)),
+        "adaptive": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2 ** 32 - 1)),
+    }
+
+
+def _scan_bytes(case):
+    """Untaped and taped ``mfil_ssm`` outputs and the gradient of x and of
+    every parameter, as bytes. The readout holds signed zeros."""
+    rng = np.random.default_rng(case["seed"])
+    dt, c, mode = case["dtype"], case["c"], case["mode"]
+    bank = FilterBank(c, rng=rng, dtype=dt, scan_mode=mode)
+    core = SsmCore(c, d_state=case["d_state"],
+                   exact_input_discretization=case["exact"],
+                   segment_reset=case["segment_reset"], rng=rng, dtype=dt)
+    views = len(SCAN_VIEWS[mode])
+    weights = (AdaptiveWeights(views, dtype=dt)
+               if case["adaptive"] and views > 1 else None)
+    params = [*bank.parameters().values(), *core.parameters().values(),
+              *([] if weights is None else [weights.w])]
+    for p in params:  # off the identity and constant initial values
+        p.data = (p.data + 0.3 * rng.standard_normal(p.shape)).astype(NP[dt])
+    shape = (case["b"], case["h"], case["w"], c)
+    x = Tensor(rng.standard_normal(shape), dtype=dt, grad_enabled=True)
+    readout = rng.standard_normal(shape)
+    readout[rng.random(shape) < 0.2] = -0.0
+    untaped = mfil_ssm(Tensor(x.data), bank, core, weights, mode)
+    with Tape() as tape:
+        out = mfil_ssm(x, bank, core, weights, mode)
+        grads = tape.gradients(tsum(mul(out, Tensor(readout, dtype=dt))),
+                               [x, *params])
+    return [untaped.data.tobytes(), out.data.tobytes(),
+            *(grads[p].data.tobytes() for p in [x, *params])]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(_CHAINS)), scan_cases())
+def test_fused_scan_nodes_are_byte_identical_to_their_chains(node, case):
+    fused = _scan_bytes(case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, node, _CHAINS[node])
+        assert _scan_bytes(case) == fused

@@ -61,15 +61,14 @@ def test_zoh_zero_diagonal_uses_limit():
 # recurrence and kernel forms
 
 def _lti_scan(x):
-    """The model's scan with a = -1, delta = ln 2, b = c = 1 and exact
-    discretization, so a_bar = b_bar = 0.5."""
+    """The model's scan recurrence with a = -1, delta = ln 2, b = c = 1
+    and exact discretization, so a_bar = b_bar = 0.5."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1, 1)
     length = x.shape[1]
     ones = np.ones((1, length, 1))
-    return ssm.ssm_scan(Tensor(x), Tensor(np.log(2.0) * ones),
-                        Tensor(-np.ones((1, 1))), Tensor(ones),
-                        Tensor(ones), Tensor(np.zeros(1)),
-                        exact_input_discretization=True).data[0, :, 0]
+    return ssm.recurrence(x, np.log(2.0) * ones, -np.ones((1, 1)), ones,
+                          ones, np.zeros(1),
+                          exact_input_discretization=True)[0][0, :, 0]
 
 
 def test_scan_recurrent_single_step():
@@ -290,8 +289,9 @@ def _states_per_token(hs, a_bar, bx, prev):
     return prev
 
 
-def _sweep_per_token(gh_all, ca):
+def _sweep_per_token(gh_all, a_bar_all):
     """Oracle for ``ssm._sweep_states_back``: one indexed token at a time."""
+    ca = a_bar_all.copy()
     back = np.zeros_like(gh_all[:, 0])
     for t in range(gh_all.shape[1] - 1, -1, -1):
         gh = gh_all[:, t]
@@ -307,11 +307,13 @@ def _scan_bytes(bsz, nst, dtype, exact):
 
     def t(a, grad=True):
         return Tensor(a, dtype=dtype, grad_enabled=grad)
+    # u, dt, A_log, the x_proj output (one step column, then B and C),
+    # dt_bias and D.
     args = (t(rng.standard_normal((bsz, length, ch))),
-            t(0.05 + 0.5 * rng.random((bsz, length, ch))),
-            t(-np.exp(rng.standard_normal((ch, nst)))),
-            t(rng.standard_normal((bsz, length, nst))),
-            t(rng.standard_normal((bsz, length, nst))),
+            t(0.5 * rng.standard_normal((bsz, length, ch))),
+            t(rng.standard_normal((ch, nst))),
+            t(rng.standard_normal((bsz, length, 1 + 2 * nst))),
+            t(rng.standard_normal(ch) - 2.0),
             t(rng.standard_normal(ch)))
     kw = dict(exact_input_discretization=exact)
     readout = t(rng.standard_normal((bsz, length, ch)), grad=False)

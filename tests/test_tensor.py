@@ -9,6 +9,7 @@ from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
                       rel_err)
 from mfil import reference
 from mfil import tensor as T
+from mfil.ssm import ssm_scan
 from mfil.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add,
                          concat, conv2d, depthwise_conv2d, exp,
                          gelu, layer_norm, linear, mul, neg, record_op,
@@ -768,6 +769,22 @@ def test_nonfinite_surfaced_not_propagated():
         conv2d(big, reshape(big, (1, 1, 2, 2)), padding=0)
     with pytest.raises(NonFiniteError):
         Tensor(np.array([np.nan]))
+
+
+def test_fused_scan_surfaces_a_nonfinite_step_or_decay():
+    """dt + dt_bias overflowing to -inf would give delta = softplus(-inf)
+    = 0 and a finite scan; the fused node names the pre-activation
+    instead. exp(A_log) overflowing is named too."""
+    def f32(a):
+        return Tensor(np.asarray(a, dtype=np.float32), dtype="f32")
+    u, proj, d = f32(np.ones((1, 2, 1))), f32(np.ones((1, 2, 3))), f32([1.0])
+    with pytest.raises(NonFiniteError, match="ssm_scan: the step-size "
+                                             "pre-activation"):
+        ssm_scan(u, f32(np.full((1, 2, 1), -3e38)), f32(np.zeros((1, 1))),
+                 proj, f32([-3e38]), d)
+    with pytest.raises(NonFiniteError, match=r"ssm_scan: exp\(A_log\)"):
+        ssm_scan(u, f32(np.zeros((1, 2, 1))), f32([[100.0]]), proj,
+                 f32([0.0]), d)
 
 
 def test_dtype_preserved_f32(rng):
