@@ -8,10 +8,8 @@ sequence, scanned by a single selective SSM, and fused as a
 softmax-weighted convex combination of the per-view outputs.
 
 Maps are channel-last, [B, H, W, C], so a map is its own row-major token
-sequence. Building and stacking the views is one node, ``filter_views``:
-it pads the map once, runs the Sobel pair and the dynamic depthwise stage
-as one einsum over a filter axis and the two refiners as one more, and
-writes the [B, n*H*W, C] sequence. ``orthogonal_maps`` and
+sequence. Building and stacking the views is one node, ``filter_views``,
+which writes the [B, n*H*W, C] sequence. ``orthogonal_maps`` and
 ``dynamic_map`` followed by ``stack_scans`` are the same arithmetic as
 separate depthwise, 1x1 conv2d and concat nodes; they are its reference
 in the tests, not the path ``mfil_ssm`` runs. The fusion is one node too,
@@ -35,7 +33,8 @@ from .init import identity_depthwise_kernel, trunc_normal
 from .ssm import SsmCore, selective_scan
 from .tensor import (Tensor, add, concat, conv2d, depthwise_conv2d, mul,
                      record_op, reshape, slice_axis, softmax, take, _tally,
-                     _window, _window_tap_sum)
+                     _depthwise_kernel_grads, _depthwise_taps,
+                     _window_tap_sum)
 
 __all__ = [
     "SOBEL_X", "SOBEL_Y", "FilterBank", "AdaptiveWeights",
@@ -201,66 +200,32 @@ def stack_scans(*maps: Tensor) -> Tensor:
     return reshape(grouped, (b, n * h * w, c))
 
 
-def _taps(kernels, cc: int) -> np.ndarray:
-    """[K, 3, 3, cc] taps of K depthwise kernels [C, 1, 3, 3], zero in the
-    channels past C, as ``depthwise_conv2d`` lays them out."""
-    c = kernels[0].shape[0]
-    taps = np.zeros((len(kernels), 3, 3, cc), dtype=kernels[0].data.dtype)
-    for t, k in zip(taps, kernels):
-        t[:, :, :c] = k.data[:, 0].transpose(1, 2, 0)
-    return taps
-
-
-def _pad_stack(maps, cc: int) -> np.ndarray:
-    """[K, B, H + 2, W + 2, cc]: the K maps [B, H, W, <= cc] zero-padded by
-    one pixel and to ``cc`` channels."""
-    b, h, w, _ = maps[0].shape
-    out = np.zeros((len(maps), b, h + 2, w + 2, cc), dtype=maps[0].dtype)
-    for o, m in zip(out, maps):
-        o[:, 1:h + 1, 1:w + 1, :m.shape[3]] = m
-    return out
-
-
-def _kernel_grads(maps, grads, cc: int) -> np.ndarray:
-    """[K, C, 1, 3, 3] gradients of K depthwise kernels, kernel k having
-    read ``maps[k]`` and received ``grads[k]`` ([B, H, W, C]): one einsum
-    over the windows of the re-padded maps, each kernel's bytes those of
-    ``depthwise_conv2d``'s rule."""
-    k, (b, h, w, c) = len(grads), grads[0].shape
-    src = _pad_stack(maps, cc)
-    s = src.strides
-    win = _window(src, (k, b, h, w, 3, 3, cc),
-                  (s[0], s[1], s[2], s[3], s[2], s[3], s[4]))
-    g = np.zeros((k, b, h, w, cc), dtype=grads[0].dtype)
-    for gk, gi in zip(g, grads):
-        gk[..., :c] = gi
-    return np.einsum("knhwijc,knhwc->kcij", win, g)[:, :c, None]
-
-
 def filter_views(x: Tensor, bank: FilterBank | None,
                  scan_mode: str = "multi_filter") -> Tensor:
     """The [B, n*H*W, C] sequence of ``scan_mode``'s views, as one node.
 
     The views follow ``SCAN_VIEWS`` row order, each flattened row-major:
     the values ``stack_scans`` gives for the maps ``orthogonal_maps`` and
-    ``dynamic_map`` build. x is padded once; the filters that read it
-    (Sobel-y, Sobel-x, the dynamic depthwise stage) run as one tap-sum
-    einsum over a filter axis, the two refiners as one more, and the
-    dynamic pointwise stage is ``conv2d``'s 1x1 GEMM. Each filter's output
-    and gradients have the bytes of its own ``depthwise_conv2d`` or
-    ``conv2d`` node, and x's gradient is summed in the order the sweep
-    summed those nodes': the input rows' in row order, then the dynamic,
-    Sobel-x and Sobel-y terms. The Sobel kernels are constants and take no
-    gradient. ``bank`` may be None when the rows read only the input.
+    ``dynamic_map`` build. The filters that read x (Sobel-y, Sobel-x, the
+    dynamic depthwise stage) run as one K-filter call of ``tensor``'s
+    depthwise helpers, the two refiners as one more, and the dynamic
+    pointwise stage is ``conv2d``'s 1x1 GEMM, so each filter's output and
+    gradients have the bytes of its own ``depthwise_conv2d`` or ``conv2d``
+    node. x's gradient is summed in the order the sweep summed those
+    nodes': the input rows' in row order, then the dynamic, Sobel-x and
+    Sobel-y terms. The Sobel kernels are constants and take no gradient.
+    ``bank`` may be None only when the rows read just the input.
     """
     if scan_mode not in SCAN_VIEWS:
         raise ValueError(f"unknown scan_mode {scan_mode!r}")
     _check_spatial(x)
     rows = SCAN_VIEWS[scan_mode]
     orthogonal, dynamic = _filters(scan_mode)
+    if bank is None and (orthogonal or dynamic):
+        raise ValueError(f"scan_mode {scan_mode!r} filters its input: it "
+                         "needs a FilterBank, got None")
     b, h, w, c = x.shape
     n = len(rows)
-    cc = max(c, 2)  # depthwise_conv2d's second, zero channel when C = 1
     maps = {"input": x.data}
     # The filters that read x, in the order they ran as nodes, and the
     # learnable kernels, in the order the node takes them.
@@ -270,12 +235,12 @@ def filter_views(x: Tensor, bank: FilterBank | None,
                + ([bank.dyn_depthwise, bank.dyn_pointwise] if dynamic else []))
     filtered = taps1 = taps2 = cols = kmat = None
     if first:
-        taps1 = _taps(first, cc)
-        filtered = _window_tap_sum(_pad_stack([x.data], cc)[0], taps1, h, w)
+        taps1 = _depthwise_taps(first)
+        filtered = _window_tap_sum([x.data], taps1, 1, h, w)
         _tally(len(first) * b * c * h * w * 9)
     if orthogonal:
-        taps2 = _taps([bank.refine_h, bank.refine_v], cc)
-        refined = _window_tap_sum(_pad_stack(filtered[:2], cc), taps2, h, w)
+        taps2 = _depthwise_taps([bank.refine_h, bank.refine_v])
+        refined = _window_tap_sum(filtered[:2], taps2, 1, h, w)
         _tally(2 * b * c * h * w * 9)
         maps["sobel_h"] = refined[0, ..., :c]
         maps["sobel_v"] = refined[1, ..., :c]
@@ -305,8 +270,8 @@ def filter_views(x: Tensor, bank: FilterBank | None,
         if orthogonal:
             g_out += [piece["sobel_h"], piece["sobel_v"]]
             read += [filtered[0], filtered[1]]
-            g_first += list(_window_tap_sum(_pad_stack(g_out, cc), taps2, h,
-                                            w, flip=True))
+            g_first += list(_window_tap_sum(g_out, taps2, 1, h, w,
+                                            flip=True))
         if dynamic:
             g2 = piece["dynamic"].reshape(b * h * w, c)
             g_pw = ((g2.T @ cols).reshape(c, c, 1, 1),)
@@ -315,11 +280,11 @@ def filter_views(x: Tensor, bank: FilterBank | None,
             g_out.append(g_dyn)
             read.append(x_saved)
             g_first.append(g_dyn)
-        g_in = _window_tap_sum(_pad_stack(g_first, cc), taps1, h, w,
-                               flip=True)
+        g_in = _window_tap_sum(g_first, taps1, 1, h, w, flip=True)
         for term in g_in[::-1]:
             gx = gx + term[..., :c]
-        return (gx, *_kernel_grads(read, g_out, cc), *g_pw)
+        # Every learnable depthwise kernel is 3x3 in the layout of taps1.
+        return (gx, *_depthwise_kernel_grads(read, g_out, taps1, 1), *g_pw)
     return record_op("filter_views", (x, *kernels),
                      out.reshape(b, n * h * w, c), bwd)
 

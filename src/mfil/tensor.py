@@ -761,13 +761,17 @@ def _check_conv_pre(name, h, w, kh, kw, stride, padding, axes):
             f"{h + 2 * padding}x{w + 2 * padding} (axes {axes})")
 
 
-def _zero_pad(a: np.ndarray, shape, at) -> np.ndarray:
-    """``a`` written at index ``at`` of a zero array of ``shape``; ``a``
-    itself when ``shape`` is its own."""
-    if shape == a.shape:
-        return a
-    out = np.zeros(shape, dtype=a.dtype)
-    out[at] = a
+def _zero_pad(maps, padding: int, channels: int) -> np.ndarray:
+    """[K, N, H + 2p, W + 2p, channels]: the K maps [N, H, W, <= channels]
+    zero-padded by ``padding`` a side and to ``channels``. One map that
+    needs neither is returned as a view, not copied."""
+    n, h, w, c = maps[0].shape
+    if len(maps) == 1 and padding == 0 and c == channels:
+        return maps[0][None]
+    out = np.zeros((len(maps), n, h + 2 * padding, w + 2 * padding,
+                    channels), dtype=maps[0].dtype)
+    for i, m in enumerate(maps):
+        out[i, :, padding:padding + h, padding:padding + w, :m.shape[3]] = m
     return out
 
 
@@ -807,8 +811,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     _check_conv_pre("conv2d", h, w, kh, kw, stride, padding, "1, 2")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
-    xp = _zero_pad(x.data, (n, hp, wp, c_in),
-                   np.s_[:, padding:padding + h, padding:padding + w])
+    xp = _zero_pad([x.data], padding, c_in)[0]
     s0, s1, s2, s3 = xp.strides
     win = _window(xp, (n, oh, ow, c_in, kh, kw),
                   (s0, s1 * stride, s2 * stride, s3, s1, s2))
@@ -847,23 +850,39 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
 _PIXEL_BLOCK_BYTES = 8 * 1024
 
 
-def _window_tap_sum(src, taps, oh, ow, stride=1, flip=False):
-    """Depthwise tap sum over the padded NHWC map ``src``, as one einsum.
+def _depthwise_taps(kernels) -> np.ndarray:
+    """[K, kH, kW, cc] taps of the K depthwise kernels [C, 1, kH, kW].
 
-    out[n, y, x, c] = sum over taps (i, j) of taps[i, j, c] *
-    src[n, s*y + i, s*x + j, c], or src[n, y + kH-1-i, x + kW-1-j, c] when
-    ``flip`` (stride 1). Output rows are cut into blocks of P pixels, P
-    dividing OW; at stride 1 a block reads P*C contiguous values, so the
-    view is [N, OH, OW/P, kH, kW, P*C] against ``taps`` [kH, kW, C] tiled P
-    times. P is 1 at stride > 1.
-
-    ``taps`` [K, kH, kW, C] runs K filters in the one einsum, over the one
-    map ``src`` or, with ``src`` [K, N, H, W, C], filter k over map k; the
-    result is [K, N, OH, OW, C], each filter's bytes those of its own call.
+    einsum sums each output from zero in the order of its reduced axes as
+    long as its innermost loop runs over a kept axis: the channel axis,
+    once there are two. So cc = max(C, 2); the maps are padded to cc
+    channels, and callers keep the first C.
     """
-    n, _, _, c = src.shape[-4:]
-    kh, kw, _ = taps.shape[-3:]
-    lead, k = taps.shape[:-3], "k" * (taps.ndim - 3)
+    c, _, kh, kw = kernels[0].shape
+    taps = np.zeros((len(kernels), kh, kw, max(c, 2)),
+                    dtype=kernels[0].data.dtype)
+    for i, k in enumerate(kernels):
+        taps[i, :, :, :c] = k.data[:, 0].transpose(1, 2, 0)
+    return taps
+
+
+def _window_tap_sum(maps, taps, padding, oh, ow, stride=1, flip=False):
+    """The K filters ``taps`` [K, kH, kW, cc] over ``maps`` [N, H, W, <= cc]
+    zero-padded by ``padding``, as one einsum; [K, N, OH, OW, cc]. Every
+    filter reads the one map of ``maps`` = [m], or filter k ``maps[k]``.
+
+    out[k, n, y, x] = sum over taps (i, j) of taps[k, i, j] *
+    src[n, s*y + i, s*x + j], or src[n, y + kH-1-i, x + kW-1-j] when
+    ``flip`` (stride 1), summed in (i, j) order. Output rows are cut into
+    blocks of P pixels, P dividing OW; at stride 1 a block reads P*cc
+    contiguous values, so the view is [N, OH, OW/P, kH, kW, P*cc] against
+    the taps tiled P times. P is 1 at stride > 1.
+    """
+    k, kh, kw, c = taps.shape
+    src = _zero_pad(maps, padding, c)
+    if len(maps) == 1:  # one map, read by every filter
+        src = src[0]
+    n = src.shape[-4]
     p = max(1, min(ow, _PIXEL_BLOCK_BYTES // (c * src.itemsize)))
     p = 1 if stride > 1 else p
     while ow % p:
@@ -875,11 +894,27 @@ def _window_tap_sum(src, taps, oh, ow, stride=1, flip=False):
         offset, si, sj = 0, s1, s2
     win = _window(src, src.shape[:-4] + (n, oh, ow // p, kh, kw, p * c),
                   (*sk, s0, s1 * stride, s2 * stride * p, si, sj, s3), offset)
-    tiled = np.empty(lead + (kh, kw, p, c), dtype=taps.dtype)
+    tiled = np.empty((k, kh, kw, p, c), dtype=taps.dtype)
     tiled[...] = taps[..., None, :]
-    subscripts = f"{k * (src.ndim - 4)}nhbijq,{k}ijq->{k}nhbq"
-    return np.einsum(subscripts, win, tiled.reshape(lead + (kh, kw, p * c))
-                     ).reshape(lead + (n, oh, ow, c))
+    subscripts = f"{'k' * (src.ndim - 4)}nhbijq,kijq->knhbq"
+    return np.einsum(subscripts, win, tiled.reshape(k, kh, kw, p * c)
+                     ).reshape(k, n, oh, ow, c)
+
+
+def _depthwise_kernel_grads(maps, grads, taps, padding, stride=1):
+    """[K, C, 1, kH, kW] gradients of K depthwise kernels laid out as
+    ``taps``, kernel k having read ``maps[k]`` [N, H, W, <= cc] and got
+    ``grads[k]`` [N, OH, OW, C]: one einsum over the windows of the
+    re-padded maps, summing the (n, y, x) terms in order."""
+    k, (n, oh, ow, c) = len(grads), grads[0].shape
+    _, kh, kw, cc = taps.shape
+    src = _zero_pad(maps, padding, cc)
+    s = src.strides
+    win = _window(src, (k, n, oh, ow, kh, kw, cc),
+                  (s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3],
+                   s[4]))
+    return np.einsum("knhwijc,knhwc->kcij", win,
+                     _zero_pad(grads, 0, cc))[:, :c, None]
 
 
 def _dilate_pad(g, h, w, kh, kw, stride, padding):
@@ -914,19 +949,11 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     """Per-channel 2-D cross-correlation of a channel-last map.
 
     x: [N, H, W, C], kernel: [C, 1, kH, kW]; the output is [N, OH, OW, C]
-    with the sizes of ``conv2d``. The forward and the input gradient are
-    each one einsum over a window view of a padded map
-    (``_window_tap_sum``); the input gradient gathers from the upstream
-    gradient placed on the padded grid (``_dilate_pad``), with the tap
-    axes walked backwards. The kernel gradient is one einsum over the
-    [N, OH, OW, kH, kW, C] windows of the re-padded input, skipped when the
-    kernel is not grad-enabled.
-
-    einsum sums each output element from zero in the order of its reduced
-    axes as long as its innermost loop runs over a kept axis: the channel
-    axis, when C >= 2. So every element is the sum of a multiply-add loop
-    over the taps in (i, j) order, or over (n, y, x) for the kernel; a
-    1-channel map runs with a second, zero channel and keeps channel 0.
+    with the sizes of ``conv2d``. The K = 1 case of the depthwise helpers:
+    the forward and the input gradient are tap sums (``_window_tap_sum``),
+    the latter over the upstream gradient placed on the padded grid
+    (``_dilate_pad``) with the taps walked backwards; the kernel gradient
+    (``_depthwise_kernel_grads``) is skipped for a constant kernel.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("depthwise_conv2d: input and kernel must be 4-D")
@@ -939,29 +966,19 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     _check_conv_pre("depthwise_conv2d", h, w, kh, kw, stride, padding,
                     "1, 2")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
-    cc = max(c, 2)
-    taps = np.zeros((kh, kw, cc), dtype=x.data.dtype)
-    taps[:, :, :c] = kernel.data[:, 0].transpose(1, 2, 0)
-    padded = (n, h + 2 * padding, w + 2 * padding, cc)
-    inner = np.s_[:, padding:padding + h, padding:padding + w, :c]
-    xp = _zero_pad(x.data, padded, inner)
-    out = _window_tap_sum(xp, taps, oh, ow, stride)
+    taps = _depthwise_taps([kernel])
+    out = _window_tap_sum([x.data], taps, padding, oh, ow, stride)[0]
     _tally(n * c * oh * ow * kh * kw)
     # Only the kernel gradient reads the input; it pads x again rather than
     # keep a padded copy alive until the sweep.
     x_saved = x.data if kernel.grad_enabled else None
 
     def bwd(g):
-        g = _zero_pad(g, (n, oh, ow, cc), np.s_[..., :c])
-        gk = None
-        if x_saved is not None:
-            xp = _zero_pad(x_saved, padded, inner)
-            s0, s1, s2, s3 = xp.strides
-            win = _window(xp, (n, oh, ow, kh, kw, cc),
-                          (s0, s1 * stride, s2 * stride, s1, s2, s3))
-            gk = np.einsum("nhwijc,nhwc->cij", win, g)[:c, None]
-        gx = _window_tap_sum(_dilate_pad(g, h, w, kh, kw, stride, padding),
-                             taps, h, w, flip=True)
+        gk = None if x_saved is None else _depthwise_kernel_grads(
+            [x_saved], [g], taps, padding, stride)[0]
+        gx = _window_tap_sum(
+            [_dilate_pad(g, h, w, kh, kw, stride, padding)], taps, 0, h, w,
+            flip=True)[0]
         return np.ascontiguousarray(gx[..., :c]), gk
     return record_op("depthwise_conv2d", (x, kernel),
                      np.ascontiguousarray(out[..., :c]), bwd)

@@ -1,13 +1,14 @@
-"""``ssm.py``, ``scan.py``, ``block.py`` and ``backbone.py`` define only
-what the model runs.
+"""``tensor.py``, ``ssm.py``, ``scan.py``, ``block.py`` and ``backbone.py``
+define only what the model runs.
 
-A profile hook records every function called from the four modules while
+A profile hook records every function called from the five modules while
 the named variants are configured and desk models are built, counted, run
 forward on a tape and swept backward, in every scan mode and once more with
-the optional scan features on; the segment-input walk and the conv
-baseline's feature maps run too. Each top-level function and class method
-the modules define must be among them, so verification-only code cannot
-settle in a model module unnoticed.
+the optional scan features on; an f32 train-mode step with drop-path and
+the cross-entropy loss, a forward under the flop counter, the segment-input
+walk and the conv baseline's feature maps run too. Each top-level function
+and class method the modules define must be among them, so
+verification-only code cannot settle in a model module unnoticed.
 """
 
 import ast
@@ -17,14 +18,27 @@ from pathlib import Path
 import numpy as np
 
 from mfil import backbone as bb
-from mfil import block, scan, ssm
+from mfil import block, scan, ssm, tensor
 from mfil.scan import SCAN_MODES
-from mfil.tensor import Tape, Tensor, mul, tsum
+from mfil.tensor import (Tape, Tensor, flop_counter, mul,
+                         softmax_cross_entropy, tsum)
 
 # Defined but not run by the model, each with the reason it stays.
 ALLOWED_UNCALLED = {
+    **{f"tensor.{name}": "pinned by perfbench OPS until ROADMAP item 2"
+       for name in ("tile_leading", "sub", "sigmoid")},
+    **{f"tensor.{name}": "pinned by perfbench OPS until ROADMAP item 2; "
+                         "the fused-scan property test's chain"
+       for name in ("neg", "exp")},
+    "tensor.softplus": "the suite oracles' activation",
+    "tensor.concat": "stack_scans and stacked_stencil_losses",
+    "tensor.Tape.gradients": "analysis",
+    "tensor.Tape.nodes": "tests and perfbench",
+    "tensor._Node.out": "tests and perfbench",
+    **{f"tensor.Tensor.{name}": "public API"
+       for name in ("__repr__", "dtype", "size")},
     **{f"scan.{name}": "merge_views' reference, pinned by perfbench "
-                       "SCAN_STAGES until ROADMAP item 1"
+                       "SCAN_STAGES until ROADMAP item 2"
        for name in ("unstack_scans", "adaptive_merge")},
     **{f"scan.{name}": "the filter-views node's reference, pinned by "
                        "perfbench SCAN_STAGES"
@@ -32,7 +46,7 @@ ALLOWED_UNCALLED = {
     "block.MfilBlock.forward": "the segments call its two halves; "
                                "perfbench/spans.py wraps it by name",
 }
-MODULES = (ssm, scan, block, bb)
+MODULES = (tensor, ssm, scan, block, bb)
 
 
 def _defined(module) -> set[str]:
@@ -66,9 +80,29 @@ def _taped_step(config):
     return model, images
 
 
+def _train_step_and_counted_forward():
+    """An f32 train-mode step with drop-path and the cross-entropy loss,
+    then a forward whose counted flops equal ``count_flops``."""
+    config = bb.desk(drop_path=0.1)
+    model = bb.build(config, seed=0, dtype="f32")
+    params = model.parameters()
+    images = Tensor(np.random.default_rng(1).standard_normal((2, 3, 32, 32)),
+                    dtype="f32")
+    with Tape() as tape:
+        logits = model.forward(images, train=True,
+                               rng=np.random.default_rng(2))
+        loss = softmax_cross_entropy(logits, np.array([0, 1]))
+    assert np.isfinite(loss.item())
+    assert len(dict(tape.sweep(loss, params.values()))) == len(params)
+    with flop_counter() as fc:
+        model.forward(images)
+    assert fc.total == bb.count_flops(config, 32, 32, batch=2)
+
+
 def _model_runs():
-    """Count each named variant, tape a desk step per config, and walk the
-    last model's segment inputs and the conv baseline's feature maps."""
+    """Count each named variant, tape a desk step per config, train and
+    count one more, and walk the last model's segment inputs and the conv
+    baseline's feature maps."""
     for variant in bb.VARIANTS.values():
         bb.count_flops(variant(), 224, 224)
     configs = [bb.desk(scan_mode=mode) for mode in SCAN_MODES]
@@ -76,6 +110,7 @@ def _model_runs():
         exact_input_discretization=True, segment_reset=True, d_state=2))
     for config in configs:
         model, images = _taped_step(config)
+    _train_step_and_counted_forward()
     model.segment_inputs(images)
     bb.build_conv_baseline(bb.desk(), seed=0).forward_features(images)
 

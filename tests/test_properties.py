@@ -6,7 +6,8 @@ the forward against the loop oracle of ``mfil.reference`` and the input
 and kernel gradients against ``reference.central_difference``, taken on an
 f64 copy of the same loss. The channel-last depthwise forward and input
 gradient must also equal, bit for bit, the tap-ordered loops of
-``conftest``, and so must its kernel gradient at two or more channels.
+``conftest``, and so must its kernel gradient, a 1-channel map taken with
+a zero second channel.
 
 The activations are checked the same way: the f32 fast forms of
 ``softplus`` and ``gelu`` against the f64 reference over the whole f32
@@ -125,11 +126,13 @@ def test_depthwise_conv2d_properties(case):
     gx, gk = out.node.backward(g)
     assert gx.tobytes() == \
         depthwise_tap_input_grad(g, k, s, p, h, w).tobytes()
-    if c >= 2:
-        # At C = 1 the per-tap einsum below reduces over the grid with
-        # einsum's unrolled sum, not in (n, y, x) order.
-        assert gk.tobytes() == \
-            depthwise_tap_kernel_grad(xt.data, g, kh, kw, s, p).tobytes()
+    # A 1-channel map runs with a second, zero channel: only then does the
+    # loop's per-tap einsum reduce over the grid in (n, y, x) order.
+    xg = [xt.data, g]
+    if c == 1:
+        xg = [np.concatenate([a, np.zeros_like(a)], axis=3) for a in xg]
+    assert gk.tobytes() == \
+        depthwise_tap_kernel_grad(*xg, kh, kw, s, p)[:c].tobytes()
 
     readout = rng.standard_normal(out.shape)
     _check_gradients(lambda a, b: depthwise_conv2d(a, b, s, p),

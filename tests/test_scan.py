@@ -300,6 +300,14 @@ def test_single_flatten_bypass_equals_direct_scan(rng):
     assert np.array_equal(via_pipeline, direct.reshape(2, 4, 5, c))
 
 
+def test_filtering_mode_without_a_bank_names_the_mode(rng):
+    x = Tensor(_nhwc(rng.standard_normal((1, 3, 4, 4))))
+    for mode in ("multi_filter", "original_plus_one_filter"):
+        with pytest.raises(ValueError, match=f"scan_mode '{mode}'.*None"):
+            mfil_ssm(x, None, _core(3), _weights(num_scans(mode)),
+                     scan_mode=mode)
+
+
 def test_cross_scan_permutations_are_permutations():
     perms = cross_scan_permutations(3, 4)
     assert len(perms) == 4
