@@ -58,8 +58,9 @@ class ErfMap:
         if self.grid.size and self.grid.max() > 0:
             assert abs(float(self.grid.max()) - 1.0) < 1e-12
 
-    def coverage(self, threshold: float = COVERAGE_THRESHOLD) -> float:
-        return float(np.mean(self.grid > threshold))
+    def coverage(self) -> float:
+        """Share of cells above ``COVERAGE_THRESHOLD``."""
+        return float(np.mean(self.grid > COVERAGE_THRESHOLD))
 
 
 def _erf_single(model, input_size: int, stage: int, seed: int) -> np.ndarray:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# trunc_normal rejects samples beyond this many standard deviations.
+TRUNC_BOUND = 2.0
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                 bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) samples rejected outside +/- bound*std.
+
+def trunc_normal(rng: np.random.Generator, shape,
+                 std: float = 0.02) -> np.ndarray:
+    """Normal(0, std) samples rejected outside +/- TRUNC_BOUND * std.
 
     Each round redraws only the entries still out of bounds, one draw per
     entry in ascending flat order: the same draws, in the same order, as
@@ -15,7 +18,7 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
     """
     out = rng.normal(0.0, std, size=shape)
     flat = out.reshape(-1)  # a view: the draw is a fresh contiguous array
-    limit = bound * std
+    limit = TRUNC_BOUND * std
     idx = np.flatnonzero(np.abs(flat) > limit)
     while idx.size:
         redraw = rng.normal(0.0, std, size=idx.size)
@@ -24,10 +27,11 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
     return out
 
 
-def identity_depthwise_kernel(channels: int, k: int = 3) -> np.ndarray:
-    """[C, 1, k, k] kernel that reproduces its input (center tap one)."""
-    kern = np.zeros((channels, 1, k, k))
-    kern[:, 0, k // 2, k // 2] = 1.0
+def identity_depthwise_kernel(channels: int) -> np.ndarray:
+    """[C, 1, 3, 3] kernel that reproduces its input (center tap one); the
+    cost tables count every depthwise filter as 3x3."""
+    kern = np.zeros((channels, 1, 3, 3))
+    kern[:, 0, 1, 1] = 1.0
     return kern
 
 

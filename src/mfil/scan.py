@@ -276,7 +276,7 @@ def filter_views(x: Tensor, bank: FilterBank | None,
             g2 = piece["dynamic"].reshape(b * h * w, c)
             g_pw = ((g2.T @ cols).reshape(c, c, 1, 1),)
             g_dyn = (g2 @ kmat).reshape(b, h, w, c)
-            g_dyn += 0.0  # -0.0 -> +0.0, as conv2d's 1x1 rule does
+            g_dyn += 0.0  # -0.0 -> +0.0, as conv2d's zero-grid scatter does
             g_out.append(g_dyn)
             read.append(x_saved)
             g_first.append(g_dyn)

@@ -522,14 +522,19 @@ def softplus(a: Tensor) -> Tensor:
     return record_op("softplus", (a,), out, bwd)
 
 
+def _softmax_np(x, axis):
+    """Max-shifted softmax of an array along ``axis``."""
+    z = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along ``axis``; rows sum to one."""
     nd = a.data.ndim
     if not (-nd <= axis < nd):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    z = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = _softmax_np(a.data, axis)
     _tally(5 * out.size)
 
     def bwd(g):
@@ -541,40 +546,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # Reductions and shape ops
 
-def _norm_axes(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def tsum(a: Tensor, axis=None) -> Tensor:
-    axes = _norm_axes(axis, a.data.ndim)
-    out = np.sum(a.data, axis=axes)
+def tsum(a: Tensor) -> Tensor:
+    out = np.sum(a.data)
     shape = a.shape
 
     def bwd(g):
-        if axes is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        ge = np.expand_dims(g, axes)
-        return (np.broadcast_to(ge, shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
     return record_op("sum", (a,), out, bwd)
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
-    axes = _norm_axes(axis, a.data.ndim)
+def tmean(a: Tensor, axis: tuple[int, ...]) -> Tensor:
+    axes = tuple(ax % a.data.ndim for ax in axis)
     out = np.mean(a.data, axis=axes)
     shape = a.shape
-    if axes is None:
-        count = a.size
-    else:
-        count = int(np.prod([shape[ax] for ax in axes]))
+    count = int(np.prod([shape[ax] for ax in axes]))
 
     def bwd(g):
         gs = g / count
-        if axes is None:
-            return (np.broadcast_to(gs, shape).copy(),)
         ge = np.expand_dims(gs, axes)
         return (np.broadcast_to(ge, shape).copy(),)
     return record_op("mean", (a,), out, bwd)
@@ -706,11 +694,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return record_op("linear", inputs, out, bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-5) -> Tensor:
+# Added to the variance before the square root.
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean, unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -720,7 +709,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / c
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / c
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     out = xc * inv_std * gamma.data + beta.data
     _tally(5 * out.size)
     x_data, g_data = x.data, gamma.data
@@ -797,8 +786,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     [N, OH, OW, C_in, kH, kW], in the kernel's (c, i, j) order, and the
     forward is one GEMM of its rows with the flattened kernel; a k x k,
     stride-k convolution is a patchify (reshape + linear). The input
-    gradient scatters the per-tap column gradients back tap by tap; for a
-    1x1, stride-1, unpadded kernel the column gradient is the gradient.
+    gradient scatters the per-tap column gradients back tap by tap.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d: input and kernel must be 4-D")
@@ -820,7 +808,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
     out = (cols @ kmat.T).reshape(n, oh, ow, c_out)
     _tally(n * oh * ow * c_out * c_in * kh * kw)
     k_shape, x_grad = kernel.shape, x.grad_enabled
-    pointwise = kh == kw == stride == 1 and padding == 0
 
     def bwd(g):
         g2 = g.reshape(n * oh * ow, c_out)
@@ -828,10 +815,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
         if not x_grad:  # input images need no gradient in training
             return None, gk
         gcols = g2 @ kmat
-        if pointwise:  # the column gradient is the gradient
-            gx = gcols.reshape(n, h, w, c_in)
-            gx += 0.0  # -0.0 -> +0.0, as adding into a zero grid does
-            return gx, gk
         gcols = gcols.reshape(n, oh, ow, c_in, kh, kw)
         gx = np.zeros((n, hp, wp, c_in), dtype=g.dtype)
         for i in range(kh):

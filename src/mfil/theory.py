@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 _MAX_GRID = 16
+# Largest max-abs error at which a covariance identity holds: both sides
+# are the same linear algebra, so anything above f64 roundoff is a bug.
+IDENTITY_TOLERANCE = 1e-10
+# Largest eigenvalue shift at which a permutation leaves a spectrum
+# invariant.
+SPECTRUM_TOLERANCE = 1e-8
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -124,26 +130,26 @@ class IdentityReport:
 
 
 def _verify_identity(name, op_i: np.ndarray, op_j: np.ndarray,
-                     moments: EmpiricalMoments, samples,
-                     tol: float) -> IdentityReport:
+                     moments: EmpiricalMoments, samples) -> IdentityReport:
     x = np.asarray(samples, dtype=np.float64).reshape(len(samples), -1)
     xi = x @ op_i.T
     xj = x @ op_j.T
     lhs = cross_covariance(xi, xj)
     rhs = op_i @ moments.covariance @ op_j.T
     err = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport(name, err, tol, err <= tol)
+    return IdentityReport(name, err, IDENTITY_TOLERANCE,
+                          err <= IDENTITY_TOLERANCE)
 
 
 def verify_permutation_identity(p_i: np.ndarray, p_j: np.ndarray,
-                                moments: EmpiricalMoments, samples,
-                                tol: float = 1e-10) -> IdentityReport:
+                                moments: EmpiricalMoments,
+                                samples) -> IdentityReport:
     """Cross-covariance of reordered copies equals P_i Sigma P_j^T.
 
-    An exact linear-algebra identity on the empirical moments; errors above
-    float roundoff indicate an implementation bug, hence the tight default
-    tolerance. Raises ``ValueError`` unless both operators are square 0/1
-    matrices with one 1 in every row and column (to within 1e-12).
+    An exact linear-algebra identity on the empirical moments, held to
+    ``IDENTITY_TOLERANCE``. Raises ``ValueError`` unless both operators are
+    square 0/1 matrices with one 1 in every row and column (to within
+    1e-12).
     """
     for name, op in (("P_i", p_i), ("P_j", p_j)):
         ones = np.abs(op - 1.0) <= 1e-12
@@ -154,15 +160,14 @@ def verify_permutation_identity(p_i: np.ndarray, p_j: np.ndarray,
                 and np.all(ones.sum(axis=1) == 1)):
             raise ValueError(f"{name} is not a permutation matrix")
     return _verify_identity("permutation_identity", p_i, p_j, moments,
-                            samples, tol)
+                            samples)
 
 
 def verify_filter_identity(f_i: np.ndarray, f_j: np.ndarray,
-                           moments: EmpiricalMoments, samples,
-                           tol: float = 1e-10) -> IdentityReport:
+                           moments: EmpiricalMoments,
+                           samples) -> IdentityReport:
     """Cross-covariance of filtered copies equals F_i Sigma F_j^T."""
-    return _verify_identity("filter_identity", f_i, f_j, moments, samples,
-                            tol)
+    return _verify_identity("filter_identity", f_i, f_j, moments, samples)
 
 
 @dataclass
@@ -172,11 +177,10 @@ class SpectrumReport:
     eig_filtered: np.ndarray
     permutation_distance: float
     filter_distance: float
-    tolerance: float = 1e-8
 
     @property
     def permutation_invariant(self) -> bool:
-        return self.permutation_distance <= self.tolerance
+        return self.permutation_distance <= SPECTRUM_TOLERANCE
 
     def lines(self):
         return [
@@ -189,34 +193,24 @@ class SpectrumReport:
         return "\n".join(self.lines())
 
 
-def spectrum_report(sigma: np.ndarray, perm: np.ndarray, filt: np.ndarray,
-                    tolerance: float = 1e-8) -> SpectrumReport:
+def spectrum_report(sigma: np.ndarray, perm: np.ndarray,
+                    filt: np.ndarray) -> SpectrumReport:
     """Compare eigenvalues of Sigma, P Sigma P^T and F Sigma F^T.
 
     Conjugation by an orthogonal permutation is a similarity transform, so
-    the first two spectra must agree (asserted); a genuine filter reshapes
-    the spectrum, and the report carries that distance.
+    the first two spectra agree (``permutation_invariant``); a genuine
+    filter reshapes the spectrum, and the report carries that distance.
+    Raises ``ValueError`` unless ``filt`` maps the grid to itself.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.max(np.abs(sigma - sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(sigma))):
         raise ValueError("sigma must be symmetric")
+    if filt.shape != sigma.shape:
+        raise ValueError(f"filter operator {filt.shape} does not map the "
+                         f"grid to itself: sigma is {sigma.shape}")
     eig_base = np.linalg.eigvalsh(sigma)
     eig_perm = np.linalg.eigvalsh(perm @ sigma @ perm.T)
     eig_filt = np.linalg.eigvalsh(filt @ sigma @ filt.T)
     perm_dist = float(np.max(np.abs(eig_perm - eig_base)))
-    if eig_filt.shape == eig_base.shape:
-        filt_dist = float(np.max(np.abs(eig_filt - eig_base)))
-    else:  # non-square filter output; compare padded spectra
-        k = max(eig_filt.size, eig_base.size)
-        a = np.zeros(k)
-        b = np.zeros(k)
-        a[-eig_base.size:] = eig_base
-        b[-eig_filt.size:] = eig_filt
-        filt_dist = float(np.max(np.abs(a - b)))
-    report = SpectrumReport(eig_base, eig_perm, eig_filt, perm_dist,
-                            filt_dist, tolerance)
-    if not report.permutation_invariant:
-        raise AssertionError(
-            f"permutation conjugation moved the spectrum by {perm_dist:.3e} "
-            f"(tolerance {tolerance:.1e})")
-    return report
+    filt_dist = float(np.max(np.abs(eig_filt - eig_base)))
+    return SpectrumReport(eig_base, eig_perm, eig_filt, perm_dist, filt_dist)

@@ -29,12 +29,17 @@ from .backbone import Backbone, build
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import SyntheticDataset
-from .tensor import NonFiniteError, Tape, Tensor, softmax_cross_entropy
+from .tensor import (NonFiniteError, Tape, Tensor, _softmax_np,
+                     softmax_cross_entropy)
 
 __all__ = ["TrainAbort", "TrainResult", "cosine_lr", "AdamW", "train_run",
            "evaluate", "adaptive_weight_drift"]
 
 _FLOOR_FRAC = 1e-6  # cosine decays to this fraction of the peak rate
+# AdamW's moment decay rates and the term added to the update's
+# denominator.
+_ADAMW_BETAS = (0.9, 0.999)
+_ADAMW_EPS = 1e-8
 # f64 elements per AdamW update block: at most three 256 KiB scratch
 # buffers, sized to each parameter.
 _ADAMW_BLOCK = 1 << 15
@@ -77,10 +82,7 @@ class AdamW:
     formula.
     """
 
-    def __init__(self, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
@@ -92,7 +94,7 @@ class AdamW:
         so a backward sweep's gradients can be dropped once applied. Every
         parameter must receive exactly one pair."""
         self.t += 1
-        b1, b2, eps, wd = self.beta1, self.beta2, self.eps, self.weight_decay
+        (b1, b2), eps, wd = _ADAMW_BETAS, _ADAMW_EPS, self.weight_decay
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         missing = set(params)
@@ -153,11 +155,6 @@ class TrainResult:
         return float(sum(self.alpha_drift.values()))
 
 
-def _softmax_np(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def evaluate(model: Backbone, dataset: SyntheticDataset,
              batch_size: int = 64):
     """Top-1 accuracy and mean smoothed-free loss over the whole dataset.
@@ -172,7 +169,7 @@ def evaluate(model: Backbone, dataset: SyntheticDataset,
         logits = model.forward(Tensor(x, dtype=model.dtype)).data
         pred = logits.argmax(axis=1)
         correct += int((pred == y).sum())
-        p = _softmax_np(logits.astype(np.float64))
+        p = _softmax_np(logits.astype(np.float64), axis=1)
         total_nll += float(-np.log(
             np.maximum(p[np.arange(len(idx)), y], 1e-12)).sum())
     return correct / len(dataset), total_nll / len(dataset)
@@ -184,21 +181,19 @@ def adaptive_weight_drift(model: Backbone) -> dict[str, float]:
     for name, p in model.parameters().items():
         if not name.endswith(".weights.w"):
             continue
-        w = p.data.astype(np.float64)
-        alpha = np.exp(w - w.max())
-        alpha /= alpha.sum()
+        alpha = _softmax_np(p.data.astype(np.float64), axis=0)
         out[name.removesuffix(".weights.w")] = float(
             np.abs(alpha - 1.0 / alpha.size).sum())
     return out
 
 
-def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
-    """Train ``cfg`` from its seed, writing metrics and checkpoints. Each
-    step checks its loss before the backward, then AdamW consumes the
-    tape's sweep, updating each parameter as soon as its gradient is
-    final."""
+def train_run(cfg: RunConfig) -> TrainResult:
+    """Train ``cfg`` from its seed, writing metrics and checkpoints under
+    ``cfg.out_dir``. Each step checks its loss before the backward, then
+    AdamW consumes the tape's sweep, updating each parameter as soon as its
+    gradient is final."""
     cfg.validate()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = SyntheticDataset(cfg.image_size, cfg.num_classes,
                                cfg.dataset_size, cfg.noise, seed=cfg.seed)

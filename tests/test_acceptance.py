@@ -64,8 +64,9 @@ def test_criterion_09_learnability(tmp_path):
     print("\nscan-mode comparison (identical 150-step budget):")
     cmp_ok = True
     for mode in ("single_flatten", "multi_filter"):
-        run = train_run(cfg.with_overrides(steps=150, scan_mode=mode),
-                        tmp_path / "cmp" / f"scan-{mode}")
+        run = train_run(cfg.with_overrides(
+            steps=150, scan_mode=mode,
+            out_dir=str(tmp_path / "cmp" / f"scan-{mode}")))
         print(f"  {mode:<16} final_acc {run.final_acc:.4f} "
               f"final_loss {run.final_loss:.4f}")
         cmp_ok &= bool(np.isfinite(run.final_loss))

@@ -68,7 +68,7 @@ def test_benchmark_entry_points_run_under_the_wrappers(monkeypatch,
                     checkpoint_interval=0)
     with _benchmark_wrappers(monkeypatch) as (_, m):
         report = analysis.gradcheck_suite(backbone.desk(), 1)
-        train_run(cfg, tmp_path)
+        train_run(cfg.with_overrides(out_dir=str(tmp_path)))
     assert report.passed and report.entries
     assert len(m.losses) == 2 and not m.flop_errors
     assert _listing() == before

@@ -1,14 +1,17 @@
-"""``tensor.py``, ``ssm.py``, ``scan.py``, ``block.py`` and ``backbone.py``
-define only what the model runs.
+"""``tensor.py``, ``ssm.py``, ``scan.py``, ``block.py``, ``backbone.py``,
+``train.py`` and ``checkpoint.py`` define only what the model and its
+training run.
 
-A profile hook records every function called from the five modules while
+A profile hook records every function called from the seven modules while
 the named variants are configured and desk models are built, counted, run
 forward on a tape and swept backward, in every scan mode and once more with
 the optional scan features on; an f32 train-mode step with drop-path and
 the cross-entropy loss, a forward under the flop counter, the segment-input
-walk and the conv baseline's feature maps run too. Each top-level function
-and class method the modules define must be among them, so
-verification-only code cannot settle in a model module unnoticed.
+walk and the conv baseline's feature maps run too, and so does a 2-step
+desk training run whose final checkpoint is loaded into a fresh model and
+evaluated. Each top-level function and class method the modules define
+must be among them, so verification-only code cannot settle in a model
+module unnoticed.
 """
 
 import ast
@@ -18,10 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from mfil import backbone as bb
-from mfil import block, scan, ssm, tensor
+from mfil import block, checkpoint, scan, ssm, tensor, train
+from mfil.checkpoint import load_checkpoint, load_into
+from mfil.config import RunConfig
+from mfil.data import SyntheticDataset
 from mfil.scan import SCAN_MODES
 from mfil.tensor import (Tape, Tensor, flop_counter, mul,
                          softmax_cross_entropy, tsum)
+from mfil.train import evaluate, train_run
 
 # Defined but not run by the model, each with the reason it stays.
 ALLOWED_UNCALLED = {
@@ -45,8 +52,9 @@ ALLOWED_UNCALLED = {
        for name in ("orthogonal_maps", "dynamic_map", "stack_scans")},
     "block.MfilBlock.forward": "the segments call its two halves; "
                                "perfbench/spans.py wraps it by name",
+    "train.TrainAbort.__init__": "the abort path, which test_train covers",
 }
-MODULES = (tensor, ssm, scan, block, bb)
+MODULES = (tensor, ssm, scan, block, bb, train, checkpoint)
 
 
 def _defined(module) -> set[str]:
@@ -99,10 +107,26 @@ def _train_step_and_counted_forward():
     assert fc.total == bb.count_flops(config, 32, 32, batch=2)
 
 
-def _model_runs():
+def _train_and_reload(out_dir):
+    """A 2-step desk training run with drop-path; its final checkpoint,
+    loaded into a fresh model, evaluates to the run's final accuracy and
+    loss."""
+    cfg = RunConfig(steps=2, batch_size=8, dataset_size=16, drop_path=0.1,
+                    checkpoint_interval=1, out_dir=str(out_dir))
+    result = train_run(cfg)
+    assert result.total_drift > 0.0
+    model = bb.build(cfg.model_config(), seed=cfg.seed + 1, dtype=cfg.dtype)
+    load_into(model.parameters(), load_checkpoint(result.checkpoints[-1]))
+    dataset = SyntheticDataset(cfg.image_size, cfg.num_classes,
+                               cfg.dataset_size, cfg.noise, seed=cfg.seed)
+    assert evaluate(model, dataset, cfg.batch_size) == (
+        result.final_acc, result.final_loss)
+
+
+def _model_runs(out_dir):
     """Count each named variant, tape a desk step per config, train and
-    count one more, and walk the last model's segment inputs and the conv
-    baseline's feature maps."""
+    count one more, walk the last model's segment inputs and the conv
+    baseline's feature maps, and run and reload a short training run."""
     for variant in bb.VARIANTS.values():
         bb.count_flops(variant(), 224, 224)
     configs = [bb.desk(scan_mode=mode) for mode in SCAN_MODES]
@@ -113,9 +137,10 @@ def _model_runs():
     _train_step_and_counted_forward()
     model.segment_inputs(images)
     bb.build_conv_baseline(bb.desk(), seed=0).forward_features(images)
+    _train_and_reload(out_dir)
 
 
-def test_model_modules_define_only_what_the_model_runs():
+def test_model_modules_define_only_what_the_model_runs(tmp_path):
     modules = {m.__file__: m.__name__.rsplit(".", 1)[-1] for m in MODULES}
     called = set()
 
@@ -129,7 +154,7 @@ def test_model_modules_define_only_what_the_model_runs():
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        _model_runs()
+        _model_runs(tmp_path)
     finally:
         sys.setprofile(previous)
 

@@ -218,6 +218,22 @@ def test_spectrum_report_rejects_asymmetric(rng):
         theory.spectrum_report(rng.standard_normal((4, 4)), perm, filt)
 
 
+def test_spectrum_report_rejects_a_filter_that_changes_the_grid(rng):
+    # An unpadded 3x3 filter maps the 4x4 grid to 2x2: a [4, 16] operator.
+    perm = theory.permutation_matrix(rng.permutation(16))
+    filt = theory.conv_as_matrix(np.ones((3, 3)), 4, 4)
+    with pytest.raises(ValueError, match=r"\(4, 16\).*\(16, 16\)"):
+        theory.spectrum_report(np.eye(16), perm, filt)
+
+
+def test_spectrum_report_returns_a_moved_spectrum_as_its_verdict():
+    # 2I is no permutation: it scales every eigenvalue of I by four.
+    filt = theory.conv_as_matrix(np.array([[1.0]]), 3, 3)
+    rep = theory.spectrum_report(np.eye(9), 2.0 * np.eye(9), filt)
+    assert rep.permutation_distance == 3.0
+    assert not rep.permutation_invariant
+
+
 def test_report_text_format(rng):
     samples = rng.standard_normal((50, 9))
     m = theory.empirical_moments(samples)

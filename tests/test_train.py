@@ -157,7 +157,7 @@ def test_cosine_schedule_shape():
 def test_adamw_single_step_hand_computed():
     p = Tensor(np.array([2.0]))
     g = np.array([0.5])
-    opt = AdamW(betas=(0.9, 0.999), eps=1e-8, weight_decay=0.1)
+    opt = AdamW(weight_decay=0.1)
     opt.step({"p": p}, {"p": g}.items(), lr=0.01)
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
@@ -186,7 +186,7 @@ def test_adamw_blocked_update_equals_whole_array_formula():
     want_m = {k: np.zeros(v.shape) for k, v in init.items()}
     want_v = {k: np.zeros(v.shape) for k, v in init.items()}
     b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
-    opt = AdamW(betas=(b1, b2), eps=eps, weight_decay=wd)
+    opt = AdamW(weight_decay=wd)
     for t in range(1, 4):
         grads = {k: rng.standard_normal(v.shape).astype(v.dtype)
                  for k, v in init.items()}
@@ -219,8 +219,8 @@ def _short_cfg(tmp_path, **kw):
 
 def test_training_deterministic_bit_identical(tmp_path):
     cfg = _short_cfg(tmp_path)
-    r1 = train_run(cfg, tmp_path / "a")
-    r2 = train_run(cfg, tmp_path / "b")
+    r1 = train_run(cfg.with_overrides(out_dir=str(tmp_path / "a")))
+    r2 = train_run(cfg.with_overrides(out_dir=str(tmp_path / "b")))
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
     assert r1.final_acc == r2.final_acc
@@ -296,7 +296,7 @@ def test_training_step_leaves_scipy_linalg_unloaded(tmp_path):
     code = ("import sys, mfil\n"
             "from mfil.train import train_run\n"
             "train_run(mfil.RunConfig(steps=1, dataset_size=32, "
-            f"checkpoint_interval=0), {str(tmp_path)!r})\n"
+            f"checkpoint_interval=0, out_dir={str(tmp_path)!r}))\n"
             "print('scipy.linalg' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
@@ -365,7 +365,7 @@ def test_streamed_step_frees_graph_and_gradients_during_the_sweep(
     monkeypatch.setattr(Tape, "sweep", marked_sweep)
     tracemalloc.start()
     try:
-        train_run(cfg, tmp_path)
+        train_run(cfg.with_overrides(out_dir=str(tmp_path)))
     finally:
         tracemalloc.stop()
     events = [e for e, _, _ in marks]
