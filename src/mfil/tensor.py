@@ -21,10 +21,9 @@ import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
-    "Tensor", "Tape", "ShapeError", "NonFiniteError",
+    "Tensor", "Tape", "ShapeError", "NonFiniteError", "TapeOrderError",
     "add", "sub", "mul", "neg",
     "exp", "sigmoid", "silu", "gelu", "softplus", "softmax",
     "tsum", "tmean", "reshape", "transpose", "concat", "slice_axis",
@@ -44,6 +43,10 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """Raised when an operation produces NaN or Inf from finite inputs."""
+
+
+class TapeOrderError(RuntimeError):
+    """Raised when a tape exits while it is not this thread's innermost."""
 
 
 def _as_np_dtype(dtype):
@@ -167,8 +170,11 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _stack("tapes").pop()
-        assert popped is self
+        stack = _stack("tapes")
+        if not stack or stack[-1] is not self:
+            raise TapeOrderError("a tape exited while it was not the "
+                                 "innermost active tape")
+        stack.pop()
         return False
 
     @property
@@ -440,10 +446,74 @@ _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04,
 
 def _horner(z2, coeffs, out):
     np.multiply(z2, coeffs[0], out=out)
-    np.add(out, coeffs[1], out=out)
+    out += coeffs[1]
     for c in coeffs[2:]:
-        np.multiply(out, z2, out=out)
-        np.add(out, c, out=out)
+        out *= z2
+        out += c
+
+
+# Cephes ndtr.c's f64 erf, the code scipy's erf evaluates, with its
+# coefficients and its operations in its order, so every result has
+# scipy's bytes: erf(x) = x * T(x^2) / U(x^2) for |x| <= 1, else
+# +-(1 - erfc(|x|)), where erfc(a) = exp(-a^2) * P(a) / Q(a) below 8 and
+# exp(-a^2) * R(a) / S(a) from 8, and 0 once -a^2 < -_CEPHES_MAXLOG.
+# Highest power first; U, Q and S are monic.
+_CEPHES_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+             2.23200534594684319226E3, 7.00332514112805075473E3,
+             5.55923013010394962768E4)
+_CEPHES_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+             4.59432382970980127987E3, 2.26290000613890934246E4,
+             4.92673942608635921086E4)
+_CEPHES_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+             7.46321056442269912687E0, 4.86371970985681366614E1,
+             1.96520832956077098242E2, 5.26445194995477358631E2,
+             9.34528527171957607540E2, 1.02755188689515710272E3,
+             5.57535335369399327526E2)
+_CEPHES_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+             3.54937778887819891062E2, 9.75708501743205489753E2,
+             1.82390916687909736289E3, 2.24633760818710981792E3,
+             1.65666309194161350182E3, 5.57535340817727675546E2)
+_CEPHES_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+             5.01905042251180477414E0, 6.16021097993053585195E0,
+             7.40974269950448939160E0, 2.97886665372100240670E0)
+_CEPHES_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+             1.20489539808096656605E1, 1.70814450747565897222E1,
+             9.60896809063285878198E0, 3.36907645100081516050E0)
+_CEPHES_MAXLOG = 7.09782712893383996843E2
+
+
+def _erf(x):
+    """erf of an f64 array, byte-identical to scipy's erf; NaN gives the
+    canonical NaN."""
+    if x.max(initial=0.0) <= 1.0 and x.min(initial=0.0) >= -1.0:  # NaN fails
+        z = x * x
+        p, q = np.empty_like(z), np.empty_like(z)
+        _horner(z, _CEPHES_T, p)
+        _horner(z, _CEPHES_U, q)
+        p *= x
+        p /= q
+        return p
+    out = np.full_like(x, np.nan)
+    a = np.abs(x)
+    small, tail = a <= 1.0, a > 1.0  # a NaN is in neither
+    out[small] = _erf(x[small])
+    a = a[tail]
+    with np.errstate(over="ignore"):  # a^2 = inf: erfc is 0
+        e = -(a * a)
+    live = e >= -_CEPHES_MAXLOG
+    erfc = np.zeros_like(a)
+    for part, num, den in ((live & (a < 8.0), _CEPHES_P, _CEPHES_Q),
+                           (live & (a >= 8.0), _CEPHES_R, _CEPHES_S)):
+        ap = a[part]
+        p, q = np.empty_like(ap), np.empty_like(ap)
+        _horner(ap, num, p)
+        _horner(ap, den, q)
+        # Cephes calls libm's exp. numpy's own f64 exp differs from it by
+        # an ulp on some inputs; the complex exp of a real argument is
+        # libm's.
+        erfc[part] = np.exp(e[part].astype(np.complex128)).real * p / q
+    out[tail] = np.copysign(1.0 - erfc, x[tail])
+    return out
 
 
 def _gelu_f32(x, with_factor: bool):
@@ -479,15 +549,18 @@ def _gelu_f32(x, with_factor: bool):
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, erf form: exact erf at f64, Eigen's
-    rational erf (<= 7.5 ulp) at f32. A taped call keeps only the
-    derivative factor phi + x * pdf(x), which its backward multiplies by."""
+    """Gaussian error linear unit, erf form: scipy's Cephes erf
+    (``_erf``) at f64, Eigen's rational erf (<= 7.5 ulp) at f32. A taped
+    call keeps only the derivative factor phi + x * pdf(x), which its
+    backward multiplies by."""
     x = a.data
     taped = recording((a,))
     if x.dtype == np.float32:
         out, factor = _gelu_f32(x, taped)
     else:
-        phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+        phi = _erf(x * _INV_SQRT2)
+        phi += 1.0
+        phi *= 0.5
         out = x * phi
         factor = (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
                   if taped else None)

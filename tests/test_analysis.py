@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,31 @@ def test_erf_map_invariants(rng):
     assert 0.0 <= m.coverage() <= 1.0
     with pytest.raises(ValueError, match="non-negative"):
         ErfMap(-grid)
+    with pytest.raises(ValueError, match="max-normalized"):
+        ErfMap(2.0 * grid)
+
+
+def test_named_errors_survive_python_O():
+    """``python -O`` strips asserts; an unnormalized ErfMap and a tape
+    exiting out of order still raise their named errors under it."""
+    src = Path(analysis.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import numpy as np\n"
+            "from mfil.analysis import ErfMap\n"
+            "from mfil.tensor import Tape, TapeOrderError\n"
+            "try:\n"
+            "    ErfMap(np.array([[2.0, 0.5]]))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+            "try:\n"
+            "    Tape().__exit__(None, None, None)\n"
+            "except TapeOrderError:\n"
+            "    print('TapeOrderError')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "TapeOrderError"]
 
 
 def test_erf_normalized_max_one(rng):
@@ -369,6 +398,16 @@ def test_gradcheck_corrupted_backward_names_offenders(monkeypatch):
     assert rep.failures  # offending groups are named
     assert all(rep.entries[name] > analysis.GRADCHECK_TOLERANCE
                for name in rep.failures)
+
+
+def test_gradcheck_fails_a_nan_error(monkeypatch):
+    """A NaN relative error is recorded and fails its group; a fold with
+    ``max`` would keep the group's 0.0 and pass it."""
+    monkeypatch.setattr(analysis, "_grad_error", lambda a, n: float("nan"))
+    rep = gradcheck_suite(bb.desk(), seed=1)
+    assert not rep.passed
+    assert rep.failures == list(rep.entries)
+    assert all(np.isnan(e) for e in rep.entries.values())
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,28 @@ def test_training_step_leaves_scipy_linalg_unloaded(tmp_path):
     assert proc.stdout.split() == ["False"]
 
 
+def test_f64_forward_leaves_scipy_special_unloaded():
+    """The f64 GELU evaluates its own erf, so importing mfil and its CLI
+    and running a taped desk f64 forward does not load scipy.special."""
+    src = Path(mfil.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, numpy as np, mfil, mfil.cli\n"
+            "from mfil import backbone as bb\n"
+            "from mfil.tensor import Tape, Tensor, tsum\n"
+            "model = bb.build(bb.desk(), seed=0, dtype='f64')\n"
+            "x = Tensor(np.random.default_rng(0).standard_normal("
+            "(1, 3, 32, 32)))\n"
+            "with Tape() as tape:\n"
+            "    tsum(model.forward(x))\n"
+            "print(any(n.name == 'gelu' for n in tape.nodes))\n"
+            "print('scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_training_holds_one_graph_at_a_time(tmp_path, monkeypatch, no_gc):
     """With the cyclic collector off, steps 2 and 3 peak within a few percent
     of step 1 plus the AdamW moments its update creates: a step's graph and
