@@ -213,6 +213,13 @@ def rel_err(got, want) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
+def max_err(*errors) -> float:
+    """The largest of ``errors``, or NaN if any is NaN. Python's ``max``
+    drops a NaN that is not its first argument, so a NaN error would pass
+    a ``<=`` tolerance."""
+    return float(np.max(errors))
+
+
 def stencil_points(x, h: float) -> tuple:
     """The perturbed values of the central stencil, in evaluation order:
     x + h, x - h, x + 2h, x - 2h."""

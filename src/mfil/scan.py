@@ -214,6 +214,7 @@ def filter_views(x: Tensor, bank: FilterBank | None,
     node. x's gradient is summed in the order the sweep summed those
     nodes': the input rows' in row order, then the dynamic, Sobel-x and
     Sobel-y terms. The Sobel kernels are constants and take no gradient.
+    The backward keeps x and rebuilds the first-stage maps from it.
     ``bank`` may be None only when the rows read just the input.
     """
     if scan_mode not in SCAN_VIEWS:
@@ -233,7 +234,7 @@ def filter_views(x: Tensor, bank: FilterBank | None,
         [bank.dyn_depthwise] if dynamic else [])
     kernels = (([bank.refine_h, bank.refine_v] if orthogonal else [])
                + ([bank.dyn_depthwise, bank.dyn_pointwise] if dynamic else []))
-    filtered = taps1 = taps2 = cols = kmat = None
+    taps1 = taps2 = kmat = None
     if first:
         taps1 = _depthwise_taps(first)
         filtered = _window_tap_sum([x.data], taps1, 1, h, w)
@@ -250,8 +251,9 @@ def filter_views(x: Tensor, bank: FilterBank | None,
         maps["dynamic"] = (cols @ kmat.T).reshape(b, h, w, c)
         _tally(b * h * w * c * c)
     out = np.stack([maps[m] for m, _ in rows], axis=1)
-    # Only the dynamic depthwise kernel's gradient reads x.
-    x_saved = x.data if dynamic else None
+    # The backward rebuilds the first-stage maps from x rather than keep
+    # them; the dynamic depthwise kernel's gradient reads x itself.
+    x_saved = x.data if first else None
 
     def bwd(g):
         views = g.reshape(b, n, h, w, c)
@@ -264,6 +266,7 @@ def filter_views(x: Tensor, bank: FilterBank | None,
                 gx = piece[m] if gx is None else gx + piece[m]
         if taps1 is None:
             return (gx,)
+        filtered = _window_tap_sum([x_saved], taps1, 1, h, w)
         # Per kernel: the map it read and its output's gradient; per
         # filter that reads x, its output's gradient, in ``first`` order.
         read, g_out, g_first, g_pw = [], [], [], ()
@@ -274,6 +277,7 @@ def filter_views(x: Tensor, bank: FilterBank | None,
                                             flip=True))
         if dynamic:
             g2 = piece["dynamic"].reshape(b * h * w, c)
+            cols = np.ascontiguousarray(filtered[-1, ..., :c]).reshape(-1, c)
             g_pw = ((g2.T @ cols).reshape(c, c, 1, 1),)
             g_dyn = (g2 @ kmat).reshape(b, h, w, c)
             g_dyn += 0.0  # -0.0 -> +0.0, as conv2d's zero-grid scatter does

@@ -14,7 +14,9 @@ delta -> 0.
 A scan records four nodes: the x_proj ``linear``, the slice of its step
 columns, the dt_proj ``linear`` without its bias, and ``ssm_scan``, which
 forms delta = softplus(dt + dt_bias) and A = -exp(A_log), reads B and C
-from the x_proj output, and runs ``recurrence``. Its sequential oracle is
+from the x_proj output, and runs ``recurrence``. The recurrence's backward
+rule is ``bwd(gy, delta)``: it keeps no delta, and ``ssm_scan`` rebuilds
+delta from the pre-activation it keeps. The scan's sequential oracle is
 ``mfil.reference.selective_scan_reference``; the zero-order-hold and
 kernel-form oracles of the time-invariant case live in ``mfil.reference``
 too, and ``reference.discretize_zoh`` shares ``_zoh_weight`` with the scan.
@@ -105,7 +107,7 @@ def recurrence(u, delta, a, b, c, d_skip, *,
                taped: bool = False):
     """The scan on arrays: y for u, delta [B, L, C], a [C, N], b, c
     [B, L, N] and d_skip [C], and with ``taped`` its backward rule,
-    gy -> (g_u, g_delta, g_a, g_b, g_c, g_d_skip); else None.
+    (gy, delta) -> (g_u, g_delta, g_a, g_b, g_c, g_d_skip); else None.
 
     Each batch row is one sequence whose state starts at zero. The
     recurrence runs sequentially over L but is vectorized over (B, C, N);
@@ -113,7 +115,9 @@ def recurrence(u, delta, a, b, c, d_skip, *,
     bound the working set, with the hidden state carried across chunk
     boundaries, and the readout is formed chunk by chunk. Only a taped call
     keeps every state h[t], which its backward reads; exp(delta * A) is
-    recomputed there.
+    recomputed there. The rule does not keep delta: the caller passes the
+    forward's delta back in, which ``ssm_scan`` rebuilds from its
+    pre-activation.
     """
     bsz, length, ch = u.shape
     n = a.shape[1]
@@ -138,7 +142,7 @@ def recurrence(u, delta, a, b, c, d_skip, *,
     if not taped:
         return y, None
 
-    def bwd(gy):
+    def bwd(gy, delta):
         g_c = np.einsum("blc,blcn->bln", gy, h_all)
         g_d = np.einsum("blc,blc->c", gy, u)
         g_u = gy * d_skip[None, None, :]
@@ -197,6 +201,8 @@ def ssm_scan(u: Tensor, dt: Tensor, a_log: Tensor, proj: Tensor,
     gradients the products and sums those nodes' rules take, so the bytes
     are those of the graph that runs them as nodes. The step-size
     pre-activation, delta and exp(A_log) are each checked to be finite.
+    The backward keeps the pre-activation, which the softplus gradient
+    reads, and rebuilds delta from it rather than keeping both.
     """
     bsz, length, ch = u.shape
     n = a_log.shape[1]
@@ -222,7 +228,9 @@ def ssm_scan(u: Tensor, dt: Tensor, a_log: Tensor, proj: Tensor,
         taped=recording(inputs))
 
     def bwd(gy):
-        g_u, g_delta, g_a, g_b, g_c, g_d = scan_bwd(gy)
+        with np.errstate(over="ignore"):  # the forward's delta, rebuilt
+            delta = _softplus_np(pre)
+        g_u, g_delta, g_a, g_b, g_c, g_d = scan_bwd(gy, delta)
         g_pre = g_delta * _sigmoid_np(pre)
         g_proj = np.zeros((bsz, length, width), dtype=gy.dtype)
         g_proj[..., width - 2 * n:width - n] = g_b

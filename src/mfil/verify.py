@@ -24,7 +24,8 @@ from .analysis import (GRADCHECK_TOLERANCE, VERIFICATION_SEEDS, erf,
 from .checkpoint import (CheckpointError, load_checkpoint, load_into,
                          save_checkpoint)
 from .config import RunConfig
-from .reference import causal_conv, discretize_zoh, lti_kernel, rel_err
+from .reference import (causal_conv, discretize_zoh, lti_kernel, max_err,
+                        rel_err)
 from .scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, adaptive_merge,
                    merge_views, stack_scans, unstack_scans)
 from .ssm import SsmCore, recurrence, selective_scan
@@ -62,24 +63,24 @@ def suite_oracles(quick: bool = False) -> SuiteResult:
         xc = Tensor(x.transpose(0, 2, 3, 1))
         got = conv2d(xc, Tensor(k), stride, pad).data.transpose(0, 3, 1, 2)
         want = reference.conv2d_reference(x, k, stride, pad)
-        worst = max(worst, rel_err(got, want))
+        worst = max_err(worst, rel_err(got, want))
         kd = rng.standard_normal((ci, 1, kh, kw))
         got = depthwise_conv2d(xc, Tensor(kd),
                                stride, pad).data.transpose(0, 3, 1, 2)
         want = reference.depthwise_conv2d_reference(x, kd, stride, pad)
-        worst = max(worst, rel_err(got, want))
+        worst = max_err(worst, rel_err(got, want))
         xm = rng.standard_normal((3, 4))
         wm = rng.standard_normal((5, 4))
         bv = rng.standard_normal(5)
         got = linear(Tensor(xm), Tensor(wm), Tensor(bv)).data
-        worst = max(worst,
-                    rel_err(got, reference.linear_reference(xm, wm, bv)))
+        worst = max_err(worst,
+                        rel_err(got, reference.linear_reference(xm, wm, bv)))
         xl = rng.standard_normal((2, 3, 6))
         gam = rng.standard_normal(6)
         bet = rng.standard_normal(6)
         got = layer_norm(Tensor(xl), Tensor(gam), Tensor(bet)).data
-        worst = max(worst,
-                    rel_err(got, reference.layer_norm_reference(xl, gam, bet)))
+        worst = max_err(
+            worst, rel_err(got, reference.layer_norm_reference(xl, gam, bet)))
     lines.append(f"loop-nest worst rel: {worst:.3e} (tol 1e-6)")
     ok &= worst <= 1e-6
     s0 = silu(Tensor(np.zeros(1))).data[0]
@@ -97,13 +98,13 @@ def suite_zoh(quick: bool = False) -> SuiteResult:
     lines = []
     ok = True
     a_bar, b_bar = discretize_zoh(-1.0, 1.0, np.log(2.0))
-    err = max(abs(float(a_bar) - 0.5), abs(float(b_bar) - 0.5))
+    err = max_err(abs(float(a_bar) - 0.5), abs(float(b_bar) - 0.5))
     lines.append(f"scalar case |err|: {err:.2e} (tol 1e-12)")
     ok &= err <= 1e-12
     delta = 1e-12
     a_bar, b_bar = discretize_zoh(np.array([-1.0]), np.array([1.0]), delta)
-    err = max(abs(float(a_bar[0]) - 1.0),
-              abs(float(b_bar[0]) - delta) / delta)
+    err = max_err(abs(float(a_bar[0]) - 1.0),
+                  abs(float(b_bar[0]) - delta) / delta)
     lines.append(f"limit branch rel err: {err:.2e} (tol 1e-6)")
     ok &= err <= 1e-6
     rng = np.random.default_rng(3)
@@ -112,7 +113,7 @@ def suite_zoh(quick: bool = False) -> SuiteResult:
     a1, b1 = discretize_zoh(np.diag(diag), bvec.reshape(4, 1), 0.37,
                             diagonal=False)
     a2, b2 = discretize_zoh(diag, bvec, 0.37)
-    err = max(rel_err(np.diag(a1), a2), rel_err(b1.ravel(), b2))
+    err = max_err(rel_err(np.diag(a1), a2), rel_err(b1.ravel(), b2))
     lines.append(f"general vs diagonal rel err: {err:.2e} (tol 1e-9)")
     ok &= err <= 1e-9
     try:
@@ -147,7 +148,7 @@ def suite_lti(quick: bool = False) -> SuiteResult:
             np.tile(b, (1, length, 1)), np.tile(c, (1, length, 1)),
             np.zeros(1), exact_input_discretization=True)[0][0, :, 0]
         y_conv = causal_conv(x, lti_kernel(a_bar, b_bar, c, length))
-        worst = max(worst, rel_err(y_conv, y_scan))
+        worst = max_err(worst, rel_err(y_conv, y_scan))
     lines = [f"{cases} systems, worst rel: {worst:.3e} (tol 1e-6)"]
     return SuiteResult("lti", worst <= 1e-6, lines)
 
@@ -168,7 +169,7 @@ def suite_scan(quick: bool = False) -> SuiteResult:
         x = Tensor(rng.standard_normal((bsz, length, ch)))
         fast = selective_scan(x, core).data
         ref = reference.selective_scan_reference(x.data, core)
-        worst = max(worst, rel_err(fast, ref))
+        worst = max_err(worst, rel_err(fast, ref))
     lines = [f"{cases} cases fast vs reference, worst rel: {worst:.3e} "
              "(tol 1e-5)"]
     ok = worst <= 1e-5
@@ -196,8 +197,8 @@ def suite_gradcheck(quick: bool = False) -> SuiteResult:
     worst = 0.0
     for seed in seeds:
         rep = gradcheck_suite(bb.desk(), seed=seed)
-        seed_worst = max(rep.entries.values())
-        worst = max(worst, seed_worst)
+        seed_worst = max_err(*rep.entries.values())
+        worst = max_err(worst, seed_worst)
         lines.append(f"seed {seed}: worst rel {seed_worst:.2e} "
                      f"({len(rep.entries)} groups); "
                      f"evaluations: {rep.evaluations()}")
@@ -236,7 +237,7 @@ def suite_covariance(quick: bool = False) -> SuiteResult:
             f_j = theory.conv_as_matrix(k_j, 6, 6,
                                         padding=(k_j.shape[0] - 1) // 2)
             rep = theory.verify_filter_identity(f_i, f_j, moments, samples)
-        worst = max(worst, rep.max_abs_error)
+        worst = max_err(worst, rep.max_abs_error)
         ok &= rep.passed
     lines.append(f"{n_pairs} operator pairs, worst max-abs: {worst:.3e} "
                  f"(tol {theory.IDENTITY_TOLERANCE:.0e})")
@@ -258,8 +259,8 @@ def suite_covariance(quick: bool = False) -> SuiteResult:
         via_matrix = op @ z.ravel()
         via_conv = conv2d(Tensor(z[None, :, :, None]),
                           Tensor(SOBEL_X[None, None]), 1, 1).data.ravel()
-        conv_worst = max(conv_worst, float(np.max(np.abs(
-            via_matrix - via_conv))))
+        conv_worst = max_err(conv_worst,
+                             np.max(np.abs(via_matrix - via_conv)))
     lines.append(f"conv-as-matrix vs conv2d max-abs: {conv_worst:.3e} "
                  "(tol 1e-10)")
     ok &= conv_worst <= 1e-10

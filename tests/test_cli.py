@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mfil
-from mfil import cli, verify
+from mfil import analysis, cli, reference, verify
 from mfil import tensor as T
 from mfil.checkpoint import save_checkpoint
 from mfil.cli import main
@@ -269,6 +269,44 @@ def test_verify_crashing_suite_fails_and_the_next_still_runs(monkeypatch,
     assert "    exception: RuntimeError: boom" in out
     assert "[merge] PASS" in out
     assert "VERIFY: FAIL (zoh)" in out
+
+
+def _nan_b_bar(*args, **kwargs):
+    a_bar, b_bar = reference.discretize_zoh(*args, **kwargs)
+    return a_bar, b_bar * np.nan
+
+
+def _nan_conv2d(*args):
+    return T.Tensor(T.conv2d(*args).data * np.nan, check_finite=False)
+
+
+def _nan(*args):
+    return float("nan")
+
+
+# suite -> (module, name, replacement) that turns the suite's errors NaN.
+# The zoh and covariance patches leave the first error of each fold finite.
+_NAN_SOURCES = {
+    "oracles": (verify, "rel_err", _nan),
+    "zoh": (verify, "discretize_zoh", _nan_b_bar),
+    "lti": (verify, "rel_err", _nan),
+    "scan": (verify, "rel_err", _nan),
+    "covariance": (verify, "conv2d", _nan_conv2d),
+    "gradcheck": (analysis, "_grad_error", _nan),
+}
+
+
+@pytest.mark.parametrize("suite", list(_NAN_SOURCES))
+def test_a_nan_error_fails_its_suite(suite, monkeypatch):
+    """A NaN error fails its suite by the verdict, not by a crash, and the
+    printed worst reads nan: a fold with Python's ``max`` keeps a finite
+    earlier error, and the NaN passes."""
+    module, name, replacement = _NAN_SOURCES[suite]
+    monkeypatch.setattr(module, name, replacement)
+    [result] = verify.run_suites([suite], quick=True, log=lambda *a: None)
+    assert not result.passed, result.lines
+    assert not any(line.startswith("exception") for line in result.lines)
+    assert any(" nan" in line for line in result.lines), result.lines
 
 
 def test_run_suites_rejects_unknown_names():

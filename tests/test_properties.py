@@ -313,7 +313,8 @@ def _chain_scan(x, core):
         *(t.data for t in inputs),
         exact_input_discretization=core.exact_input_discretization,
         taped=recording(inputs))
-    return record_op("ssm_scan", inputs, y, bwd)
+    return record_op("ssm_scan", inputs, y,
+                     bwd and (lambda gy: bwd(gy, delta.data)))
 
 
 _CHAINS = {"filter_views": _chain_views, "selective_scan": _chain_scan}
