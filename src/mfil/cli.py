@@ -160,9 +160,13 @@ def _report_covariance() -> int:
     p_i = theory.permutation_matrix(rng.permutation(36))
     p_j = theory.permutation_matrix(rng.permutation(36))
     sob = theory.conv_as_matrix(SOBEL_X, 6, 6, padding=1)
-    print(theory.verify_permutation_identity(p_i, p_j, moments, samples))
-    print(theory.verify_filter_identity(sob, sob, moments, samples))
-    print(theory.spectrum_report(moments.covariance, p_i, sob))
+    spectrum = theory.spectrum_report(moments.covariance, p_i, sob)
+    for check in (theory.verify_permutation_identity(p_i, p_j, moments,
+                                                     samples),
+                  theory.verify_filter_identity(sob, sob, moments, samples),
+                  spectrum.invariance):
+        print(f"{check} -> {'PASS' if check.passed else 'FAIL'}")
+    print(f"spectrum.filter_distance: {spectrum.filter_distance:.3e}")
     return 0
 
 

@@ -16,6 +16,8 @@ cover the arithmetic the scan runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .ssm import _ZOH_LIMIT, _zoh_weight
@@ -218,6 +220,28 @@ def max_err(*errors) -> float:
     drops a NaN that is not its first argument, so a NaN error would pass
     a ``<=`` tolerance."""
     return float(np.max(errors))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verification verdict. With a ``tolerance`` it passes when
+    ``value <= tolerance``, so a NaN fails; without one, ``value`` is a
+    fact (a bool) and is the verdict. ``str`` is its printed line."""
+
+    label: str
+    value: float | bool
+    tolerance: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        if self.tolerance is None:
+            return bool(self.value)
+        return bool(self.value <= self.tolerance)
+
+    def __str__(self):
+        if self.tolerance is None:
+            return f"{self.label}: {bool(self.value)}"
+        return f"{self.label}: {self.value:.3e} (tol {self.tolerance:g})"
 
 
 def stencil_points(x, h: float) -> tuple:

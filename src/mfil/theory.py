@@ -8,7 +8,10 @@ operator F, and the corresponding identity Sigma_ij = F_i Sigma F_j^T
 reweights and reorients the covariance, moving the spectrum. Both identities
 are linear in Sigma, so they hold exactly on finite-sample moments; this
 module checks them numerically on small grids where the operators fit in
-explicit matrices. Spectra come from ``np.linalg.eigvalsh``.
+explicit matrices. Spectra come from ``np.linalg.eigvalsh``. Each verdict
+is a ``reference.Check`` held to this module's ``IDENTITY_TOLERANCE`` or
+``SPECTRUM_TOLERANCE``, so ``mfil verify`` and ``mfil report`` print the
+same verdict.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reference import Check
+
 __all__ = [
     "EmpiricalMoments", "empirical_moments", "permutation_matrix",
     "conv_as_matrix", "cross_covariance", "verify_permutation_identity",
-    "verify_filter_identity", "spectrum_report", "IdentityReport",
-    "SpectrumReport",
+    "verify_filter_identity", "spectrum_report", "SpectrumReport",
 ]
 
 _MAX_GRID = 16
@@ -113,37 +117,20 @@ def cross_covariance(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (xc.T @ yc) / n
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-
-    def lines(self):
-        return [f"{self.name}.max_abs_error: {self.max_abs_error:.3e}",
-                f"{self.name}.tolerance: {self.tolerance:.1e}",
-                f"{self.name}.passed: {self.passed}"]
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
 def _verify_identity(name, op_i: np.ndarray, op_j: np.ndarray,
-                     moments: EmpiricalMoments, samples) -> IdentityReport:
+                     moments: EmpiricalMoments, samples) -> Check:
     x = np.asarray(samples, dtype=np.float64).reshape(len(samples), -1)
     xi = x @ op_i.T
     xj = x @ op_j.T
     lhs = cross_covariance(xi, xj)
     rhs = op_i @ moments.covariance @ op_j.T
-    err = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport(name, err, IDENTITY_TOLERANCE,
-                          err <= IDENTITY_TOLERANCE)
+    return Check(f"{name}.max_abs_error", float(np.max(np.abs(lhs - rhs))),
+                 IDENTITY_TOLERANCE)
 
 
 def verify_permutation_identity(p_i: np.ndarray, p_j: np.ndarray,
                                 moments: EmpiricalMoments,
-                                samples) -> IdentityReport:
+                                samples) -> Check:
     """Cross-covariance of reordered copies equals P_i Sigma P_j^T.
 
     An exact linear-algebra identity on the empirical moments, held to
@@ -165,7 +152,7 @@ def verify_permutation_identity(p_i: np.ndarray, p_j: np.ndarray,
 
 def verify_filter_identity(f_i: np.ndarray, f_j: np.ndarray,
                            moments: EmpiricalMoments,
-                           samples) -> IdentityReport:
+                           samples) -> Check:
     """Cross-covariance of filtered copies equals F_i Sigma F_j^T."""
     return _verify_identity("filter_identity", f_i, f_j, moments, samples)
 
@@ -179,18 +166,10 @@ class SpectrumReport:
     filter_distance: float
 
     @property
-    def permutation_invariant(self) -> bool:
-        return self.permutation_distance <= SPECTRUM_TOLERANCE
-
-    def lines(self):
-        return [
-            f"spectrum.permutation_distance: {self.permutation_distance:.3e}",
-            f"spectrum.filter_distance: {self.filter_distance:.3e}",
-            f"spectrum.permutation_invariant: {self.permutation_invariant}",
-        ]
-
-    def __str__(self):
-        return "\n".join(self.lines())
+    def invariance(self) -> Check:
+        """The verdict that the permutation leaves the spectrum in place."""
+        return Check("spectrum.permutation_distance",
+                     self.permutation_distance, SPECTRUM_TOLERANCE)
 
 
 def spectrum_report(sigma: np.ndarray, perm: np.ndarray,
@@ -198,8 +177,8 @@ def spectrum_report(sigma: np.ndarray, perm: np.ndarray,
     """Compare eigenvalues of Sigma, P Sigma P^T and F Sigma F^T.
 
     Conjugation by an orthogonal permutation is a similarity transform, so
-    the first two spectra agree (``permutation_invariant``); a genuine
-    filter reshapes the spectrum, and the report carries that distance.
+    the first two spectra agree (``invariance``); a genuine filter
+    reshapes the spectrum, and the report carries that distance.
     Raises ``ValueError`` unless ``filt`` maps the grid to itself.
     """
     sigma = np.asarray(sigma, dtype=np.float64)

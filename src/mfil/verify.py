@@ -6,13 +6,17 @@ discretization, the kernel form for the model's scan, finite differences for
 the gradients, exact linear-algebra identities for the covariance claims,
 and structural/shape assertions for the backbone. All randomness is seeded;
 a fresh checkout must pass everything.
+
+Each suite returns one ``reference.Check`` per verdict and passes when
+every check does. A verdict owned by another module comes from it as a
+``Check``, or is held to that module's tolerance.
 """
 
 from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +28,8 @@ from .analysis import (GRADCHECK_TOLERANCE, VERIFICATION_SEEDS, erf,
 from .checkpoint import (CheckpointError, load_checkpoint, load_into,
                          save_checkpoint)
 from .config import RunConfig
-from .reference import (causal_conv, discretize_zoh, lti_kernel, max_err,
-                        rel_err)
+from .reference import (Check, causal_conv, discretize_zoh, lti_kernel,
+                        max_err, rel_err)
 from .scan import (SOBEL_X, SOBEL_Y, AdaptiveWeights, adaptive_merge,
                    merge_views, stack_scans, unstack_scans)
 from .ssm import SsmCore, recurrence, selective_scan
@@ -36,18 +40,24 @@ from .train import train_run
 __all__ = ["SuiteResult", "SUITES", "run_suites"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
-    passed: bool
-    lines: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    checks: list[Check]
+    seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def lines(self) -> list[str]:
+        """Each check's line; a failed check's ends in ``<- FAIL``."""
+        return [str(c) if c.passed else f"{c}  <- FAIL" for c in self.checks]
 
 
-def suite_oracles(quick: bool = False) -> SuiteResult:
+def suite_oracles(quick: bool = False) -> list[Check]:
     """Vectorized primitives against explicit loop-nest oracles (f64)."""
-    lines = []
-    ok = True
     rng = np.random.default_rng(7)
     cases = 3 if quick else 8
     worst = 0.0
@@ -81,52 +91,51 @@ def suite_oracles(quick: bool = False) -> SuiteResult:
         got = layer_norm(Tensor(xl), Tensor(gam), Tensor(bet)).data
         worst = max_err(
             worst, rel_err(got, reference.layer_norm_reference(xl, gam, bet)))
-    lines.append(f"loop-nest worst rel: {worst:.3e} (tol 1e-6)")
-    ok &= worst <= 1e-6
     s0 = silu(Tensor(np.zeros(1))).data[0]
-    sp0 = softplus(Tensor(np.zeros(1))).data[0]
+    sp0 = softplus(Tensor(np.zeros(1))).data[0] - np.log(2)
     sm = softmax(Tensor(np.full(4, 3.25)), axis=0).data
     big = softmax(Tensor(np.array([1e4, 1e4 + 1.0])), axis=0).data
-    lines.append(f"silu(0) = {s0}, softplus(0) - ln2 = {sp0 - np.log(2):.1e}")
-    ok &= s0 == 0.0 and abs(sp0 - np.log(2)) < 1e-12
-    ok &= np.allclose(sm, 0.25) and abs(big.sum() - 1.0) <= 1e-6
-    return SuiteResult("oracles", bool(ok), lines)
+    return [
+        Check("loop-nest worst rel", worst, 1e-6),
+        Check(f"silu(0) = {s0} is 0", s0 == 0.0),
+        Check(f"softplus(0) - ln2 = {sp0:.3e}, magnitude < 1e-12",
+              abs(sp0) < 1e-12),
+        # np.allclose(sm, 0.25), as one error against its combined bound
+        Check("uniform softmax max |p - 1/4|", np.max(np.abs(sm - 0.25)),
+              1e-8 + 1e-5 * 0.25),
+        Check("softmax of [1e4, 1e4 + 1] |sum - 1|", abs(big.sum() - 1.0),
+              1e-6),
+    ]
 
 
-def suite_zoh(quick: bool = False) -> SuiteResult:
+def suite_zoh(quick: bool = False) -> list[Check]:
     """Discretization: analytic scalar cases, the limit branch, both paths."""
-    lines = []
-    ok = True
     a_bar, b_bar = discretize_zoh(-1.0, 1.0, np.log(2.0))
-    err = max_err(abs(float(a_bar) - 0.5), abs(float(b_bar) - 0.5))
-    lines.append(f"scalar case |err|: {err:.2e} (tol 1e-12)")
-    ok &= err <= 1e-12
+    scalar = max_err(abs(float(a_bar) - 0.5), abs(float(b_bar) - 0.5))
     delta = 1e-12
     a_bar, b_bar = discretize_zoh(np.array([-1.0]), np.array([1.0]), delta)
-    err = max_err(abs(float(a_bar[0]) - 1.0),
-                  abs(float(b_bar[0]) - delta) / delta)
-    lines.append(f"limit branch rel err: {err:.2e} (tol 1e-6)")
-    ok &= err <= 1e-6
+    limit = max_err(abs(float(a_bar[0]) - 1.0),
+                    abs(float(b_bar[0]) - delta) / delta)
     rng = np.random.default_rng(3)
     diag = -np.exp(rng.standard_normal(4))
     bvec = rng.standard_normal(4)
     a1, b1 = discretize_zoh(np.diag(diag), bvec.reshape(4, 1), 0.37,
                             diagonal=False)
     a2, b2 = discretize_zoh(diag, bvec, 0.37)
-    err = max_err(rel_err(np.diag(a1), a2), rel_err(b1.ravel(), b2))
-    lines.append(f"general vs diagonal rel err: {err:.2e} (tol 1e-9)")
-    ok &= err <= 1e-9
+    general = max_err(rel_err(np.diag(a1), a2), rel_err(b1.ravel(), b2))
     try:
         discretize_zoh(np.zeros((2, 2)), np.ones((2, 1)), 1.0,
                        diagonal=False)
-        lines.append("singular input not rejected")
-        ok = False
+        rejected = False
     except ValueError:
-        lines.append("singular general path rejected: yes")
-    return SuiteResult("zoh", bool(ok), lines)
+        rejected = True
+    return [Check("scalar case |err|", scalar, 1e-12),
+            Check("limit branch rel err", limit, 1e-6),
+            Check("general vs diagonal rel err", general, 1e-9),
+            Check("singular general path rejected", rejected)]
 
 
-def suite_lti(quick: bool = False) -> SuiteResult:
+def suite_lti(quick: bool = False) -> list[Check]:
     """The model's scan recurrence (``ssm.recurrence``) with constant
     delta, B and C equals the kernel form on random diagonal systems."""
     rng = np.random.default_rng(101)
@@ -149,11 +158,10 @@ def suite_lti(quick: bool = False) -> SuiteResult:
             np.zeros(1), exact_input_discretization=True)[0][0, :, 0]
         y_conv = causal_conv(x, lti_kernel(a_bar, b_bar, c, length))
         worst = max_err(worst, rel_err(y_conv, y_scan))
-    lines = [f"{cases} systems, worst rel: {worst:.3e} (tol 1e-6)"]
-    return SuiteResult("lti", worst <= 1e-6, lines)
+    return [Check(f"{cases} systems, worst rel", worst, 1e-6)]
 
 
-def suite_scan(quick: bool = False) -> SuiteResult:
+def suite_scan(quick: bool = False) -> list[Check]:
     """Taped scan equals the sequential reference; causality."""
     rng = np.random.default_rng(103)
     cases = 10 if quick else 50
@@ -170,9 +178,6 @@ def suite_scan(quick: bool = False) -> SuiteResult:
         fast = selective_scan(x, core).data
         ref = reference.selective_scan_reference(x.data, core)
         worst = max_err(worst, rel_err(fast, ref))
-    lines = [f"{cases} cases fast vs reference, worst rel: {worst:.3e} "
-             "(tol 1e-5)"]
-    ok = worst <= 1e-5
     # Causality: perturbing token t leaves outputs before t bit-identical.
     core = SsmCore(4, d_state=2, rng=np.random.default_rng(5), dtype="f64")
     x = rng.standard_normal((1, 32, 4))
@@ -180,78 +185,62 @@ def suite_scan(quick: bool = False) -> SuiteResult:
     x2 = x.copy()
     x2[0, 20] += 1.0
     y1 = selective_scan(Tensor(x2), core).data
-    causal = bool(np.array_equal(y0[0, :20], y1[0, :20])
-                  and not np.allclose(y0[0, 20:], y1[0, 20:]))
-    lines.append(f"causality bit-exact before perturbed token: {causal}")
-    ok &= causal
     zeros = selective_scan(Tensor(np.zeros((1, 8, 4))), core).data
-    ok &= bool(np.all(zeros == 0.0))
-    lines.append(f"zero input gives zero output: {bool(np.all(zeros == 0))}")
-    return SuiteResult("scan", bool(ok), lines)
+    return [Check(f"{cases} cases fast vs reference, worst rel", worst, 1e-5),
+            Check("causality bit-exact before perturbed token",
+                  np.array_equal(y0[0, :20], y1[0, :20])
+                  and not np.allclose(y0[0, 20:], y1[0, 20:])),
+            Check("zero input gives zero output", np.all(zeros == 0.0))]
 
 
-def suite_gradcheck(quick: bool = False) -> SuiteResult:
+def suite_gradcheck(quick: bool = False) -> list[Check]:
+    """Desk finite differences. A seed's worst entry within the tolerance
+    is its ``GradcheckReport.passed``: each entry keeps a NaN."""
     seeds = VERIFICATION_SEEDS[:1] if quick else VERIFICATION_SEEDS
-    lines = []
-    ok = True
-    worst = 0.0
+    checks = []
     for seed in seeds:
         rep = gradcheck_suite(bb.desk(), seed=seed)
-        seed_worst = max_err(*rep.entries.values())
-        worst = max_err(worst, seed_worst)
-        lines.append(f"seed {seed}: worst rel {seed_worst:.2e} "
-                     f"({len(rep.entries)} groups); "
-                     f"evaluations: {rep.evaluations()}")
-        if not rep.passed:
-            ok = False
-            for name in rep.failures:
-                lines.append(f"  FAILED group {name}: "
-                             f"{rep.entries[name]:.3e}")
-    lines.append(f"{len(seeds)} seeds, worst rel {worst:.2e} "
-                 f"(tol {GRADCHECK_TOLERANCE:.0e})")
-    return SuiteResult("gradcheck", bool(ok), lines)
+        checks.append(Check(
+            f"seed {seed}: {len(rep.entries)} groups, evaluations: "
+            f"{rep.evaluations()}; worst rel", max_err(*rep.entries.values()),
+            GRADCHECK_TOLERANCE))
+        checks += [Check(f"seed {seed} group {name} rel", rep.entries[name],
+                         GRADCHECK_TOLERANCE) for name in rep.failures]
+    worst = max_err(*(c.value for c in checks))
+    return checks + [Check(f"{len(seeds)} seeds, worst rel", worst,
+                           GRADCHECK_TOLERANCE)]
 
 
-def suite_covariance(quick: bool = False) -> SuiteResult:
-    """Reordering vs filtering identities on empirical moments (6x6 grids)."""
+def suite_covariance(quick: bool = False) -> list[Check]:
+    """Reordering vs filtering identities on empirical moments (6x6 grids).
+    The identity and spectrum verdicts are ``theory``'s checks."""
     rng = np.random.default_rng(105)
     n_pairs = 4 if quick else 20
     samples = rng.standard_normal((200, 36))
     moments = theory.empirical_moments(samples)
-    lines = []
-    worst = 0.0
-    ok = True
+    identities = []
     kernels = [SOBEL_X, SOBEL_Y, rng.standard_normal((3, 3)),
                np.array([[0.7]]), rng.standard_normal((2, 2))]
     for i in range(n_pairs):
         if i % 2 == 0:
-            p_i = theory.permutation_matrix(rng.permutation(36))
-            p_j = theory.permutation_matrix(rng.permutation(36))
-            rep = theory.verify_permutation_identity(p_i, p_j, moments,
-                                                     samples)
+            identity = theory.verify_permutation_identity
+            ops = [theory.permutation_matrix(rng.permutation(36))
+                   for _ in range(2)]
         else:
-            k_i = kernels[i % len(kernels)]
-            k_j = kernels[(i + 2) % len(kernels)]
-            f_i = theory.conv_as_matrix(k_i, 6, 6,
-                                        padding=(k_i.shape[0] - 1) // 2)
-            f_j = theory.conv_as_matrix(k_j, 6, 6,
-                                        padding=(k_j.shape[0] - 1) // 2)
-            rep = theory.verify_filter_identity(f_i, f_j, moments, samples)
-        worst = max_err(worst, rep.max_abs_error)
-        ok &= rep.passed
-    lines.append(f"{n_pairs} operator pairs, worst max-abs: {worst:.3e} "
-                 f"(tol {theory.IDENTITY_TOLERANCE:.0e})")
+            identity = theory.verify_filter_identity
+            ops = [theory.conv_as_matrix(k, 6, 6,
+                                         padding=(k.shape[0] - 1) // 2)
+                   for k in (kernels[i % len(kernels)],
+                             kernels[(i + 2) % len(kernels)])]
+        identities.append(identity(*ops, moments, samples))
+    checks = [Check(f"{n_pairs} operator pairs, worst max-abs",
+                    max_err(*(c.value for c in identities)),
+                    theory.IDENTITY_TOLERANCE)]
+    checks += [c for c in identities if not c.passed]
     # Spectrum invariance under reordering vs movement under the Sobel.
     op = theory.conv_as_matrix(SOBEL_X, 6, 6, padding=1)
     perm = theory.permutation_matrix(rng.permutation(36))
     rep = theory.spectrum_report(moments.covariance, perm, op)
-    lines.append(f"permutation spectral distance: "
-                 f"{rep.permutation_distance:.2e} "
-                 f"(tol {theory.SPECTRUM_TOLERANCE:.0e})")
-    lines.append(f"sobel spectral distance: {rep.filter_distance:.2e} "
-                 "(must exceed 1e-3)")
-    ok &= rep.permutation_invariant
-    ok &= rep.filter_distance > 1e-3
     # Operator matrices agree with conv2d on random inputs.
     conv_worst = 0.0
     for _ in range(10 if quick else 50):
@@ -261,71 +250,58 @@ def suite_covariance(quick: bool = False) -> SuiteResult:
                           Tensor(SOBEL_X[None, None]), 1, 1).data.ravel()
         conv_worst = max_err(conv_worst,
                              np.max(np.abs(via_matrix - via_conv)))
-    lines.append(f"conv-as-matrix vs conv2d max-abs: {conv_worst:.3e} "
-                 "(tol 1e-10)")
-    ok &= conv_worst <= 1e-10
-    sym = moments.symmetry_error()
     mineig = moments.min_eigenvalue()
-    lines.append(f"covariance symmetry {sym:.1e}, min eigenvalue "
-                 f"{mineig:.3e}")
-    ok &= sym <= 1e-10 and mineig >= -1e-8
-    ortho = float(np.max(np.abs(perm.T @ perm - np.eye(36))))
-    lines.append(f"permutation orthogonality max-abs: {ortho:.1e}")
-    ok &= ortho <= 1e-12
-    return SuiteResult("covariance", bool(ok), lines)
+    return checks + [
+        rep.invariance,
+        Check(f"sobel spectral distance {rep.filter_distance:.3e} "
+              "exceeds 1e-3", rep.filter_distance > 1e-3),
+        Check("conv-as-matrix vs conv2d max-abs", conv_worst, 1e-10),
+        Check("covariance symmetry max-abs", moments.symmetry_error(), 1e-10),
+        Check(f"covariance min eigenvalue {mineig:.3e} >= -1e-8",
+              mineig >= -1e-8),
+        Check("permutation orthogonality max-abs",
+              float(np.max(np.abs(perm.T @ perm - np.eye(36)))), 1e-12),
+    ]
 
 
-def suite_structure(quick: bool = False) -> SuiteResult:
+def suite_structure(quick: bool = False) -> list[Check]:
     """Variant configs, parameter/flop counts, traces, determinism."""
-    lines = []
-    ok = True
     t = bb.tiny()
     s = bb.small()
     b = bb.base()
-    ok &= t.dims == (94, 188, 376, 752) and t.depths == (1, 3, 8, 2)
-    ok &= s.dims == (94, 188, 376, 752) and s.depths == (2, 2, 18, 2)
-    ok &= b.dims == (128, 256, 512, 1024) and b.depths == (2, 2, 18, 2)
-    lines.append(f"named dims/depths exact: {bool(ok)}")
+    checks = [Check("named dims/depths exact", (
+        t.dims, t.depths, s.dims, s.depths, b.dims, b.depths) == (
+        (94, 188, 376, 752), (1, 3, 8, 2), (94, 188, 376, 752), (2, 2, 18, 2),
+        (128, 256, 512, 1024), (2, 2, 18, 2)))]
     for name, cfg in (("tiny", t), ("small", s), ("base", b)):
         n = bb.count_params(cfg)
         ref = bb.REFERENCE_PARAMS[name]
-        dev = abs(n - ref) / ref
-        lines.append(f"{name} params {n / 1e6:.2f}M vs {ref / 1e6:.1f}M "
-                     f"({100 * dev:.1f}% dev, tol 10%)")
-        ok &= dev <= 0.10
         fl = bb.count_flops(cfg, 224, 224)
         ref_f = bb.REFERENCE_FLOPS[name]
-        dev_f = abs(fl - ref_f) / ref_f
-        lines.append(f"{name} flops {fl / 1e9:.2f}G vs {ref_f / 1e9:.1f}G "
-                     f"({100 * dev_f:.1f}% dev, tol 20%)")
-        ok &= dev_f <= 0.20
+        checks += [
+            Check(f"{name} params {n / 1e6:.2f}M vs {ref / 1e6:.1f}M, rel dev",
+                  abs(n - ref) / ref, 0.10),
+            Check(f"{name} flops {fl / 1e9:.2f}G vs {ref_f / 1e9:.1f}G, "
+                  "rel dev", abs(fl - ref_f) / ref_f, 0.20)]
     rng = np.random.default_rng(0)
     if not quick:
         tiny_model = bb.build(t.with_overrides(num_classes=10), seed=0)
         x224 = Tensor(rng.standard_normal((1, 3, 224, 224)).astype(
             np.float32), dtype="f32")
         trace224 = [f.shape[1] for f in tiny_model.forward_features(x224)]
-        lines.append(f"tiny 224 trace: {trace224}")
-        ok &= trace224 == [56, 28, 14, 7, 7]
+        checks.append(Check(f"tiny 224 trace {trace224} is [56, 28, 14, 7, 7]",
+                            trace224 == [56, 28, 14, 7, 7]))
     desk_cfg = bb.desk()
     model = bb.build(desk_cfg, seed=0)
     tally = sum(p.size for p in model.parameters().values())
-    exact = tally == bb.count_params(desk_cfg)
-    lines.append(f"desk analytic == instantiated tally: {exact}")
-    ok &= exact
     x64 = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
                  dtype="f32")
     trace = [f.shape[1] for f in model.forward_features(x64)]
-    lines.append(f"desk 64 trace: {trace}")
-    ok &= trace == [16, 8, 4, 2, 2]
     model2 = bb.build(desk_cfg, seed=0)
     p1, p2 = model.parameters(), model2.parameters()
-    det = all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
-    logits1 = model.forward(x64).data
-    logits2 = model2.forward(x64).data
-    det &= bool(np.array_equal(logits1, logits2))
-    lines.append(f"same-seed build and logits bit-identical: {det}")
-    ok &= det
+    det = (all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+           and np.array_equal(model.forward(x64).data,
+                              model2.forward(x64).data))
     flat_drop = (bb.count_params(desk_cfg)
                  - bb.count_params(desk_cfg.with_overrides(
                      scan_mode="single_flatten")))
@@ -333,72 +309,74 @@ def suite_structure(quick: bool = False) -> SuiteResult:
                      - bb.count_params(desk_cfg.with_overrides(
                          adaptive_weighting=False)))
     n_blocks = sum(desk_cfg.depths)
-    lines.append(f"single_flatten removes {flat_drop} params; "
-                 f"no-adaptive removes {no_adapt_drop} "
-                 f"(= 4 x {n_blocks} blocks: "
-                 f"{no_adapt_drop == 4 * n_blocks})")
-    ok &= flat_drop > 0 and no_adapt_drop == 4 * n_blocks
-    finite = bool(np.all(np.isfinite(model.forward(Tensor(
+    finite = np.all(np.isfinite(model.forward(Tensor(
         rng.uniform(-3, 3, (2, 3, 64, 64)).astype(np.float32),
-        dtype="f32")).data)))
-    lines.append(f"logits finite on [-3, 3] inputs: {finite}")
-    ok &= finite
-    return SuiteResult("structure", bool(ok), lines)
+        dtype="f32")).data))
+    return checks + [
+        Check("desk analytic == instantiated tally",
+              tally == bb.count_params(desk_cfg)),
+        Check(f"desk 64 trace {trace} is [16, 8, 4, 2, 2]",
+              trace == [16, 8, 4, 2, 2]),
+        Check("same-seed build and logits bit-identical", det),
+        Check(f"single_flatten removes {flat_drop} params (> 0)",
+              flat_drop > 0),
+        Check(f"no-adaptive removes {no_adapt_drop} params "
+              f"(= 4 x {n_blocks} blocks)", no_adapt_drop == 4 * n_blocks),
+        Check("logits finite on [-3, 3] inputs", finite),
+    ]
 
 
-def suite_merge(quick: bool = False) -> SuiteResult:
+def suite_merge(quick: bool = False) -> list[Check]:
     """Fusion-weight properties of the model's ``merge_views``: sums, hull,
     uniformity, saturation; its bytes equal the per-map reference."""
     rng = np.random.default_rng(107)
-    lines = []
     weights = AdaptiveWeights(4, dtype="f64")
     alphas = weights.alphas().data
-    ok = abs(alphas.sum() - 1.0) <= 1e-6 and np.allclose(alphas, 0.25)
-    lines.append(f"zero weights give uniform alphas summing to "
-                 f"{alphas.sum():.9f}")
-    sums = True
+    checks = [
+        Check(f"zero weights give alphas summing to {alphas.sum():.9f}, "
+              "|sum - 1|", abs(alphas.sum() - 1.0), 1e-6),
+        # np.allclose(alphas, 0.25), as one error against its combined bound
+        Check("zero weights give uniform alphas, max |alpha - 1/4|",
+              np.max(np.abs(alphas - 0.25)), 1e-8 + 1e-5 * 0.25)]
+    draws = []
     for _ in range(10):
         weights.w.data = 5.0 * rng.standard_normal(4)
-        alphas = weights.alphas().data
-        sums &= abs(alphas.sum() - 1.0) <= 1e-6 and np.all(alphas > 0)
-    lines.append(f"10 random weights give positive alphas summing to 1: "
-                 f"{bool(sums)}")
-    ok &= sums
+        draws.append(weights.alphas().data)
     maps = [Tensor(rng.standard_normal((1, 2, 4, 4))) for _ in range(4)]
 
     def fuse(views):
         return merge_views(stack_scans(*views), weights.alphas(), 2, 4).data
     weights.w.data = rng.standard_normal(4)
     alphas = weights.alphas().data
-    ok &= abs(alphas.sum() - 1.0) <= 1e-6 and np.all(alphas > 0)
     fused = fuse(maps)
     per_map = adaptive_merge(unstack_scans(stack_scans(*maps), 2, 4), weights)
-    tie = fused.tobytes() == per_map.data.tobytes()
-    lines.append(f"merge_views bytes equal the per-map merge: {tie}")
-    ok &= tie
     stack = np.stack([m.data for m in maps])
-    hull = bool(np.all(fused >= stack.min(axis=0) - 1e-12)
-                and np.all(fused <= stack.max(axis=0) + 1e-12))
-    lines.append(f"convex hull containment: {hull}")
-    ok &= hull
     same = fuse([maps[0]] * 4)
-    same_ok = bool(np.allclose(same, maps[0].data, rtol=1e-12, atol=1e-12))
-    lines.append(f"same map in gives the same map out: {same_ok}")
-    ok &= same_ok
+    checks += [
+        Check("10 random weights give alphas summing to 1, worst |sum - 1|",
+              max_err(*(abs(a.sum() - 1.0) for a in draws)), 1e-6),
+        Check("10 random weights give positive alphas",
+              all(np.all(a > 0) for a in draws)),
+        Check("merge weights give alphas summing to 1, |sum - 1|",
+              abs(alphas.sum() - 1.0), 1e-6),
+        Check("merge weights give positive alphas", np.all(alphas > 0)),
+        Check("merge_views bytes equal the per-map merge",
+              fused.tobytes() == per_map.data.tobytes()),
+        Check("convex hull containment, 1e-12 slack",
+              np.all(fused >= stack.min(axis=0) - 1e-12)
+              and np.all(fused <= stack.max(axis=0) + 1e-12)),
+        Check("same map in gives the same map out, rtol = atol = 1e-12",
+              np.allclose(same, maps[0].data, rtol=1e-12, atol=1e-12))]
     weights.w.data = np.zeros(4)
-    rel = rel_err(fuse(maps), np.mean(stack, axis=0))
-    lines.append(f"zero weights give the mean map, rel err {rel:.2e} "
-                 "(tol 1e-12)")
-    ok &= rel <= 1e-12
+    checks.append(Check("zero weights give the mean map, rel err",
+                        rel_err(fuse(maps), np.mean(stack, axis=0)), 1e-12))
     weights.w.data = np.array([50.0, 0.0, 0.0, 0.0])
-    rel = rel_err(fuse(maps), maps[0].data)
-    lines.append(f"saturation (w0 = 50) rel distance to map 0: {rel:.2e} "
-                 "(tol 1e-6)")
-    ok &= rel <= 1e-6
-    return SuiteResult("merge", bool(ok), lines)
+    checks.append(Check("saturation (w0 = 50) rel distance to map 0",
+                        rel_err(fuse(maps), maps[0].data), 1e-6))
+    return checks
 
 
-def suite_erf(quick: bool = False) -> SuiteResult:
+def suite_erf(quick: bool = False) -> list[Check]:
     """Global coverage of the scanned model vs the bounded conv stack."""
     cfg = bb.desk()
     samples = 4 if quick else 16
@@ -406,14 +384,12 @@ def suite_erf(quick: bool = False) -> SuiteResult:
     conv = bb.build_conv_baseline(cfg, seed=0)
     cov_model = erf(model, 192, stage=3, samples=samples, seed=0).coverage()
     cov_conv = erf(conv, 192, stage=3, samples=samples, seed=0).coverage()
-    lines = [f"desk coverage {cov_model:.4f} (needs >= 0.99), "
-             f"conv baseline {cov_conv:.4f} (needs < 0.99)"]
-    return SuiteResult("erf", cov_model >= 0.99 and cov_conv < 0.99, lines)
+    return [Check(f"desk coverage {cov_model:.4f} >= 0.99", cov_model >= 0.99),
+            Check(f"conv baseline coverage {cov_conv:.4f} < 0.99",
+                  cov_conv < 0.99)]
 
 
-def suite_checkpoint(quick: bool = False) -> SuiteResult:
-    lines = []
-    ok = True
+def suite_checkpoint(quick: bool = False) -> list[Check]:
     model = bb.build(bb.desk(), seed=2)
     params = model.parameters()
     rng = np.random.default_rng(2)
@@ -425,29 +401,24 @@ def suite_checkpoint(quick: bool = False) -> SuiteResult:
         save_checkpoint(path, params)
         model2 = bb.build(bb.desk(), seed=77)
         load_into(model2.parameters(), load_checkpoint(path))
-        logits_after = model2.forward(x).data
-        bitexact = bool(np.array_equal(logits_before, logits_after))
-        lines.append(f"round-trip logits bit-identical: {bitexact}")
-        ok &= bitexact
+        checks = [Check("round-trip logits bit-identical",
+                        np.array_equal(logits_before, model2.forward(x).data))]
         blob = path.read_bytes()
         trunc = Path(tmp) / "trunc.mfil"
         trunc.write_bytes(blob[:len(blob) - 7])
         try:
             load_checkpoint(trunc)
-            lines.append("truncated file not rejected")
-            ok = False
+            checks.append(Check("truncated file rejected", False))
         except CheckpointError as exc:
-            named = "entry '" in str(exc)
-            lines.append(f"truncation error names the short entry: {named}")
-            ok &= named
-    return SuiteResult("checkpoint", bool(ok), lines)
+            checks.append(Check("truncation error names the short entry",
+                                "entry '" in str(exc)))
+    return checks
 
 
-def suite_training(quick: bool = False) -> SuiteResult:
+def suite_training(quick: bool = False) -> list[Check]:
     """Short-budget smoke over the fixed seed list: finite losses,
     determinism of metrics."""
-    lines = []
-    ok = True
+    checks = []
     steps = 12 if quick else 24
     with tempfile.TemporaryDirectory() as tmp:
         for seed in VERIFICATION_SEEDS[:1] if quick else VERIFICATION_SEEDS:
@@ -456,19 +427,17 @@ def suite_training(quick: bool = False) -> SuiteResult:
             res = train_run(cfg)
             rows = res.metrics_path.read_text().splitlines()
             losses = [float(r.split(",")[1]) for r in rows[1:]]
-            finite = all(np.isfinite(losses))
-            lines.append(f"seed {seed}: {steps} steps, losses finite: "
-                         f"{finite}, final acc {res.final_acc:.3f}")
-            ok &= finite
+            checks.append(Check(f"seed {seed}: {steps} steps, final acc "
+                                f"{res.final_acc:.3f}, losses finite",
+                                all(np.isfinite(losses))))
         cfg = RunConfig(steps=steps, seed=3, checkpoint_interval=0,
                         out_dir=str(Path(tmp) / "det1"))
         r1 = train_run(cfg)
         r2 = train_run(cfg.with_overrides(out_dir=str(Path(tmp) / "det2")))
-        identical = (r1.metrics_path.read_bytes()
-                     == r2.metrics_path.read_bytes())
-        lines.append(f"same seed twice, metrics bit-identical: {identical}")
-        ok &= identical
-    return SuiteResult("training", bool(ok), lines)
+        checks.append(Check("same seed twice, metrics bit-identical",
+                            r1.metrics_path.read_bytes()
+                            == r2.metrics_path.read_bytes()))
+    return checks
 
 
 SUITES = {
@@ -496,11 +465,10 @@ def run_suites(names=None, quick: bool = False,
     for name in selected:
         start = time.perf_counter()
         try:
-            result = SUITES[name](quick=quick)
+            checks = SUITES[name](quick=quick)
         except Exception as exc:  # a crash is a failure, not an abort
-            result = SuiteResult(name, False,
-                                 [f"exception: {type(exc).__name__}: {exc}"])
-        result.seconds = time.perf_counter() - start
+            checks = [Check(f"exception: {type(exc).__name__}: {exc}", False)]
+        result = SuiteResult(name, checks, time.perf_counter() - start)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         log(f"[{result.name}] {status} ({result.seconds:.1f}s)")

@@ -293,20 +293,54 @@ _NAN_SOURCES = {
     "scan": (verify, "rel_err", _nan),
     "covariance": (verify, "conv2d", _nan_conv2d),
     "gradcheck": (analysis, "_grad_error", _nan),
+    "merge": (verify, "rel_err", _nan),
 }
 
 
 @pytest.mark.parametrize("suite", list(_NAN_SOURCES))
 def test_a_nan_error_fails_its_suite(suite, monkeypatch):
     """A NaN error fails its suite by the verdict, not by a crash, and the
-    printed worst reads nan: a fold with Python's ``max`` keeps a finite
-    earlier error, and the NaN passes."""
+    printed line of the failed check reads nan and is marked: a fold with
+    Python's ``max`` keeps a finite earlier error, and the NaN passes."""
     module, name, replacement = _NAN_SOURCES[suite]
     monkeypatch.setattr(module, name, replacement)
-    [result] = verify.run_suites([suite], quick=True, log=lambda *a: None)
+    logged = []
+    [result] = verify.run_suites([suite], quick=True, log=logged.append)
     assert not result.passed, result.lines
     assert not any(line.startswith("exception") for line in result.lines)
-    assert any(" nan" in line for line in result.lines), result.lines
+    assert any(" nan" in line and line.endswith("  <- FAIL")
+               for line in logged), logged
+
+
+@pytest.mark.parametrize("check, passed", [
+    (reference.Check("at the bound", 1e-6, 1e-6), True),
+    (reference.Check("nan", float("nan"), 1e-6), False),
+    (reference.Check("inf", float("inf"), 1e-6), False),
+    (reference.Check("negative zero", -0.0, 0.0), True),
+    (reference.Check("false fact", False), False),
+    (reference.Check("true fact", np.bool_(True)), True),
+], ids=lambda v: v.label if isinstance(v, reference.Check) else None)
+def test_check_passes_at_most_its_tolerance(check, passed):
+    """A check with a tolerance passes when its value is at most the
+    tolerance, so NaN and inf fail; a fact is its own verdict. Its line
+    prints the value and the tolerance that decide it."""
+    assert check.passed is passed
+    if check.tolerance is None:
+        assert str(check) == f"{check.label}: {passed}"
+    else:
+        assert str(check) == (f"{check.label}: {check.value:.3e} "
+                              f"(tol {check.tolerance:g})")
+
+
+def test_run_suites_marks_only_failed_checks(monkeypatch):
+    checks = [reference.Check("kept", 0.5, 1.0),
+              reference.Check("broken", 2.0, 1.0)]
+    monkeypatch.setitem(verify.SUITES, "zoh", lambda quick=False: checks)
+    logged = []
+    [result] = verify.run_suites(["zoh"], log=logged.append)
+    assert not result.passed
+    assert logged[1:] == ["    kept: 5.000e-01 (tol 1)",
+                          "    broken: 2.000e+00 (tol 1)  <- FAIL"]
 
 
 def test_run_suites_rejects_unknown_names():
@@ -336,9 +370,13 @@ def test_report_params_and_flops(capsys):
 
 def test_report_covariance(capsys):
     assert main(["report", "--kind", "covariance"]) == 0
-    out = capsys.readouterr().out
-    assert "permutation_identity.passed: True" in out
-    assert "spectrum.permutation_invariant: True" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "permutation_identity.max_abs_error", "filter_identity.max_abs_error",
+        "spectrum.permutation_distance", "spectrum.filter_distance"]
+    assert lines[0].endswith(" (tol 1e-10) -> PASS"), lines
+    assert lines[1].endswith(" (tol 1e-10) -> PASS"), lines
+    assert lines[2].endswith(" (tol 1e-08) -> PASS"), lines
 
 
 def test_report_erf_writes_pgm(tmp_path, capsys):
