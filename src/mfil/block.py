@@ -36,7 +36,9 @@ from .scan import (AdaptiveWeights, FilterBank, filter_bank_cost, mfil_ssm,
                    num_scans)
 from .ssm import SsmCore, dt_rank
 from .tensor import (Tensor, add, depthwise_conv2d, gelu, layer_norm, linear,
-                     mul, scale_per_sample, silu, slice_axis)
+                     mul, record_op, recording, scale_per_sample, silu,
+                     slice_axis, _affine, _affine_grads, _depthwise,
+                     _depthwise_grads, _depthwise_taps, _gelu_np)
 
 if TYPE_CHECKING:
     from .backbone import VariantConfig
@@ -88,11 +90,46 @@ class _ConvFfn:
                 "fc2.bias": self.fc2_bias}
 
 
+def _ffn_chain(x, fc1_weight, fc1_bias, dw_weight, fc2_weight, fc2_bias):
+    h = linear(x, fc1_weight, fc1_bias)
+    h = gelu(depthwise_conv2d(h, dw_weight, stride=1, padding=1))
+    return linear(h, fc2_weight, fc2_bias)
+
+
 def conv_ffn(x: Tensor, ffn: _ConvFfn) -> Tensor:
-    """Apply a ConvFFN to a [B, H, W, C] map; shape preserved."""
-    h = linear(x, ffn.fc1_weight, ffn.fc1_bias)
-    h = gelu(depthwise_conv2d(h, ffn.dw_weight, stride=1, padding=1))
-    return linear(h, ffn.fc2_weight, ffn.fc2_bias)
+    """Apply a ConvFFN to a [B, H, W, C] map; shape preserved.
+
+    One node for fc1, the depthwise 3x3, GELU and fc2. The forward runs
+    those four primitives untaped, so each map is checked and tallied as
+    their nodes were. A taped call keeps only x: its backward reruns fc1,
+    the depthwise and the GELU with its derivative factor through the
+    primitives' own helpers, and takes their gradients in their order, so
+    the output and every gradient have the bytes of the four-node chain.
+    The rerun tallies no flops.
+    """
+    inputs = (x, *ffn.parameters().values())
+    if not recording(inputs):
+        return _ffn_chain(*inputs)
+    out = _ffn_chain(*(Tensor(t.data, check_finite=False) for t in inputs))
+    x_data, w1, b1, _, w2, b2 = (t.data for t in inputs)
+    taps = _depthwise_taps([ffn.dw_weight])
+    *lead, dim = x.shape
+    hidden = w1.shape[0]
+    shape = (*lead, hidden)
+    m = x_data.size // dim
+    x2 = x_data.reshape(m, dim)
+
+    def bwd(g):
+        h1 = _affine(x2, w1, b1).reshape(shape)
+        h3, factor = _gelu_np(_depthwise(h1, taps, 1, *shape[1:3]), True)
+        g3, gw2, gb2 = _affine_grads(g.reshape(m, dim), h3.reshape(m, hidden),
+                                     w2)
+        del h3
+        g1, gk = _depthwise_grads(g3.reshape(shape) * factor, shape, taps, 1,
+                                  x=h1)
+        gx, gw1, gb1 = _affine_grads(g1.reshape(m, hidden), x2, w1)
+        return gx.reshape(x_data.shape), gw1, gb1, gk, gw2, gb2
+    return record_op("conv_ffn", inputs, out.data, bwd)
 
 
 class MfilBlock:

@@ -11,12 +11,12 @@ B_bar = (delta A)^{-1} (exp(delta A) - I) delta B is available behind
 ``exact_input_discretization`` and agrees with the simplified form as
 delta -> 0.
 
-A scan records four nodes: the x_proj ``linear``, the slice of its step
-columns, the dt_proj ``linear`` without its bias, and ``ssm_scan``, which
-forms delta = softplus(dt + dt_bias) and A = -exp(A_log), reads B and C
-from the x_proj output, and runs ``recurrence``. The recurrence's backward
-rule is ``bwd(gy, delta)``: it keeps no delta, and ``ssm_scan`` rebuilds
-delta from the pre-activation it keeps. The scan's sequential oracle is
+A scan records two nodes: the x_proj ``linear`` and ``ssm_scan``, which
+runs dt_proj on the x_proj output's step columns, forms delta =
+softplus(dt + dt_bias) and A = -exp(A_log), reads B and C from the same
+output, and runs ``recurrence``. The recurrence's backward rule is
+``bwd(gy, delta)``: it keeps no delta, and ``ssm_scan`` rebuilds delta from
+the step columns it keeps. The scan's sequential oracle is
 ``mfil.reference.selective_scan_reference``; the zero-order-hold and
 kernel-form oracles of the time-invariant case live in ``mfil.reference``
 too, and ``reference.discretize_zoh`` shares ``_zoh_weight`` with the scan.
@@ -30,7 +30,8 @@ import numpy as np
 
 from .init import inv_softplus
 from .tensor import (NonFiniteError, Tensor, linear, record_op, recording,
-                     slice_axis, _sigmoid_np, _softplus_np, _tally)
+                     _affine, _affine_grads, _sigmoid_np, _softplus_np,
+                     _tally)
 
 __all__ = ["SsmCore", "recurrence", "ssm_scan", "selective_scan",
            "dt_rank"]
@@ -187,56 +188,71 @@ def _check_finite(name: str, values: np.ndarray):
         raise NonFiniteError(f"ssm_scan: {name} is non-finite")
 
 
-def ssm_scan(u: Tensor, dt: Tensor, a_log: Tensor, proj: Tensor,
+def ssm_scan(u: Tensor, dt_proj: Tensor, a_log: Tensor, proj: Tensor,
              dt_bias: Tensor, d_skip: Tensor, *,
              exact_input_discretization: bool = False) -> Tensor:
     """The selective scan as one node, from its parameters' raw forms.
 
-    u, dt: [B, L, C], the scan input and the dt_proj output before its
-    bias; a_log: [C, N]; proj: [B, L, R + 2N], the x_proj output, whose
-    last 2N columns are B and C; dt_bias, d_skip: [C]. Inside, delta =
+    u: [B, L, C], the scan input; dt_proj: [C, R], the step-size
+    projection; a_log: [C, N]; proj: [B, L, R + 2N], the x_proj output,
+    whose first R columns are the step columns and last 2N are B and C;
+    dt_bias, d_skip: [C]. Inside, dt = dt_proj(step columns), delta =
     softplus(dt + dt_bias) and A = -exp(A_log), as the ``delta_bias`` and
     ``delta_softplus`` arguments of Mamba's ``selective_scan_fn`` do; then
-    ``recurrence``. The activations are ``tensor``'s own forms, and their
-    gradients the products and sums those nodes' rules take, so the bytes
-    are those of the graph that runs them as nodes. The step-size
-    pre-activation, delta and exp(A_log) are each checked to be finite.
-    The backward keeps the pre-activation, which the softplus gradient
-    reads, and rebuilds delta from it rather than keeping both.
+    ``recurrence``. dt is ``linear``'s product, the activations are
+    ``tensor``'s own forms, and their gradients the products and sums those
+    nodes' rules take, so the bytes are those of the graph that runs them
+    as nodes; the gradient of proj turns each -0.0 into +0.0, as that
+    graph's sum over the slices of proj did. The step-size pre-activation,
+    delta and exp(A_log) are each checked to be finite. The backward keeps
+    the step columns and rebuilds the pre-activation and delta from them.
     """
     bsz, length, ch = u.shape
     n = a_log.shape[1]
-    if dt.shape != (bsz, length, ch):
-        raise ValueError(f"ssm_scan: dt shape {dt.shape} != {u.shape}")
-    if proj.shape[:2] != (bsz, length) or proj.shape[2] < 2 * n:
+    w_dt, b_dt = dt_proj.data, dt_bias.data
+    rank = w_dt.shape[1]
+    width = rank + 2 * n
+    if w_dt.shape[0] != ch:
+        raise ValueError(f"ssm_scan: dt_proj shape {w_dt.shape} does not "
+                         f"map to {ch} channels")
+    if proj.shape != (bsz, length, width):
         raise ValueError("ssm_scan: proj must be [B, L, R + 2N]")
+    m = bsz * length
+    steps = np.ascontiguousarray(proj.data[..., :rank]).reshape(m, rank)
+
+    def step_pre():
+        return _affine(steps, w_dt).reshape(bsz, length, ch) + b_dt
+
     with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
-        pre = dt.data + dt_bias.data
+        pre = step_pre()
         _check_finite("the step-size pre-activation", pre)
         delta = _softplus_np(pre)
         _check_finite("delta", delta)
         e = np.exp(a_log.data)
         _check_finite("exp(A_log)", e)
-    _tally(5 * delta.size + 5 * e.size)
-    width = proj.shape[2]
+    _tally(m * ch * rank + 5 * delta.size + 5 * e.size)
+    del pre  # not held through the recurrence; the backward rebuilds it
     b_tok = np.ascontiguousarray(proj.data[..., width - 2 * n:width - n])
     c_tok = np.ascontiguousarray(proj.data[..., width - n:])
-    inputs = (u, dt, a_log, proj, dt_bias, d_skip)
+    inputs = (u, dt_proj, a_log, proj, dt_bias, d_skip)
     y, scan_bwd = recurrence(
         u.data, delta, -e, b_tok, c_tok, d_skip.data,
         exact_input_discretization=exact_input_discretization,
         taped=recording(inputs))
 
     def bwd(gy):
-        with np.errstate(over="ignore"):  # the forward's delta, rebuilt
+        with np.errstate(over="ignore"):  # the forward's pre and delta
+            pre = step_pre()
             delta = _softplus_np(pre)
         g_u, g_delta, g_a, g_b, g_c, g_d = scan_bwd(gy, delta)
-        g_pre = g_delta * _sigmoid_np(pre)
-        g_proj = np.zeros((bsz, length, width), dtype=gy.dtype)
+        g_pre = (g_delta * _sigmoid_np(pre)).reshape(m, ch)
+        g_steps, g_w = _affine_grads(g_pre, steps, w_dt, bias=False)
+        g_proj = np.empty((bsz, length, width), dtype=gy.dtype)
+        g_proj[..., :rank] = g_steps.reshape(bsz, length, rank)
         g_proj[..., width - 2 * n:width - n] = g_b
         g_proj[..., width - n:] = g_c
-        return (g_u, g_pre, -g_a * e, g_proj,
-                g_pre.reshape(bsz * length, ch).sum(axis=0), g_d)
+        g_proj += 0.0
+        return g_u, g_w, -g_a * e, g_proj, g_pre.sum(axis=0), g_d
     return record_op("ssm_scan", inputs, y, bwd)
 
 
@@ -300,10 +316,10 @@ class SsmCore:
 def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
     """Scan a [B, L, C] token sequence with input-dependent parameters.
 
-    Four nodes: the x_proj and dt_proj linears, the slice between them,
-    and the fused ``ssm_scan``, a per-token loop vectorized over (B, C, N)
-    with the discretization computed in chunks of tokens. Each batch row is
-    one sequence that starts from a zero state.
+    Two nodes: the x_proj linear and the fused ``ssm_scan``, a per-token
+    loop vectorized over (B, C, N) with the discretization computed in
+    chunks of tokens. Each batch row is one sequence that starts from a
+    zero state.
     """
     if x.data.ndim != 3:
         raise ValueError(f"selective_scan expects [B, L, C], got {x.shape}")
@@ -316,6 +332,6 @@ def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
         raise ValueError("selective_scan: sequence must be non-empty")
 
     proj = linear(x, core.x_proj_weight)
-    dt = linear(slice_axis(proj, 2, 0, core.dt_rank), core.dt_proj_weight)
-    return ssm_scan(x, dt, core.A_log, proj, core.dt_bias, core.D_skip,
+    return ssm_scan(x, core.dt_proj_weight, core.A_log, proj, core.dt_bias,
+                    core.D_skip,
                     exact_input_discretization=core.exact_input_discretization)

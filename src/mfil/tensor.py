@@ -548,22 +548,25 @@ def _gelu_f32(x, with_factor: bool):
     return out, factor
 
 
+def _gelu_np(x, with_factor: bool):
+    """(GELU of an array, its derivative factor phi + x * pdf(x) when
+    ``with_factor``, else None)."""
+    if x.dtype == np.float32:
+        return _gelu_f32(x, with_factor)
+    phi = _erf(x * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    factor = (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
+              if with_factor else None)
+    return x * phi, factor
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, erf form: scipy's Cephes erf
     (``_erf``) at f64, Eigen's rational erf (<= 7.5 ulp) at f32. A taped
     call keeps only the derivative factor phi + x * pdf(x), which its
     backward multiplies by."""
-    x = a.data
-    taped = recording((a,))
-    if x.dtype == np.float32:
-        out, factor = _gelu_f32(x, taped)
-    else:
-        phi = _erf(x * _INV_SQRT2)
-        phi += 1.0
-        phi *= 0.5
-        out = x * phi
-        factor = (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
-                  if taped else None)
+    out, factor = _gelu_np(a.data, recording((a,)))
     _tally(5 * out.size)
 
     def bwd(g):
@@ -733,6 +736,19 @@ def scale_per_sample(a: Tensor, factors: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Linear algebra layers
 
+def _affine(x2, w, b=None):
+    """``linear``'s product of the rows x2 [M, D_in]: x2 @ w.T, plus b."""
+    out2 = x2 @ w.T
+    return out2 if b is None else out2 + b
+
+
+def _affine_grads(g2, x2, w, bias: bool = True):
+    """``linear``'s gradients from g2 [M, D_out] and its rows x2: those of
+    x2 and w, then b's when ``bias``."""
+    grads = (g2 @ w, g2.T @ x2)
+    return grads + (g2.sum(axis=0),) if bias else grads
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """y = x @ weight.T + bias over the trailing axis.
 
@@ -748,23 +764,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     lead = x.shape[:-1]
     m = math.prod(lead)  # np.prod of a tuple costs microseconds a call
     x2 = x.data.reshape(m, d_in)
-    out2 = x2 @ weight.data.T
-    if bias is not None:
-        out2 = out2 + bias.data
-    out = out2.reshape(lead + (d_out,))
+    has_bias = bias is not None
+    out = _affine(x2, weight.data, bias.data if has_bias else None)
     _tally(m * d_out * d_in)
     w_data = weight.data
-    has_bias = bias is not None
     inputs = (x, weight, bias) if has_bias else (x, weight)
 
     def bwd(g):
-        g2 = g.reshape(m, d_out)
-        gx = (g2 @ w_data).reshape(lead + (d_in,))
-        gw = g2.T @ x2
-        if not has_bias:
-            return gx, gw
-        return gx, gw, g2.sum(axis=0)
-    return record_op("linear", inputs, out, bwd)
+        gx, *rest = _affine_grads(g.reshape(m, d_out), x2, w_data, has_bias)
+        return gx.reshape(lead + (d_in,)), *rest
+    return record_op("linear", inputs, out.reshape(lead + (d_out,)), bwd)
 
 
 # Added to the variance before the square root.
@@ -1000,6 +1009,25 @@ def _dilate_pad(g, h, w, kh, kw, stride, padding):
     return buf
 
 
+def _depthwise(x, taps, padding, oh, ow, stride=1):
+    """``depthwise_conv2d``'s output for an [N, H, W, C] array and its
+    kernel's ``taps``."""
+    out = _window_tap_sum([x], taps, padding, oh, ow, stride)[0]
+    return np.ascontiguousarray(out[..., :x.shape[3]])
+
+
+def _depthwise_grads(g, in_shape, taps, padding, stride=1, x=None):
+    """``depthwise_conv2d``'s gradients from g: the input's, of shape
+    ``in_shape``, and the kernel's, None without the input ``x``."""
+    _, h, w, c = in_shape
+    _, kh, kw, _ = taps.shape
+    gk = None if x is None else _depthwise_kernel_grads(
+        [x], [g], taps, padding, stride)[0]
+    gx = _window_tap_sum([_dilate_pad(g, h, w, kh, kw, stride, padding)],
+                         taps, 0, h, w, flip=True)[0]
+    return np.ascontiguousarray(gx[..., :c]), gk
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
                      padding: int = 0) -> Tensor:
     """Per-channel 2-D cross-correlation of a channel-last map.
@@ -1023,21 +1051,16 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1,
                     "1, 2")
     oh, ow = _conv_out_size(h, w, kh, kw, stride, padding)
     taps = _depthwise_taps([kernel])
-    out = _window_tap_sum([x.data], taps, padding, oh, ow, stride)[0]
+    out = _depthwise(x.data, taps, padding, oh, ow, stride)
     _tally(n * c * oh * ow * kh * kw)
     # Only the kernel gradient reads the input; it pads x again rather than
     # keep a padded copy alive until the sweep.
     x_saved = x.data if kernel.grad_enabled else None
 
     def bwd(g):
-        gk = None if x_saved is None else _depthwise_kernel_grads(
-            [x_saved], [g], taps, padding, stride)[0]
-        gx = _window_tap_sum(
-            [_dilate_pad(g, h, w, kh, kw, stride, padding)], taps, 0, h, w,
-            flip=True)[0]
-        return np.ascontiguousarray(gx[..., :c]), gk
-    return record_op("depthwise_conv2d", (x, kernel),
-                     np.ascontiguousarray(out[..., :c]), bwd)
+        return _depthwise_grads(g, (n, h, w, c), taps, padding, stride,
+                                x_saved)
+    return record_op("depthwise_conv2d", (x, kernel), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ a wrapper that reads internals the code no longer has.
 """
 
 import importlib
+import inspect
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from mfil import analysis, backbone
+from mfil import analysis, backbone, block, ssm
 from mfil.config import RunConfig
 from mfil.train import train_run
 
@@ -72,3 +73,15 @@ def test_benchmark_entry_points_run_under_the_wrappers(monkeypatch,
     assert report.passed and report.entries
     assert len(m.losses) == 2 and not m.flop_errors
     assert _listing() == before
+
+
+def test_wrapped_signatures_are_the_ones_the_benchmark_reads():
+    """``perfbench/spans.py`` reads ``u.shape`` and ``a.shape[1]`` from
+    ``ssm.ssm_scan``'s first and third positional arguments, and its
+    ``block.conv_ffn`` span wraps a module-level function of that name."""
+    params = list(inspect.signature(ssm.ssm_scan).parameters.values())
+    assert [p.name for p in params[:3:2]] == ["u", "a_log"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:3])
+    assert inspect.isfunction(block.conv_ffn)
+    assert (block.conv_ffn.__module__,
+            block.conv_ffn.__qualname__) == ("mfil.block", "conv_ffn")

@@ -19,7 +19,9 @@ The multi-filter scan's two fused nodes, ``filter_views`` and the
 ``ssm_scan`` of ``selective_scan``, are checked byte for byte against the
 node chains they replace, inside ``mfil_ssm``, over scan mode, dtype,
 batch, grid (1x1 included), channels (1 included), ``segment_reset``,
-exact discretization, ``d_state`` and adaptive weighting.
+exact discretization, ``d_state`` and adaptive weighting. The one-node
+``conv_ffn`` is checked the same way against its four-node chain, over
+dtype, batch, grid (1x1 included) and width (1 included).
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from scipy.special import erf
 from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
                       depthwise_tap_kernel_grad)
 from mfil import reference, scan, ssm
+from mfil.block import _ConvFfn, conv_ffn
 from mfil.scan import (SCAN_MODES, SCAN_VIEWS, AdaptiveWeights, FilterBank,
                        dynamic_map, mfil_ssm, orthogonal_maps, stack_scans)
 from mfil.ssm import SsmCore
@@ -373,3 +376,43 @@ def test_fused_scan_nodes_are_byte_identical_to_their_chains(node, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, node, _CHAINS[node])
         assert _scan_bytes(case) == fused
+
+
+def _chain_ffn(x, ffn):
+    """``conv_ffn`` as its four nodes: linear, depthwise_conv2d, gelu and
+    linear."""
+    h = linear(x, ffn.fc1_weight, ffn.fc1_bias)
+    h = gelu(depthwise_conv2d(h, ffn.dw_weight, stride=1, padding=1))
+    return linear(h, ffn.fc2_weight, ffn.fc2_bias)
+
+
+def _ffn_bytes(ffn_fn, case):
+    """Untaped and taped outputs of ``ffn_fn`` and the gradient of x and
+    of every ConvFFN parameter, as bytes. The readout holds signed
+    zeros."""
+    rng = np.random.default_rng(case["seed"])
+    dt, dim = case["dtype"], case["dim"]
+    ffn = _ConvFfn(dim, 4 * dim, rng, dt)
+    params = list(ffn.parameters().values())
+    for p in params:  # off the identity and zero initial values
+        p.data = (p.data + 0.3 * rng.standard_normal(p.shape)).astype(NP[dt])
+    shape = (case["b"], case["h"], case["w"], dim)
+    x = Tensor(rng.standard_normal(shape), dtype=dt, grad_enabled=True)
+    readout = rng.standard_normal(shape)
+    readout[rng.random(shape) < 0.2] = -0.0
+    untaped = ffn_fn(Tensor(x.data), ffn)
+    with Tape() as tape:
+        out = ffn_fn(x, ffn)
+        grads = tape.gradients(tsum(mul(out, Tensor(readout, dtype=dt))),
+                               [x, *params])
+    return [untaped.data.tobytes(), out.data.tobytes(),
+            *(grads[p].data.tobytes() for p in [x, *params])]
+
+
+@PROPERTY
+@given(st.fixed_dictionaries({
+    "dtype": st.sampled_from(["f32", "f64"]), "b": st.integers(1, 3),
+    "h": st.integers(1, 3), "w": st.integers(1, 5), "dim": st.integers(1, 4),
+    "seed": st.integers(0, 2 ** 32 - 1)}))
+def test_conv_ffn_node_is_byte_identical_to_its_chain(case):
+    assert _ffn_bytes(conv_ffn, case) == _ffn_bytes(_chain_ffn, case)

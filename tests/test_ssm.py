@@ -307,10 +307,10 @@ def _scan_bytes(bsz, nst, dtype, exact):
 
     def t(a, grad=True):
         return Tensor(a, dtype=dtype, grad_enabled=grad)
-    # u, dt, A_log, the x_proj output (one step column, then B and C),
-    # dt_bias and D.
+    # u, dt_proj, A_log, the x_proj output (one step column, then B and
+    # C), dt_bias and D.
     args = (t(rng.standard_normal((bsz, length, ch))),
-            t(0.5 * rng.standard_normal((bsz, length, ch))),
+            t(0.5 * rng.standard_normal((ch, 1))),
             t(rng.standard_normal((ch, nst))),
             t(rng.standard_normal((bsz, length, 1 + 2 * nst))),
             t(rng.standard_normal(ch) - 2.0),

@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -804,17 +805,23 @@ def test_nonfinite_surfaced_not_propagated():
 def test_fused_scan_surfaces_a_nonfinite_step_or_decay():
     """dt + dt_bias overflowing to -inf would give delta = softplus(-inf)
     = 0 and a finite scan; the fused node names the pre-activation
-    instead. exp(A_log) overflowing is named too."""
+    instead, also when dt_proj's product of the step columns overflows,
+    with no RuntimeWarning. exp(A_log) overflowing is named too."""
     def f32(a):
         return Tensor(np.asarray(a, dtype=np.float32), dtype="f32")
-    u, proj, d = f32(np.ones((1, 2, 1))), f32(np.ones((1, 2, 3))), f32([1.0])
-    with pytest.raises(NonFiniteError, match="ssm_scan: the step-size "
-                                             "pre-activation"):
-        ssm_scan(u, f32(np.full((1, 2, 1), -3e38)), f32(np.zeros((1, 1))),
-                 proj, f32([-3e38]), d)
+    u, d = f32(np.ones((1, 2, 1))), f32([1.0])
+    steps = np.ones((1, 2, 3), dtype=np.float32)
+    steps[..., 0] = -3e38
+    proj = f32(steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt_proj, dt_bias in (([[1.0]], [-3e38]), ([[2.0]], [0.0])):
+            with pytest.raises(NonFiniteError, match="ssm_scan: the "
+                               "step-size pre-activation is non-finite"):
+                ssm_scan(u, f32(dt_proj), f32(np.zeros((1, 1))), proj,
+                         f32(dt_bias), d)
     with pytest.raises(NonFiniteError, match=r"ssm_scan: exp\(A_log\)"):
-        ssm_scan(u, f32(np.zeros((1, 2, 1))), f32([[100.0]]), proj,
-                 f32([0.0]), d)
+        ssm_scan(u, f32([[0.0]]), f32([[100.0]]), proj, f32([0.0]), d)
 
 
 def test_dtype_preserved_f32(rng):
