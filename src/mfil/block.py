@@ -38,12 +38,13 @@ from .ssm import SsmCore, dt_rank
 from .tensor import (Tensor, add, depthwise_conv2d, gelu, layer_norm, linear,
                      mul, record_op, recording, scale_per_sample, silu,
                      slice_axis, _affine, _affine_grads, _depthwise,
-                     _depthwise_grads, _depthwise_taps, _gelu_np)
+                     _depthwise_grads, _depthwise_taps, _gelu_np, _silu_np,
+                     _untaped)
 
 if TYPE_CHECKING:
     from .backbone import VariantConfig
 
-__all__ = ["MfilBlock", "block_cost", "conv_ffn"]
+__all__ = ["MfilBlock", "block_cost", "conv_ffn", "gate"]
 
 
 def _widths(dim: int, config: VariantConfig) -> tuple[int, int]:
@@ -110,7 +111,8 @@ def conv_ffn(x: Tensor, ffn: _ConvFfn) -> Tensor:
     inputs = (x, *ffn.parameters().values())
     if not recording(inputs):
         return _ffn_chain(*inputs)
-    out = _ffn_chain(*(Tensor(t.data, check_finite=False) for t in inputs))
+    with _untaped():
+        out = _ffn_chain(*inputs)
     x_data, w1, b1, _, w2, b2 = (t.data for t in inputs)
     taps = _depthwise_taps([ffn.dw_weight])
     *lead, dim = x.shape
@@ -130,6 +132,35 @@ def conv_ffn(x: Tensor, ffn: _ConvFfn) -> Tensor:
         gx, gw1, gb1 = _affine_grads(g1.reshape(m, hidden), x2, w1)
         return gx.reshape(x_data.shape), gw1, gb1, gk, gw2, gb2
     return record_op("conv_ffn", inputs, out.data, bwd)
+
+
+def gate(z: Tensor, u2: Tensor, out_proj: Tensor) -> Tensor:
+    """The mixer's gated projection out_proj(z * SiLU(u2)), as one node.
+
+    The forward runs ``silu``, ``mul`` and ``linear`` untaped, so each map
+    is checked and tallied as their nodes were. A taped call keeps z and
+    u2: its backward rebuilds the SiLU with its factor and the gated map
+    through ``tensor``'s helpers and takes the three nodes' gradients in
+    their order, so the output and every gradient have the bytes of the
+    chain. The rebuild tallies no flops. An untaped call runs the three
+    primitives. ``MfilBlock.mixer_forward`` calls it only when its scan
+    was recorded and runs the primitives itself otherwise.
+    """
+    if not recording((z, u2, out_proj)):
+        return linear(mul(z, silu(u2)), out_proj)
+    with _untaped():
+        out = gate(z, u2, out_proj)
+    z_data, u_data, w = z.data, u2.data, out_proj.data
+    m = z_data.size // z_data.shape[-1]
+
+    def bwd(g):
+        act, factor = _silu_np(u_data, True)
+        g_gated, g_w = _affine_grads(g.reshape(m, w.shape[0]),
+                                     (z_data * act).reshape(m, -1), w,
+                                     bias=False)
+        g_gated = g_gated.reshape(z_data.shape)
+        return g_gated * act, g_gated * z_data * factor, g_w
+    return record_op("gate", (z, u2, out_proj), out.data, bwd)
 
 
 class MfilBlock:
@@ -202,8 +233,13 @@ class MfilBlock:
         branch = depthwise_conv2d(u1, self.branch_conv, stride=1, padding=1)
         z_scan = mfil_ssm(silu(branch), self.bank, self.core, self.weights,
                           scan_mode=self.scan_mode)
-        gated = mul(z_scan, silu(u2))
-        delta1 = linear(gated, self.out_proj)
+        # A recorded scan means a tape records the gate too. Otherwise the
+        # gate's primitives run here, so an untaped forward makes no call
+        # around them; under a tape they record the same gradients.
+        if z_scan.node is not None:
+            delta1 = gate(z_scan, u2, self.out_proj)
+        else:
+            delta1 = linear(mul(z_scan, silu(u2)), self.out_proj)
         return add(x, _drop_path(delta1, self.drop_path, train, rng))
 
     def ffn_forward(self, y1: Tensor, train: bool = False,

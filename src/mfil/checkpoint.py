@@ -34,7 +34,7 @@ def save_checkpoint(path, params: dict[str, Tensor]):
     The bytes go to a temporary sibling file that then replaces ``path`` in
     one rename, so a write that fails or is killed leaves any earlier
     checkpoint at ``path`` as it was; one that raises also removes the
-    temporary.
+    temporary. An f32 entry is written from its own buffer, not copied.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -44,13 +44,13 @@ def save_checkpoint(path, params: dict[str, Tensor]):
             f.write(struct.pack("<II", VERSION, len(params)))
             for name, tensor in params.items():
                 raw = name.encode("utf-8")
-                arr = tensor.data.astype("<f4", copy=False)
+                arr = np.asarray(tensor.data, dtype="<f4", order="C")
                 f.write(struct.pack("<H", len(raw)))
                 f.write(raw)
                 f.write(struct.pack("<B", arr.ndim))
                 for extent in arr.shape:
                     f.write(struct.pack("<Q", extent))
-                f.write(arr.tobytes())
+                f.write(memoryview(arr))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

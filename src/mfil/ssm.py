@@ -14,9 +14,11 @@ delta -> 0.
 A scan records two nodes: the x_proj ``linear`` and ``ssm_scan``, which
 runs dt_proj on the x_proj output's step columns, forms delta =
 softplus(dt + dt_bias) and A = -exp(A_log), reads B and C from the same
-output, and runs ``recurrence``. The recurrence's backward rule is
-``bwd(gy, delta)``: it keeps no delta, and ``ssm_scan`` rebuilds delta from
-the step columns it keeps. The scan's sequential oracle is
+output, and runs ``recurrence``. The recurrence's rule takes the forward's
+u and delta back in rather than keep them: ``ssm_scan`` rebuilds delta from
+the step columns it keeps, and ``scan.mfil_ssm``, which runs the scan
+through ``_kept_scan`` inside one node of its own, also rebuilds u and the
+scan output. The scan's sequential oracle is
 ``mfil.reference.selective_scan_reference``; the zero-order-hold and
 kernel-form oracles of the time-invariant case live in ``mfil.reference``
 too, and ``reference.discretize_zoh`` shares ``_zoh_weight`` with the scan.
@@ -31,7 +33,7 @@ import numpy as np
 from .init import inv_softplus
 from .tensor import (NonFiniteError, Tensor, linear, record_op, recording,
                      _affine, _affine_grads, _sigmoid_np, _softplus_np,
-                     _tally)
+                     _tally, _untaped)
 
 __all__ = ["SsmCore", "recurrence", "ssm_scan", "selective_scan",
            "dt_rank"]
@@ -103,22 +105,33 @@ def _sweep_states_back(gh_all, a_bar_all):
     gh_all[...] = gh_rows.swapaxes(0, 1)
 
 
+def _readout(hs, c):
+    """C[t] . h[t] of the states hs [B, T, C, N] and c [B, T, N]."""
+    return np.einsum("blcn,bln->blc", hs, c)
+
+
+def _add_skip(y, u, d_skip):
+    """y + D * u, in place; returns y."""
+    y += u * d_skip[None, None, :]
+    return y
+
+
 def recurrence(u, delta, a, b, c, d_skip, *,
                exact_input_discretization: bool = False,
                taped: bool = False):
     """The scan on arrays: y for u, delta [B, L, C], a [C, N], b, c
-    [B, L, N] and d_skip [C], and with ``taped`` its backward rule,
-    (gy, delta) -> (g_u, g_delta, g_a, g_b, g_c, g_d_skip); else None.
+    [B, L, N] and d_skip [C], and with ``taped`` its rule, else None.
 
     Each batch row is one sequence whose state starts at zero. The
     recurrence runs sequentially over L but is vectorized over (B, C, N);
     discretized parameters are produced in chunks of ``_CHUNK`` tokens to
     bound the working set, with the hidden state carried across chunk
     boundaries, and the readout is formed chunk by chunk. Only a taped call
-    keeps every state h[t], which its backward reads; exp(delta * A) is
-    recomputed there. The rule does not keep delta: the caller passes the
-    forward's delta back in, which ``ssm_scan`` rebuilds from its
-    pre-activation.
+    keeps every state h[t]. The rule is a pair of functions of the
+    forward's u and delta, which it does not keep: ``backward(gy, u,
+    delta)`` -> (g_u, g_delta, g_a, g_b, g_c, g_d_skip), which recomputes
+    exp(delta * A), and ``outputs(u)``, y again, read out of the kept
+    states chunk by chunk as the forward read it.
     """
     bsz, length, ch = u.shape
     n = a.shape[1]
@@ -137,16 +150,22 @@ def recurrence(u, delta, a, b, c, d_skip, *,
             w = delta[:, t0:t1, :, None]
         bx = w * b[:, t0:t1, None, :] * u[:, t0:t1, :, None]
         prev = _scan_states(hs, a_bar, bx, prev)
-        y[:, t0:t1] = np.einsum("blcn,bln->blc", hs, c[:, t0:t1])
-    y += u * d_skip[None, None, :]
+        y[:, t0:t1] = _readout(hs, c[:, t0:t1])
+    _add_skip(y, u, d_skip)
     _tally(2 * bsz * length * ch * n)
     if not taped:
         return y, None
 
-    def bwd(gy, delta):
+    def outputs(u):
+        y = np.empty((bsz, length, ch), dtype=u.dtype)
+        for t0 in range(0, length, _CHUNK):
+            t1 = min(t0 + _CHUNK, length)
+            y[:, t0:t1] = _readout(h_all[:, t0:t1], c[:, t0:t1])
+        return _add_skip(y, u, d_skip)
+
+    def backward(gy, u, delta):
         g_c = np.einsum("blc,blcn->bln", gy, h_all)
         g_d = np.einsum("blc,blc->c", gy, u)
-        g_u = gy * d_skip[None, None, :]
         # Reverse-time accumulation of dL/dh[t]: gh_all starts as the
         # readout term gy[t] * C[t] of every token.
         gh_all = gy[:, :, :, None] * c[:, :, None, :]
@@ -154,12 +173,13 @@ def recurrence(u, delta, a, b, c, d_skip, *,
         # forward's chunks, so the same bytes.
         a_bar_all = np.exp(delta[:, :, :, None] * a[None, None])
         _sweep_states_back(gh_all, a_bar_all)
-        h_prev = np.empty_like(h_all)
-        h_prev[:, 0] = 0.0
-        h_prev[:, 1:] = h_all[:, :-1]
-        g_abar = gh_all * h_prev
+        # dL/da_bar[t] = dL/dh[t] * h[t - 1], with h[-1] = 0.
+        g_abar = np.empty_like(gh_all)
+        np.multiply(gh_all[:, 1:], h_all[:, :-1], out=g_abar[:, 1:])
+        np.multiply(gh_all[:, 0], 0.0, out=g_abar[:, 0])
         g_delta = np.einsum("blcn,blcn,cn->blc", g_abar, a_bar_all, a)
         g_a = np.einsum("blcn,blcn,blc->cn", g_abar, a_bar_all, delta)
+        del g_abar
         if exact_input_discretization:
             da = delta[:, :, :, None] * a[None, None]
             w, limit, safe_a = _zoh_weight(delta[:, :, :, None], da, a,
@@ -177,10 +197,12 @@ def recurrence(u, delta, a, b, c, d_skip, *,
         else:
             w = delta[:, :, :, None]
             g_delta = g_delta + np.einsum("blcn,bln->blc", gh_all, b) * u
+        del a_bar_all
         g_b = np.einsum("blcn,blcn,blc->bln", gh_all, w, u)
-        g_u = g_u + np.einsum("blcn,blcn,bln->blc", gh_all, w, b)
+        g_u = gy * d_skip[None, None, :] + np.einsum("blcn,blcn,bln->blc",
+                                                     gh_all, w, b)
         return g_u, g_delta, g_a, g_b, g_c, g_d
-    return y, bwd
+    return y, (backward, outputs)
 
 
 def _check_finite(name: str, values: np.ndarray):
@@ -188,25 +210,12 @@ def _check_finite(name: str, values: np.ndarray):
         raise NonFiniteError(f"ssm_scan: {name} is non-finite")
 
 
-def ssm_scan(u: Tensor, dt_proj: Tensor, a_log: Tensor, proj: Tensor,
-             dt_bias: Tensor, d_skip: Tensor, *,
-             exact_input_discretization: bool = False) -> Tensor:
-    """The selective scan as one node, from its parameters' raw forms.
-
-    u: [B, L, C], the scan input; dt_proj: [C, R], the step-size
-    projection; a_log: [C, N]; proj: [B, L, R + 2N], the x_proj output,
-    whose first R columns are the step columns and last 2N are B and C;
-    dt_bias, d_skip: [C]. Inside, dt = dt_proj(step columns), delta =
-    softplus(dt + dt_bias) and A = -exp(A_log), as the ``delta_bias`` and
-    ``delta_softplus`` arguments of Mamba's ``selective_scan_fn`` do; then
-    ``recurrence``. dt is ``linear``'s product, the activations are
-    ``tensor``'s own forms, and their gradients the products and sums those
-    nodes' rules take, so the bytes are those of the graph that runs them
-    as nodes; the gradient of proj turns each -0.0 into +0.0, as that
-    graph's sum over the slices of proj did. The step-size pre-activation,
-    delta and exp(A_log) are each checked to be finite. The backward keeps
-    the step columns and rebuilds the pre-activation and delta from them.
-    """
+def _scan(u: Tensor, dt_proj: Tensor, a_log: Tensor, proj: Tensor,
+          dt_bias: Tensor, d_skip: Tensor, exact: bool, taped: bool):
+    """``ssm_scan``'s arithmetic: y, and with ``taped`` its rule, else
+    None. The rule is ``(backward(gy, u), outputs(u))`` of the forward's
+    u, which it does not keep; ``backward`` gives the gradients of the six
+    inputs in order and ``outputs`` is ``recurrence``'s."""
     bsz, length, ch = u.shape
     n = a_log.shape[1]
     w_dt, b_dt = dt_proj.data, dt_bias.data
@@ -234,17 +243,22 @@ def ssm_scan(u: Tensor, dt_proj: Tensor, a_log: Tensor, proj: Tensor,
     del pre  # not held through the recurrence; the backward rebuilds it
     b_tok = np.ascontiguousarray(proj.data[..., width - 2 * n:width - n])
     c_tok = np.ascontiguousarray(proj.data[..., width - n:])
-    inputs = (u, dt_proj, a_log, proj, dt_bias, d_skip)
-    y, scan_bwd = recurrence(
+    y, rule = recurrence(
         u.data, delta, -e, b_tok, c_tok, d_skip.data,
-        exact_input_discretization=exact_input_discretization,
-        taped=recording(inputs))
+        exact_input_discretization=exact, taped=taped)
+    if rule is None:
+        return y, None
+    scan_bwd, outputs = rule
 
-    def bwd(gy):
-        with np.errstate(over="ignore"):  # the forward's pre and delta
+    def backward(gy, u):
+        # The forward's delta, then its pre-activation again: neither is
+        # held through the recurrence's backward.
+        with np.errstate(over="ignore"):
+            delta = _softplus_np(step_pre())
+        g_u, g_delta, g_a, g_b, g_c, g_d = scan_bwd(gy, u, delta)
+        del delta
+        with np.errstate(over="ignore"):
             pre = step_pre()
-            delta = _softplus_np(pre)
-        g_u, g_delta, g_a, g_b, g_c, g_d = scan_bwd(gy, delta)
         g_pre = (g_delta * _sigmoid_np(pre)).reshape(m, ch)
         g_steps, g_w = _affine_grads(g_pre, steps, w_dt, bias=False)
         g_proj = np.empty((bsz, length, width), dtype=gy.dtype)
@@ -253,7 +267,34 @@ def ssm_scan(u: Tensor, dt_proj: Tensor, a_log: Tensor, proj: Tensor,
         g_proj[..., width - n:] = g_c
         g_proj += 0.0
         return g_u, g_w, -g_a * e, g_proj, g_pre.sum(axis=0), g_d
-    return record_op("ssm_scan", inputs, y, bwd)
+    return y, (backward, outputs)
+
+
+def ssm_scan(u: Tensor, dt_proj: Tensor, a_log: Tensor, proj: Tensor,
+             dt_bias: Tensor, d_skip: Tensor, *,
+             exact_input_discretization: bool = False) -> Tensor:
+    """The selective scan as one node, from its parameters' raw forms.
+
+    u: [B, L, C], the scan input; dt_proj: [C, R], the step-size
+    projection; a_log: [C, N]; proj: [B, L, R + 2N], the x_proj output,
+    whose first R columns are the step columns and last 2N are B and C;
+    dt_bias, d_skip: [C]. Inside, dt = dt_proj(step columns), delta =
+    softplus(dt + dt_bias) and A = -exp(A_log), as the ``delta_bias`` and
+    ``delta_softplus`` arguments of Mamba's ``selective_scan_fn`` do; then
+    ``recurrence``. dt is ``linear``'s product, the activations are
+    ``tensor``'s own forms, and their gradients the products and sums those
+    nodes' rules take, so the bytes are those of the graph that runs them
+    as nodes; the gradient of proj turns each -0.0 into +0.0, as that
+    graph's sum over the slices of proj did. The step-size pre-activation,
+    delta and exp(A_log) are each checked to be finite. The backward keeps
+    u, the step columns and the states, and rebuilds the pre-activation
+    and delta from the step columns.
+    """
+    inputs = (u, dt_proj, a_log, proj, dt_bias, d_skip)
+    y, rule = _scan(*inputs, exact_input_discretization, recording(inputs))
+    u_data = u.data
+    return record_op("ssm_scan", inputs, y,
+                     rule and (lambda gy: rule[0](gy, u_data)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +362,14 @@ def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
     chunks of tokens. Each batch row is one sequence that starts from a
     zero state.
     """
+    proj = _projected(x, core)
+    return ssm_scan(x, core.dt_proj_weight, core.A_log, proj, core.dt_bias,
+                    core.D_skip,
+                    exact_input_discretization=core.exact_input_discretization)
+
+
+def _projected(x: Tensor, core: SsmCore) -> Tensor:
+    """The x_proj output of a checked [B, L, C] scan input."""
     if x.data.ndim != 3:
         raise ValueError(f"selective_scan expects [B, L, C], got {x.shape}")
     bsz, length, ch = x.shape
@@ -330,8 +379,16 @@ def selective_scan(x: Tensor, core: SsmCore) -> Tensor:
             f"{core.d_model}")
     if length < 1:
         raise ValueError("selective_scan: sequence must be non-empty")
+    return linear(x, core.x_proj_weight)
 
-    proj = linear(x, core.x_proj_weight)
-    return ssm_scan(x, core.dt_proj_weight, core.A_log, proj, core.dt_bias,
-                    core.D_skip,
-                    exact_input_discretization=core.exact_input_discretization)
+
+def _kept_scan(x: Tensor, core: SsmCore):
+    """``selective_scan`` of x, its primitives run untaped, with the rule
+    ``_scan`` keeps: (the output, (backward, outputs)). A fused node that
+    holds the rule drops x and rebuilds it for the backward."""
+    with _untaped():
+        proj = _projected(x, core)
+        inputs = (x, core.dt_proj_weight, core.A_log, proj, core.dt_bias,
+                  core.D_skip)
+        y, rule = _scan(*inputs, core.exact_input_discretization, True)
+        return record_op("ssm_scan", inputs, y, None), rule

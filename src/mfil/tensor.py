@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -287,6 +288,19 @@ def recording(inputs: Sequence[Tensor]) -> bool:
     return _active_tape() is not None and any(t.grad_enabled for t in inputs)
 
 
+@contextmanager
+def _untaped():
+    """Run ops unrecorded while a tape is active. A fused node's forward
+    runs its primitives so: each checks and tallies its output as its own
+    node does, and records nothing."""
+    stack = _stack("tapes")
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
 def record_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
               backward_fn) -> Tensor:
     """Build the output tensor of a primitive and record it on the active tape.
@@ -413,14 +427,18 @@ def _silu_grad_np(x, s):
     return s * (1.0 + x * (1.0 - s))
 
 
+def _silu_np(x, with_factor: bool):
+    """(x * sigmoid(x), its derivative factor s * (1 + x * (1 - s)) when
+    ``with_factor``, else None)."""
+    s = _sigmoid_np(x)
+    return x * s, _silu_grad_np(x, s) if with_factor else None
+
+
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x). A taped call keeps only the derivative factor
     s * (1 + x * (1 - s)), which its backward multiplies by."""
-    x = a.data
-    s = _sigmoid_np(x)
-    out = x * s
+    out, factor = _silu_np(a.data, recording((a,)))
     _tally(5 * out.size)
-    factor = _silu_grad_np(x, s) if recording((a,)) else None
 
     def bwd(g):
         return (g * factor,)
@@ -702,10 +720,16 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
     shape = a.shape
 
     def bwd(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
-        return (full,)
+        return (_take_grad(g, idx, axis, shape),)
     return record_op("take", (a,), out, bwd)
+
+
+def _take_grad(g, idx, axis: int, shape) -> np.ndarray:
+    """``take``'s input gradient: g scatter-added into zeros of ``shape``
+    at ``idx`` along ``axis``."""
+    full = np.zeros(shape, dtype=g.dtype)
+    np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
+    return full
 
 
 def tile_leading(a: Tensor, reps: Sequence[int]) -> Tensor:

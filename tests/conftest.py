@@ -1,4 +1,5 @@
 import gc
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,56 @@ def no_gc():
     yield
     if enabled:
         gc.enable()
+
+
+def rule_values(rule):
+    """Every value a backward rule reaches, each once: its closure cells,
+    and what they hold through functions, tuples, lists and dicts."""
+    seen, todo = set(), [rule]
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if isinstance(value, types.FunctionType):
+            for cell in value.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a cell not yet assigned
+                    pass
+        elif isinstance(value, (tuple, list)):
+            todo += value
+        elif isinstance(value, dict):
+            todo += value.values()
+
+
+def kept_bytes(tape, params):
+    """{node name: bytes} of the distinct base arrays the tape's backward
+    rules reach, each counted once, against the first node that reaches
+    it; the parameters' arrays are not counted. Also the names of any
+    base array two nodes reach."""
+    skip = {id(_base(p.data)) for p in params}
+    owner, per_node, shared = {}, {}, []
+    for node in tape.nodes:
+        bases = {id(b): b for b in map(_base, (
+            v for v in rule_values(node.backward)
+            if isinstance(v, np.ndarray)))}
+        for key, base in bases.items():
+            if key in skip:
+                continue
+            if key in owner:
+                shared.append((owner[key], node.name))
+                continue
+            owner[key] = node.name
+            per_node[node.name] = per_node.get(node.name, 0) + base.nbytes
+    return per_node, shared
+
+
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def grad_close(analytic, numeric, rtol=1e-4, atol=1e-9):

@@ -192,6 +192,33 @@ def test_f64_params_stored_as_f32(rng, tmp_path):
     assert np.allclose(loaded["w"], p["w"].data, atol=1e-7)
 
 
+def _tobytes_checkpoint(params) -> bytes:
+    """The checkpoint bytes of ``params``, each entry's values copied out
+    with ``tobytes``."""
+    out = [MAGIC, struct.pack("<II", VERSION, len(params))]
+    for name, tensor in params.items():
+        raw = name.encode("utf-8")
+        arr = tensor.data.astype("<f4")
+        out += [struct.pack("<H", len(raw)), raw,
+                struct.pack("<B", arr.ndim),
+                *(struct.pack("<Q", extent) for extent in arr.shape),
+                arr.tobytes()]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_entries_are_written_with_the_bytes_tobytes_gives(tmp_path, dtype):
+    """Entries are written from their buffers: the file has the bytes of a
+    writer that copies each entry out with ``tobytes``, for a desk model,
+    a 1-element entry and a 0-d entry, at both dtypes."""
+    params = dict(bb.build(bb.desk(), seed=0, dtype=dtype).parameters())
+    params["one"] = Tensor(np.array([-1.5]), dtype=dtype)
+    params["scalar"] = Tensor(np.array(2.25), dtype=dtype)
+    path = tmp_path / "p.mfil"
+    save_checkpoint(path, params)
+    assert path.read_bytes() == _tobytes_checkpoint(params)
+
+
 @pytest.fixture(scope="module")
 def small_desk_checkpoint(tmp_path_factory):
     """The desk parameters of at most 64 elements: 66 entries, a quarter

@@ -15,13 +15,15 @@ range, the f64 forms byte for byte against the formulas they stand for,
 the branch-free sigmoid byte for byte against its ``np.where`` form, and
 the ``silu``, ``softplus`` and ``gelu`` gradients at both dtypes.
 
-The multi-filter scan's two fused nodes, ``filter_views`` and the
-``ssm_scan`` of ``selective_scan``, are checked byte for byte against the
-node chains they replace, inside ``mfil_ssm``, over scan mode, dtype,
-batch, grid (1x1 included), channels (1 included), ``segment_reset``,
-exact discretization, ``d_state`` and adaptive weighting. The one-node
-``conv_ffn`` is checked the same way against its four-node chain, over
-dtype, batch, grid (1x1 included) and width (1 included).
+The taped ``mfil_ssm`` is one node, and so is the mixer's ``gate``; each
+is checked byte for byte against the chain of nodes it replaces, and so
+are the fused ``filter_views`` and the ``ssm_scan`` of ``selective_scan``
+inside that chain, over scan mode, dtype, batch, grid (1x1 included),
+channels (1 included), ``segment_reset``, exact discretization,
+``d_state`` and adaptive weighting. A fixed case hands ``ssm_scan``'s rule
+a -0.0 that no drawn case produces. The one-node ``conv_ffn`` is checked
+the same way against its four-node chain, over dtype, batch, grid (1x1
+included) and width (1 included).
 """
 
 import numpy as np
@@ -32,15 +34,15 @@ from scipy.special import erf
 
 from conftest import (depthwise_tap_forward, depthwise_tap_input_grad,
                       depthwise_tap_kernel_grad)
-from mfil import reference, scan, ssm
+from mfil import block, reference, scan, ssm
 from mfil.block import _ConvFfn, conv_ffn
 from mfil.scan import (SCAN_MODES, SCAN_VIEWS, AdaptiveWeights, FilterBank,
-                       dynamic_map, mfil_ssm, orthogonal_maps, stack_scans)
+                       dynamic_map, orthogonal_maps, stack_scans)
 from mfil.ssm import SsmCore
 from mfil.tensor import (NonFiniteError, Tape, Tensor, _sigmoid_np, conv2d,
                          depthwise_conv2d, exp, gelu, linear, mul, neg,
-                         record_op, recording, silu, slice_axis, softplus,
-                         tsum)
+                         record_op, recording, reshape, silu, slice_axis,
+                         softplus, take, tsum)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -302,25 +304,65 @@ def _chain_views(x, bank, scan_mode):
     return stack_scans(*(maps[m] for m, _ in SCAN_VIEWS[scan_mode]))
 
 
-def _chain_scan(x, core):
-    """``selective_scan`` as its nine nodes: x_proj, three slices, dt_proj
-    with its bias, softplus, exp, neg and a scan node on delta and A."""
-    r, n = core.dt_rank, core.d_state
-    proj = linear(x, core.x_proj_weight)
+def _chain_ssm(u, dt_proj, a_log, proj, dt_bias, d_skip, exact):
+    """``ssm_scan`` as eight nodes: three slices of proj, dt_proj with its
+    bias, softplus, exp, neg and a scan node on delta and A."""
+    r, n = dt_proj.shape[1], a_log.shape[1]
     dt_raw = slice_axis(proj, 2, 0, r)
     b_tok = slice_axis(proj, 2, r, r + n)
     c_tok = slice_axis(proj, 2, r + n, r + 2 * n)
-    delta = softplus(linear(dt_raw, core.dt_proj_weight, core.dt_bias))
-    inputs = (x, delta, neg(exp(core.A_log)), b_tok, c_tok, core.D_skip)
-    y, bwd = ssm.recurrence(
-        *(t.data for t in inputs),
-        exact_input_discretization=core.exact_input_discretization,
-        taped=recording(inputs))
+    delta = softplus(linear(dt_raw, dt_proj, dt_bias))
+    inputs = (u, delta, neg(exp(a_log)), b_tok, c_tok, d_skip)
+    y, rule = ssm.recurrence(*(t.data for t in inputs),
+                             exact_input_discretization=exact,
+                             taped=recording(inputs))
+    u_data, delta_data = u.data, delta.data
     return record_op("ssm_scan", inputs, y,
-                     bwd and (lambda gy: bwd(gy, delta.data)))
+                     rule and (lambda gy: rule[0](gy, u_data, delta_data)))
 
 
-_CHAINS = {"filter_views": _chain_views, "selective_scan": _chain_scan}
+def _chain_scan(x, core):
+    """``selective_scan`` as its nine nodes: x_proj and ``_chain_ssm``."""
+    return _chain_ssm(x, core.dt_proj_weight, core.A_log,
+                      linear(x, core.x_proj_weight), core.dt_bias,
+                      core.D_skip, core.exact_input_discretization)
+
+
+def _chain_mfil(x, bank, core, weights, scan_mode):
+    """``mfil_ssm`` as the nodes it replaces: ``filter_views``, the takes
+    that reorder the views, ``selective_scan``'s, the ``segment_reset``
+    reshapes and ``merge_views``. Each node is read from ``scan``, so a
+    test can swap in that node's own chain."""
+    rows = SCAN_VIEWS[scan_mode]
+    b, h, w, c = x.shape
+    n = len(rows)
+    seq = scan.filter_views(x, bank, scan_mode)
+    order = scan._view_order(rows, h, w)
+    if order is not None:
+        seq = take(seq, order, axis=1)
+    if core.segment_reset:
+        seq = reshape(seq, (b * n, h * w, c))
+    out = scan.selective_scan(seq, core)
+    if core.segment_reset:
+        out = reshape(out, (b, n * h * w, c))
+    if order is not None:
+        out = take(out, np.argsort(order), axis=1)
+    if n == 1:
+        return reshape(out, (b, h, w, c))
+    return scan.merge_views(out, None if weights is None else
+                            weights.alphas(), h, w)
+
+
+def _chain_gate(z, u2, out_proj):
+    """``gate`` as its three nodes: silu, mul and linear."""
+    return linear(mul(z, silu(u2)), out_proj)
+
+
+# node -> (its module, its chain). Every case runs ``mfil_ssm`` as
+# ``_chain_mfil``, so the nodes it chains are on the tape.
+_CHAINS = {"filter_views": (scan, _chain_views),
+           "selective_scan": (scan, _chain_scan),
+           "mfil_ssm": (scan, _chain_mfil), "gate": (block, _chain_gate)}
 
 
 @st.composite
@@ -340,9 +382,19 @@ def scan_cases(draw):
     }
 
 
+def _signed_readout(rng, shape, dt):
+    """A readout with about a fifth of its entries -0.0."""
+    readout = rng.standard_normal(shape)
+    readout[rng.random(shape) < 0.2] = -0.0
+    return Tensor(readout, dtype=dt)
+
+
 def _scan_bytes(case):
-    """Untaped and taped ``mfil_ssm`` outputs and the gradient of x and of
-    every parameter, as bytes. The readout holds signed zeros."""
+    """As bytes: the untaped and taped outputs of ``mfil_ssm`` and of the
+    mixer's gate on it, and the gradients of x and every scan parameter
+    from a readout of the scan, then of x, the gate's other input u2 and
+    every parameter from a readout of the gate. The readouts hold signed
+    zeros."""
     rng = np.random.default_rng(case["seed"])
     dt, c, mode = case["dtype"], case["c"], case["mode"]
     bank = FilterBank(c, rng=rng, dtype=dt, scan_mode=mode)
@@ -358,24 +410,83 @@ def _scan_bytes(case):
         p.data = (p.data + 0.3 * rng.standard_normal(p.shape)).astype(NP[dt])
     shape = (case["b"], case["h"], case["w"], c)
     x = Tensor(rng.standard_normal(shape), dtype=dt, grad_enabled=True)
-    readout = rng.standard_normal(shape)
-    readout[rng.random(shape) < 0.2] = -0.0
-    untaped = mfil_ssm(Tensor(x.data), bank, core, weights, mode)
-    with Tape() as tape:
-        out = mfil_ssm(x, bank, core, weights, mode)
-        grads = tape.gradients(tsum(mul(out, Tensor(readout, dtype=dt))),
-                               [x, *params])
-    return [untaped.data.tobytes(), out.data.tobytes(),
-            *(grads[p].data.tobytes() for p in [x, *params])]
+    u2 = Tensor(rng.standard_normal(shape), dtype=dt, grad_enabled=True)
+    out_proj = Tensor(rng.standard_normal((c, c)), dtype=dt,
+                      grad_enabled=True)
+    readouts = [_signed_readout(rng, shape, dt) for _ in range(2)]
+
+    def scanned(x):
+        return scan.mfil_ssm(x, bank, core, weights, mode)
+
+    def gated(x):
+        return block.gate(scanned(x), u2, out_proj)
+    out = []
+    for f, readout, leaves in ((scanned, readouts[0], [x, *params]),
+                               (gated, readouts[1],
+                                [x, u2, out_proj, *params])):
+        out.append(f(Tensor(x.data)).data.tobytes())
+        with Tape() as tape:
+            y = f(x)
+            grads = tape.gradients(tsum(mul(y, readout)), leaves)
+        out += [y.data.tobytes(), *(grads[p].data.tobytes() for p in leaves)]
+    return out
 
 
 @PROPERTY
 @given(st.sampled_from(sorted(_CHAINS)), scan_cases())
 def test_fused_scan_nodes_are_byte_identical_to_their_chains(node, case):
     fused = _scan_bytes(case)
+    module, chain = _CHAINS[node]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, node, _CHAINS[node])
+        mp.setattr(scan, "mfil_ssm", _chain_mfil)
+        mp.setattr(module, node, chain)
         assert _scan_bytes(case) == fused
+
+
+def test_ssm_scan_turns_a_negative_zero_in_projs_gradient_positive(
+        monkeypatch):
+    """numpy's einsum and matmul start each sum at +0.0, so no drawn case
+    gets a -0.0 into proj's gradient. Here the recurrence's backward hands
+    back -0.0 for every zero of the B and C columns' gradients, which a
+    zero readout of the last tokens makes. proj's gradient must still have
+    the bytes of the chain, whose sum over the slices of proj turns each
+    -0.0 into +0.0; ``ssm_scan``'s rule, which ``mfil_ssm`` runs too, does
+    the same with ``g_proj += 0.0``."""
+    original = ssm.recurrence
+    flipped = []
+
+    def negative_zeros(*args, **kwargs):
+        y, rule = original(*args, **kwargs)
+        if rule is None:
+            return y, None
+
+        def backward(*a):
+            g = list(rule[0](*a))
+            for k in (3, 4):  # g_b, g_c
+                flipped.append(int((g[k] == 0).sum()))
+                g[k] = np.where(g[k] == 0, -0.0, g[k]).astype(g[k].dtype)
+            return tuple(g)
+        return y, (backward, rule[1])
+    monkeypatch.setattr(ssm, "recurrence", negative_zeros)
+    rng = np.random.default_rng(5)
+    length, ch, n = 12, 3, 2
+    readout = rng.standard_normal((1, length, ch))
+    readout[:, length // 2:] = 0.0
+    arrays = (rng.standard_normal((1, length, ch)),
+              0.5 * rng.standard_normal((ch, 1)),
+              rng.standard_normal((ch, n)),
+              rng.standard_normal((1, length, 1 + 2 * n)),
+              rng.standard_normal(ch) - 2.0, rng.standard_normal(ch))
+
+    def grads(scan_fn):
+        args = [Tensor(a, grad_enabled=True) for a in arrays]
+        with Tape() as tape:
+            y = scan_fn(*args)
+            g = tape.gradients(tsum(mul(y, Tensor(readout))), args)
+        return [g[a].data.tobytes() for a in args]
+    node = grads(ssm.ssm_scan)
+    assert flipped and min(flipped) > 0
+    assert node == grads(lambda *args: _chain_ssm(*args, False))
 
 
 def _chain_ffn(x, ffn):
